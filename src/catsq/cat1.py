@@ -195,26 +195,28 @@ def _conjugated_map(alpha: Sequence[int], alpha_inv: Sequence[int],
 
 def cat1_structure_orbit_maps(G: GroupTable) -> list[tuple[int, ...]]:
     """For each Aut(G) generator, the induced permutation of cat1 positions."""
-    cat1s = all_cat1_groups(G)
-    index = {c.key(): p for p, c in enumerate(cat1s)}
-    sigmas = []
-    for a in automorphism_generators(G):
-        am = a.mapping
-        inv = [0] * len(am)
-        for x, v in enumerate(am):
-            inv[v] = x
-        sigma = []
-        for c in cat1s:
-            key = (_conjugated_map(am, inv, c.tail.mapping),
-                   _conjugated_map(am, inv, c.head.mapping))
-            try:
-                sigma.append(index[key])
-            except KeyError:
-                raise GroupError(
-                    "conjugating a cat1 structure left the enumeration; "
-                    "the Aut action is broken") from None
-        sigmas.append(tuple(sigma))
-    return sigmas
+    if "cat1_orbit_maps" not in G._cache:
+        cat1s = all_cat1_groups(G)
+        index = {c.key(): p for p, c in enumerate(cat1s)}
+        sigmas = []
+        for a in automorphism_generators(G):
+            am = a.mapping
+            inv = [0] * len(am)
+            for x, v in enumerate(am):
+                inv[v] = x
+            sigma = []
+            for c in cat1s:
+                key = (_conjugated_map(am, inv, c.tail.mapping),
+                       _conjugated_map(am, inv, c.head.mapping))
+                try:
+                    sigma.append(index[key])
+                except KeyError:
+                    raise GroupError(
+                        "conjugating a cat1 structure left the enumeration; "
+                        "the Aut action is broken") from None
+            sigmas.append(tuple(sigma))
+        G._cache["cat1_orbit_maps"] = tuple(sigmas)
+    return list(G._cache["cat1_orbit_maps"])
 
 
 class _UnionFind:

@@ -3,8 +3,9 @@
 A cat2-group is an unordered pair of cat1 structures on one group whose four
 maps commute pairwise; constructors keep the caller's orientation while the
 enumeration emits each pair once, lexicographically smaller structure first.
-The pair scan switches to blocked numpy composition when the structure list
-is large.  Isomorphism classification computes orbits under Aut(G) combined
+The pair scan tests one cat1 structure per Aut(G) orbit against all
+structures with numpy row compositions and carries the partner lists along
+each orbit.  Isomorphism classification computes orbits under Aut(G) combined
 with the orientation swap, via union-find over the induced position
 permutations of a small automorphism generating set.
 """
@@ -36,11 +37,10 @@ from .cat1 import (
     _families_from_unionfind,
     _intertwines,
     all_cat1_groups,
+    cat1_structure_orbit_maps,
     is_cat1_group,
     pre_cat1_by_endomorphisms,
 )
-
-_NUMPY_SCAN_MIN = 64  # switch the pair scan to numpy above this many cat1s
 
 
 @dataclass(frozen=True)
@@ -132,55 +132,39 @@ def diagonal_pre_cat1(C: PreCat2Group) -> tuple[PreCat1Group, bool, Optional[tup
 # -- enumeration ---------------------------------------------------------------
 
 
-def _compatible_pairs_python(tmaps, hmaps) -> list[tuple[int, int]]:
-    k = len(tmaps)
-    n = len(tmaps[0]) if k else 0
-    rng = range(n)
-    pairs = []
-    for i in range(k):
-        t1, h1 = tmaps[i], hmaps[i]
-        for j in range(i, k):
-            t2, h2 = tmaps[j], hmaps[j]
-            if (all(t1[t2[x]] == t2[t1[x]] for x in rng)
-                    and all(h1[h2[x]] == h2[h1[x]] for x in rng)
-                    and all(t1[h2[x]] == h2[t1[x]] for x in rng)
-                    and all(t2[h1[x]] == h1[t2[x]] for x in rng)):
-                pairs.append((i, j))
-    return pairs
-
-
-def _compatible_pairs_numpy(tmaps, hmaps) -> list[tuple[int, int]]:
-    k = len(tmaps)
-    T = np.array(tmaps, dtype=np.int16)
-    H = np.array(hmaps, dtype=np.int16)
-    pairs = []
-    # keep each (block, k, n) composition tensor around 16 MB
-    block = max(1, min(256, (1 << 24) // max(1, k * T.shape[1])))
-    for start in range(0, k, block):
-        stop = min(start + block, k)
-        Tb, Hb = T[start:stop], H[start:stop]
-        mask = (Tb[:, T] == np.swapaxes(T[:, Tb], 0, 1)).all(axis=2)
-        mask &= (Hb[:, H] == np.swapaxes(H[:, Hb], 0, 1)).all(axis=2)
-        mask &= (Tb[:, H] == np.swapaxes(H[:, Tb], 0, 1)).all(axis=2)
-        mask &= (Hb[:, T] == np.swapaxes(T[:, Hb], 0, 1)).all(axis=2)
-        for p, row in enumerate(mask):
-            i = start + p
-            js = np.nonzero(row)[0]
-            pairs.extend((i, int(j)) for j in js if j >= i)
-    return pairs
-
-
 def cat2_pair_indices(G: GroupTable) -> list[tuple[int, int]]:
-    """Index pairs (i <= j) of commuting cat1 structures, canonical order."""
+    """Index pairs (i <= j) of commuting cat1 structures, canonical order.
+
+    Commutation is invariant under Aut(G), so only one structure per cat1
+    orbit is tested against all k structures; its partner list is then
+    carried breadth-first along the orbit by the generator permutations of
+    :func:`cat1_structure_orbit_maps` (orbit-stabilizer transport).
+    """
     if "cat2pairs" not in G._cache:
         cat1s = all_cat1_groups(G)
-        tmaps = [c.tail.mapping for c in cat1s]
-        hmaps = [c.head.mapping for c in cat1s]
-        if len(cat1s) >= _NUMPY_SCAN_MIN:
-            pairs = _compatible_pairs_numpy(tmaps, hmaps)
-        else:
-            pairs = _compatible_pairs_python(tmaps, hmaps)
-        pairs.sort()
+        T = np.array([c.tail.mapping for c in cat1s], dtype=np.intp)
+        H = np.array([c.head.mapping for c in cat1s], dtype=np.intp)
+        sigmas = [np.array(s, dtype=np.intp) for s in cat1_structure_orbit_maps(G)]
+        partners: list[Optional[np.ndarray]] = [None] * len(cat1s)
+        for r in range(len(cat1s)):
+            if partners[r] is not None:
+                continue
+            t, h = T[r], H[r]
+            # row j compares (structure r) o (structure j) with the reverse
+            mask = ((t[T] == T[:, t]).all(axis=1) & (h[H] == H[:, h]).all(axis=1)
+                    & (t[H] == H[:, t]).all(axis=1) & (h[T] == T[:, h]).all(axis=1))
+            partners[r] = np.flatnonzero(mask)
+            orbit = [r]
+            for i in orbit:
+                for sigma in sigmas:
+                    j = sigma[i]
+                    if partners[j] is None:
+                        partners[j] = sigma[partners[i]]
+                        orbit.append(j)
+        pairs = []
+        for i, js in enumerate(partners):
+            js = np.sort(js[js >= i])
+            pairs.extend((i, j) for j in js.tolist())
         G._cache["cat2pairs"] = pairs
     return list(G._cache["cat2pairs"])
 
@@ -209,8 +193,6 @@ def cat2_isomorphism_classes(G: GroupTable) -> Cat2Classification:
     by automorphism generators and re-canonicalizing realizes the full orbit
     relation; union-find over the generator moves yields the families.
     """
-    from .cat1 import cat1_structure_orbit_maps
-
     pairs = cat2_pair_indices(G)
     cat1s = all_cat1_groups(G)
     index = {p: pos for pos, p in enumerate(pairs)}

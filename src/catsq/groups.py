@@ -639,12 +639,29 @@ def all_homomorphisms(G: GroupTable, H: GroupTable) -> list[Homomorphism]:
     return [Homomorphism(G, H, m) for m in maps]
 
 
+def _endomorphism_maps(G: GroupTable) -> tuple[tuple, tuple]:
+    """One End(G) pass: (idempotent maps, bijective maps), each sorted.
+
+    The identity map is in both lists.
+    """
+    if "end_maps" not in G._cache:
+        n = G.order
+        idempotent, bijective = set(), set()
+        for m in _hom_maps(G, G):
+            if all(m[v] == v for v in m):
+                idempotent.add(m)
+            if len(set(m)) == n:
+                bijective.add(m)
+        G._cache["end_maps"] = (tuple(sorted(idempotent)), tuple(sorted(bijective)))
+    return G._cache["end_maps"]
+
+
 def idempotent_endomorphisms(G: GroupTable) -> list[Homomorphism]:
     """All f: G -> G with f o f = f, in canonical (lexicographic) order."""
     require_dense(G)
     if "idempotents" not in G._cache:
-        maps = sorted({m for m in _hom_maps(G, G) if all(m[v] == v for v in m)})
-        G._cache["idempotents"] = tuple(Homomorphism(G, G, m) for m in maps)
+        G._cache["idempotents"] = tuple(
+            Homomorphism(G, G, m) for m in _endomorphism_maps(G)[0])
     return list(G._cache["idempotents"])
 
 
@@ -652,14 +669,9 @@ def automorphism_group(G: GroupTable) -> list[Homomorphism]:
     """All bijective endomorphisms, lexicographic on mapping arrays."""
     require_dense(G)
     if "automorphisms" not in G._cache:
-        n = G.order
-        maps = sorted({m for m in _hom_maps(G, G) if len(set(m)) == n})
-        G._cache["automorphisms"] = tuple(Homomorphism(G, G, m) for m in maps)
+        G._cache["automorphisms"] = tuple(
+            Homomorphism(G, G, m) for m in _endomorphism_maps(G)[1])
     return list(G._cache["automorphisms"])
-
-
-def conjugation_by(G: GroupTable, g: int) -> Homomorphism:
-    return Homomorphism(G, G, tuple(G.conj(g, x) for x in G.elements()))
 
 
 def automorphism_group_as_table(G: GroupTable) -> tuple[DenseGroup, tuple[tuple[int, ...], ...]]:
@@ -819,10 +831,6 @@ def semidirect_injections(G: SemidirectGroup) -> tuple[Homomorphism, Homomorphis
     inj_s = Homomorphism(G.s_group, G, tuple(s * G.r_group.order for s in G.s_group.elements()))
     inj_r = Homomorphism(G.r_group, G, tuple(G.r_group.elements()))
     return inj_s, inj_r
-
-
-def semidirect_projection(G: SemidirectGroup) -> Homomorphism:
-    return Homomorphism(G, G.r_group, tuple(x % G.r_group.order for x in G.elements()))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .groups import DenseGroup, GroupError, GroupTable, Homomorphism, require_dense
-from .cat1 import Cat1Group, PreCat1Group, cat1_group, pre_cat1_by_endomorphisms
+from .cat1 import Cat1Group, PreCat1Group, cat1_group
 from .cat2 import Cat2Group, PreCat2Group, cat2_group
 from .xsq import CrossedSquare
 from .groups import GroupAction
@@ -154,15 +154,6 @@ def parse_cat1(text: str) -> Cat1Group:
     return cat1_group(t, h)
 
 
-def parse_pre_cat1(text: str) -> PreCat1Group:
-    r = _open(text, "cat1")
-    G = parse_group(r)
-    t = Homomorphism(G, G, _ints(r.expect("t")))
-    h = Homomorphism(G, G, _ints(r.expect("h")))
-    r.expect("end")
-    return pre_cat1_by_endomorphisms(t, h)
-
-
 def parse_cat2(text: str) -> Cat2Group:
     r = _open(text, "cat2")
     G = parse_group(r)
@@ -196,14 +187,3 @@ def parse_xsq(text: str, validate: bool = True) -> CrossedSquare:
         return CrossedSquare(L, M, N, P, kappa, lam, mu, nu,
                              acts[0], acts[1], acts[2], pairing)
     return crossed_square(L, M, N, P, kappa, lam, mu, nu, acts[0], acts[1], acts[2], pairing)
-
-
-def parse_any(text: str):
-    kind = detect_kind(text)
-    if kind == "cat1":
-        return kind, parse_pre_cat1(text)
-    if kind == "cat2":
-        return kind, parse_cat2(text)
-    if kind == "xsq":
-        return kind, parse_xsq(text)
-    raise FormatError(f"cannot parse structures of kind {kind!r}")

@@ -2,7 +2,8 @@
 
 Each test prints one ``criterion N (...): PASS/FAIL`` line (visible with
 ``pytest -s``).  Criteria 2 is the full-tier table check and runs under the
-``heavy`` marker, as do the 16/14 portions of criteria 6 and 7.
+``heavy`` marker, as do the 16/14 portions of criteria 6 and 7 (the heavy
+part of criterion 7 also checks the 27/5 pair scan against the naive loop).
 
 The embedded reference data is asserted verbatim except at a few entries that
 are provably wrong.  Those are named in ``TABLE_ERRATA`` and
@@ -545,9 +546,11 @@ def test_criterion_7_oracle_equivalence_16_14():
     G = catalog.small_group(16, 14)
     if _naive_cat1_keys_16_14() != [c.key() for c in all_cat1_groups(G)]:
         problems.append("cat1 naive loop differs on 16/14")
-    cat1s = all_cat1_groups(G)
-    naive2 = [(i, j) for i in range(len(cat1s)) for j in range(i, len(cat1s))
-              if commutation_witness(cat1s[i], cat1s[j]) is None]
-    if naive2 != cat2_pair_indices(G):
-        problems.append("cat2 naive loop differs on 16/14")
-    _verdict(7, "oracle equivalence on 16/14", problems)
+    for key in ((16, 14), (27, 5)):
+        G = catalog.small_group(*key)
+        cat1s = all_cat1_groups(G)
+        naive2 = [(i, j) for i in range(len(cat1s)) for j in range(i, len(cat1s))
+                  if commutation_witness(cat1s[i], cat1s[j]) is None]
+        if naive2 != cat2_pair_indices(G):
+            problems.append(f"cat2 naive loop differs on {key[0]}/{key[1]}")
+    _verdict(7, "oracle equivalence on 16/14 and 27/5", problems)

@@ -168,6 +168,18 @@ def test_automorphisms():
             assert tuple(a.mapping[i] for i in inv) == ident
 
 
+def test_endomorphism_pass_split():
+    # one End(G) enumeration feeds both lists; the identity belongs to both
+    for key in ((1, 1), (4, 2), (6, 1), (8, 3), (8, 4), (12, 3), (16, 3)):
+        G = catalog.small_group(*key)
+        homs = all_homomorphisms(G, G)
+        assert idempotent_endomorphisms(G) == [h for h in homs if h.is_idempotent()]
+        assert automorphism_group(G) == [h for h in homs if h.is_bijective()]
+        ident = tuple(G.elements())
+        assert ident in {f.mapping for f in idempotent_endomorphisms(G)}
+        assert ident in {a.mapping for a in automorphism_group(G)}
+
+
 def test_inner_automorphisms(d8):
     inner = inner_automorphism_indices(d8)
     assert len(inner) == 4  # D8 / Z(D8)
