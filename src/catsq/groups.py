@@ -5,13 +5,19 @@ groups are *dense* (a materialized multiplication table); semidirect products
 above :data:`DENSE_CAP` stay *structural* and multiply pairs on the fly.  The
 composition convention is ``(f o g)(x) = f(g(x))`` everywhere, and the product
 of two permutations is their composition as functions.
+
+Every homomorphism search extends generator images through one numpy
+kernel, :func:`_hom_blocks`, which checks a block of image tuples at a time
+against every edge of the right Cayley graph.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 DENSE_CAP = 2000
 
@@ -571,87 +577,107 @@ def restrict_hom(f: Homomorphism, sub: Subgroup, target_sub: Subgroup) -> Homomo
 def hom_by_images(G: GroupTable, H: GroupTable,
                   images: Sequence[int]) -> Homomorphism:
     """The homomorphism sending ``G.generators`` to ``images`` (must exist)."""
-    mapping = _extend_mapping(G, H, G.generators, tuple(images))
-    if mapping is None:
-        raise GroupError("the generator images do not define a homomorphism")
-    return Homomorphism(G, H, mapping)
+    if len(images) != len(G.generators):
+        raise GroupError(f"{len(images)} generator images given, but {G.label!r} "
+                         f"has {len(G.generators)} generators")
+    for pos, im in enumerate(images):
+        if not 0 <= im < H.order:
+            raise GroupError(f"image {im} of generator {pos} lies outside 0..{H.order - 1}")
+    for block in _hom_blocks(G, H, [[im] for im in images]):
+        if len(block):
+            return Homomorphism(G, H, tuple(block[0].tolist()))
+    raise GroupError("the generator images do not define a homomorphism")
 
 
-def _extend_mapping(G: GroupTable, H: GroupTable, gens: tuple[int, ...],
-                    images: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    """Closure of a generator assignment into a full map, or None on conflict.
+# Generator-image tuples checked per numpy block by :func:`_hom_blocks`.
+_BLOCK_ROWS = 1024
 
-    Walks every edge (x, g) of the right Cayley graph, which both defines the
-    map on all of G and certifies the homomorphism property.
+
+def _cayley_tree(G: GroupTable) -> tuple[list[tuple[int, int, int]], np.ndarray]:
+    """Breadth-first spanning tree of the right Cayley graph of ``G``.
+
+    Returns ``(tree, right)`` with ``right[x, e] = x * gens[e]``; ``tree`` lists
+    each ``x != 0`` after its parent as ``(x, parent, via)``, x = parent * gens[via].
     """
-    n = G.order
-    known = [-1] * n
-    known[0] = 0
-    for g, im in zip(gens, images):
-        if known[g] >= 0:
-            if known[g] != im:
-                return None
-        else:
-            known[g] = im
-    stack = [0] + [g for g in gens if g != 0]
-    seen = [False] * n
-    for x in stack:
-        seen[x] = True
-    while stack:
-        x = stack.pop()
-        fx = known[x]
-        for g, im in zip(gens, images):
-            y = G.mul(x, g)
-            fy = H.mul(fx, im)
-            if known[y] < 0:
-                known[y] = fy
-            elif known[y] != fy:
-                return None
-            if not seen[y]:
-                seen[y] = True
-                stack.append(y)
-    if any(v < 0 for v in known):
-        return None  # generators do not generate G (caller error)
-    return tuple(known)
+    if "cayley" not in G._cache:
+        right = np.array([[G.mul(x, g) for g in G.generators] for x in G.elements()],
+                         dtype=np.intp)
+        visit, edge = [0], {0: (0, 0)}
+        for x in visit:
+            for e, y in enumerate(right[x].tolist()):
+                if y not in edge:
+                    edge[y] = (x, e)
+                    visit.append(y)
+        if len(visit) != G.order:
+            raise GroupError(f"the generators of {G.label!r} reach only "
+                             f"{len(visit)} of its {G.order} elements")
+        G._cache["cayley"] = ([(y, *edge[y]) for y in visit[1:]], right)
+    return G._cache["cayley"]
 
 
-def _hom_maps(G: GroupTable, H: GroupTable) -> Iterator[tuple[int, ...]]:
-    """Yield the mapping array of every homomorphism G -> H (unsorted)."""
-    gens = G.generators
-    if not gens:
-        yield (0,) * G.order
-        return
-    h_orders = H.element_orders()
-    cands = []
-    for g in gens:
-        og = G.element_order(g)
-        cands.append([h for h in H.elements() if og % h_orders[h] == 0])
-    for images in itertools.product(*cands):
-        mapping = _extend_mapping(G, H, gens, images)
-        if mapping is not None:
-            yield mapping
+def _hom_blocks(G: GroupTable, H: GroupTable,
+                cands: Sequence[Sequence[int]]) -> Iterator[np.ndarray]:
+    """The homomorphisms G -> H with generator images drawn from ``cands``.
+
+    ``cands[e]`` lists the allowed images of ``G.generators[e]``.  Image
+    tuples are taken in ``itertools.product`` order, ``_BLOCK_ROWS`` at a
+    time, and each block yields the mapping arrays of its homomorphisms as
+    rows, in that order.  A row is built along :func:`_cayley_tree` and kept
+    only if every right Cayley edge (x, g) has ``f(x g) = f(x) f(g)``.
+    """
+    tree, right = _cayley_tree(G)
+    if "np_table" not in H._cache:
+        H._cache["np_table"] = np.array(require_dense(H).table, dtype=np.intp)
+    T = H._cache["np_table"]
+    cands = [np.asarray(c, dtype=np.intp) for c in cands]
+    total = math.prod(len(c) for c in cands)
+    for start in range(0, total, _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, total - start)
+        # mixed-radix digits of start + 0..rows-1, the last generator fastest
+        images = np.empty((rows, len(cands)), dtype=np.intp)
+        carry, rest = np.arange(rows), start
+        for e in reversed(range(len(cands))):
+            rest, low = divmod(rest, len(cands[e]))
+            carry, digit = np.divmod(carry + low, len(cands[e]))
+            images[:, e] = cands[e][digit]
+        M = np.zeros((rows, G.order), dtype=np.intp)
+        for y, parent, via in tree:
+            M[:, y] = T[M[:, parent], images[:, via]]
+        ok = np.ones(rows, dtype=bool)
+        for e in range(len(cands)):
+            ok &= (M[:, right[:, e]] == T[M, images[:, e:e + 1]]).all(axis=1)
+        yield M[ok]
+
+
+def _order_candidates(G: GroupTable, H: GroupTable, fits) -> list[list[int]]:
+    # per generator g, the h in H with fits(order of g, order of h)
+    g_orders, h_orders = G.element_orders(), H.element_orders()
+    return [[h for h in H.elements() if fits(g_orders[g], h_orders[h])]
+            for g in G.generators]
 
 
 def all_homomorphisms(G: GroupTable, H: GroupTable) -> list[Homomorphism]:
     """Complete duplicate-free list, lexicographic on the mapping arrays."""
     require_dense(G), require_dense(H)
-    maps = sorted(set(_hom_maps(G, H)))
+    cands = _order_candidates(G, H, lambda og, oh: og % oh == 0)
+    maps = sorted(tuple(row) for M in _hom_blocks(G, H, cands) for row in M.tolist())
     return [Homomorphism(G, H, m) for m in maps]
 
 
 def _endomorphism_maps(G: GroupTable) -> tuple[tuple, tuple]:
     """One End(G) pass: (idempotent maps, bijective maps), each sorted.
 
-    The identity map is in both lists.
+    Each block of :func:`_hom_blocks` is filtered as it comes, so End(G) is
+    never held whole; an endomorphism is bijective exactly when its kernel
+    is trivial.  The identity map is in both lists.
     """
     if "end_maps" not in G._cache:
-        n = G.order
-        idempotent, bijective = set(), set()
-        for m in _hom_maps(G, G):
-            if all(m[v] == v for v in m):
-                idempotent.add(m)
-            if len(set(m)) == n:
-                bijective.add(m)
+        cands = _order_candidates(G, G, lambda og, oh: og % oh == 0)
+        idempotent, bijective = [], []
+        for M in _hom_blocks(G, G, cands):
+            fixed = (np.take_along_axis(M, M, axis=1) == M).all(axis=1)
+            idempotent += map(tuple, M[fixed].tolist())
+            bijective += map(tuple, M[(M == 0).sum(axis=1) == 1].tolist())
         G._cache["end_maps"] = (tuple(sorted(idempotent)), tuple(sorted(bijective)))
     return G._cache["end_maps"]
 
@@ -699,33 +725,36 @@ def inner_automorphism_indices(G: GroupTable) -> tuple[int, ...]:
 
 
 def automorphism_generators(G: GroupTable) -> list[Homomorphism]:
-    """A small generating subset of the automorphism group (greedy closure)."""
-    auts = automorphism_group(G)
+    """A small generating subset of the automorphism group (greedy closure).
+
+    Walking the automorphisms in canonical order, each one outside the
+    subgroup generated so far becomes a generator.  An automorphism is known
+    by its generator images, and (g o x)(gen) = g(x(gen)), so the closure
+    needs only the generator columns of the automorphism array.
+    """
+    require_dense(G)
     if "aut_gens" not in G._cache:
-        ident = tuple(G.elements())
-        gens: list[tuple[int, ...]] = []
-        known = {ident}
-        for a in auts:
-            m = a.mapping
-            if m in known:
-                continue
-            gens.append(m)
-            frontier = [m]
-            known.add(m)
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for g in gens:
-                        y = _pcompose(g, x)
-                        if y not in known:
-                            known.add(y)
-                            nxt.append(y)
-                frontier = nxt
-            if len(known) == len(auts):
-                break
-        G._cache["aut_gens"] = tuple(gens)
-    by_map = {a.mapping: a for a in auts}
-    return [by_map[m] for m in G._cache["aut_gens"]]
+        maps = _endomorphism_maps(G)[1]
+        A = np.array(maps, dtype=np.intp)
+        cols = A[:, list(G.generators)]
+        known = np.arange(len(A)) == 0  # the identity sorts first
+        gens: dict[int, np.ndarray] = {}  # position -> (x -> position of it o x)
+        while not known.all():
+            a = int(np.argmin(known))
+            images = A[a][cols]
+            by_cols, by_images = (np.lexsort(X.T[::-1]) for X in (cols, images))
+            if not np.array_equal(images[by_images], cols[by_cols]):
+                raise GroupError("composing automorphisms left Aut(G)")
+            gens[a] = np.empty(len(A), dtype=np.intp)
+            gens[a][by_images] = by_cols
+            frontier = np.array([a])
+            known[a] = True
+            while frontier.size:
+                reached = np.unique(np.concatenate([g[frontier] for g in gens.values()]))
+                frontier = reached[~known[reached]]
+                known[frontier] = True
+        G._cache["aut_gens"] = tuple(Homomorphism(G, G, maps[a]) for a in gens)
+    return list(G._cache["aut_gens"])
 
 
 # ---------------------------------------------------------------------------
@@ -838,22 +867,12 @@ def semidirect_injections(G: SemidirectGroup) -> tuple[Homomorphism, Homomorphis
 
 
 def _iter_isomorphism_maps(G: GroupTable, H: GroupTable) -> Iterator[tuple[int, ...]]:
+    """Bijective homomorphisms G -> H, lazily, in generator-image product order."""
     if G.order != H.order or G.fingerprint() != H.fingerprint():
         return
-    gens = G.generators
-    if not gens:
-        yield (0,)
-        return
-    h_orders = H.element_orders()
-    cands = []
-    for g in gens:
-        og = G.element_order(g)
-        cands.append([h for h in H.elements() if h_orders[h] == og])
-    n = G.order
-    for images in itertools.product(*cands):
-        mapping = _extend_mapping(G, H, gens, images)
-        if mapping is not None and len(set(mapping)) == n:
-            yield mapping
+    for M in _hom_blocks(G, H, _order_candidates(G, H, lambda og, oh: og == oh)):
+        for row in M[(M == 0).sum(axis=1) == 1].tolist():
+            yield tuple(row)
 
 
 def isomorphism_between(G: GroupTable, H: GroupTable) -> Optional[Homomorphism]:

@@ -3,7 +3,9 @@
 Each test prints one ``criterion N (...): PASS/FAIL`` line (visible with
 ``pytest -s``).  Criteria 2 is the full-tier table check and runs under the
 ``heavy`` marker, as do the 16/14 portions of criteria 6 and 7 (the heavy
-part of criterion 7 also checks the 27/5 pair scan against the naive loop).
+part of criterion 7 also checks the 27/5 pair scan against the naive loop,
+and the End(G) kernel and Aut(G) generators of both heavy groups against
+the per-tuple closure of ``tests/test_groups.py``).
 
 The embedded reference data is asserted verbatim except at a few entries that
 are provably wrong.  Those are named in ``TABLE_ERRATA`` and
@@ -27,10 +29,11 @@ import itertools
 import numpy as np
 import pytest
 
-from catsq import catalog
+from catsq import catalog, groups
 from catsq.groups import (
     all_homomorphisms,
     are_isomorphic,
+    automorphism_generators,
     automorphism_group,
     group_from_permutation_generators,
     hom_by_images,
@@ -65,6 +68,7 @@ from catsq.xsq import (
     crossed_square_of_cat2,
     is_crossed_square,
 )
+from test_groups import fresh_copy, oracle_aut_generators, oracle_end_maps
 
 
 # Reference entries that are provably wrong, key -> (stated, true).
@@ -553,4 +557,13 @@ def test_criterion_7_oracle_equivalence_16_14():
                   if commutation_witness(cat1s[i], cat1s[j]) is None]
         if naive2 != cat2_pair_indices(G):
             problems.append(f"cat2 naive loop differs on {key[0]}/{key[1]}")
+        # the batched End(G) kernel and Aut(G) closure against the
+        # per-tuple closure, on a copy with an empty cache
+        F = fresh_copy(G)
+        end_maps = oracle_end_maps(F)
+        if groups._endomorphism_maps(F) != end_maps:
+            problems.append(f"End(G) kernel differs on {key[0]}/{key[1]}")
+        if ([a.mapping for a in automorphism_generators(F)]
+                != oracle_aut_generators(F, end_maps[1])):
+            problems.append(f"Aut(G) generators differ on {key[0]}/{key[1]}")
     _verdict(7, "oracle equivalence on 16/14 and 27/5", problems)

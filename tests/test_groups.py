@@ -1,11 +1,13 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catsq import catalog
+from catsq import catalog, groups
 from catsq.groups import (
+    DenseGroup,
     GroupAction,
     GroupError,
     Homomorphism,
@@ -13,6 +15,7 @@ from catsq.groups import (
     all_homomorphisms,
     all_subgroups,
     as_dense,
+    automorphism_generators,
     automorphism_group,
     commutator_subgroup,
     compose,
@@ -38,6 +41,114 @@ from catsq.groups import (
     verify_group_axioms,
     whole_subgroup,
 )
+from catsq.tables import HEAVY_KEYS
+
+
+# -- the per-tuple closure that the batched End(G) kernel replaced -------------
+# Kept as the oracle of ``groups._hom_blocks`` and of the Aut(G) generator
+# closure on arrays.
+
+
+def oracle_extend_mapping(G, H, images):
+    """Closure of a generator assignment into a full map, or None on conflict.
+
+    Walks every edge (x, g) of the right Cayley graph, which both defines the
+    map on all of G and certifies the homomorphism property.
+    """
+    gens = G.generators
+    n = G.order
+    known = [-1] * n
+    known[0] = 0
+    for g, im in zip(gens, images):
+        if known[g] >= 0:
+            if known[g] != im:
+                return None
+        else:
+            known[g] = im
+    stack = [0] + [g for g in gens if g != 0]
+    seen = [False] * n
+    for x in stack:
+        seen[x] = True
+    while stack:
+        x = stack.pop()
+        fx = known[x]
+        for g, im in zip(gens, images):
+            y = G.mul(x, g)
+            fy = H.mul(fx, im)
+            if known[y] < 0:
+                known[y] = fy
+            elif known[y] != fy:
+                return None
+            if not seen[y]:
+                seen[y] = True
+                stack.append(y)
+    if any(v < 0 for v in known):
+        return None
+    return tuple(known)
+
+
+def oracle_hom_maps(G, H, fits=lambda og, oh: og % oh == 0):
+    """Every hom G -> H, one generator-image tuple at a time, in product order."""
+    h_orders = H.element_orders()
+    cands = [[h for h in H.elements() if fits(G.element_order(g), h_orders[h])]
+             for g in G.generators]
+    for images in itertools.product(*cands):
+        mapping = oracle_extend_mapping(G, H, images)
+        if mapping is not None:
+            yield mapping
+
+
+def oracle_end_maps(G):
+    """(idempotent maps, bijective maps) of End(G), each sorted."""
+    n = G.order
+    maps = list(oracle_hom_maps(G, G))
+    return (tuple(sorted(m for m in maps if all(m[v] == v for v in m))),
+            tuple(sorted(m for m in maps if len(set(m)) == n)))
+
+
+def oracle_aut_generators(G, auts):
+    """Greedy generators of Aut(G), given its sorted automorphism maps."""
+    gens = []
+    known = {tuple(G.elements())}
+    for m in auts:
+        if m in known:
+            continue
+        gens.append(m)
+        frontier = [m]
+        known.add(m)
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g in gens:
+                    y = tuple(g[i] for i in x)
+                    if y not in known:
+                        known.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        if len(known) == len(auts):
+            break
+    return gens
+
+
+def fresh_copy(G, relabel=None):
+    """The same group with an empty cache, optionally with relabelled elements."""
+    if relabel is None:
+        return DenseGroup(G.table, G.label, G.generators, check=False)
+    back = [0] * G.order
+    for x, y in enumerate(relabel):
+        back[y] = x
+    table = [[relabel[G.mul(back[a], back[b])] for b in G.elements()]
+             for a in G.elements()]
+    return DenseGroup(table, f"{G.label}'", check=False)
+
+
+LIGHT_KEYS = [k for k in catalog.catalog_keys() if k not in HEAVY_KEYS]
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    # several blocks per enumeration, and a partial last block
+    monkeypatch.setattr(groups, "_BLOCK_ROWS", 7)
 
 
 def test_perm_cycle_round_trip():
@@ -178,6 +289,89 @@ def test_endomorphism_pass_split():
         ident = tuple(G.elements())
         assert ident in {f.mapping for f in idempotent_endomorphisms(G)}
         assert ident in {a.mapping for a in automorphism_group(G)}
+
+
+def test_end_pass_matches_per_tuple_oracle(small_blocks):
+    for key in LIGHT_KEYS:
+        G = fresh_copy(catalog.small_group(*key))
+        want = oracle_end_maps(G)
+        assert groups._endomorphism_maps(G) == want, key
+        assert ([a.mapping for a in automorphism_generators(G)]
+                == oracle_aut_generators(G, want[1])), key
+
+
+def test_all_homomorphisms_match_per_tuple_oracle(small_blocks):
+    small = [fresh_copy(catalog.small_group(*k))
+             for k in catalog.catalog_keys() if k[0] <= 12]
+    for G in small:
+        for H in small:
+            got = [f.mapping for f in all_homomorphisms(G, H)]
+            assert got == sorted(oracle_hom_maps(G, H)), (G.label, H.label)
+
+
+def test_isomorphism_between_matches_per_tuple_oracle(small_blocks):
+    # the first bijective map in product order, on relabelled copies
+    rnd = random.Random(4)
+    for key in LIGHT_KEYS:
+        G = catalog.small_group(*key)
+        R = fresh_copy(G, [0] + rnd.sample(range(1, G.order), G.order - 1))
+        for A, B in ((R, G), (G, R)):
+            want = next(m for m in oracle_hom_maps(A, B, lambda og, oh: og == oh)
+                        if len(set(m)) == A.order)
+            assert isomorphism_between(A, B).mapping == want, key
+
+
+def _elementary_abelian(key):
+    """(p, r) for the catalog group C_p^r with this key."""
+    G = catalog.small_group(*key)
+    p = max(G.element_orders())
+    r = round(math.log(G.order, p))
+    assert p ** r == G.order and set(G.element_orders()) == {1, p}
+    return G, p, r
+
+
+def test_elementary_abelian_end_and_aut_closed_forms():
+    # End(C_p^r) = M_r(GF(p)): idempotents are a rank-k image plus a
+    # complement, and Aut is GL(r, p).  Counted without the enumeration.
+    def gaussian_binomial(n, k, q):
+        num = den = 1
+        for i in range(k):
+            num *= q ** (n - i) - 1
+            den *= q ** (i + 1) - 1
+        return num // den
+
+    for key in ((4, 2), (8, 5), (9, 2), (25, 2), (16, 14), (27, 5)):
+        G, p, r = _elementary_abelian(key)
+        G = fresh_copy(G)
+        idempotents = sum(gaussian_binomial(r, k, p) * p ** (k * (r - k))
+                          for k in range(r + 1))
+        gl = math.prod(p ** r - p ** i for i in range(r))
+        assert len(idempotent_endomorphisms(G)) == idempotents, key
+        assert len(automorphism_group(G)) == gl, key
+        if G.order <= 9:
+            assert len(all_homomorphisms(G, G)) == p ** (r * r), key
+
+
+def test_hom_by_images_rejects_malformed_images():
+    G = catalog.small_group(8, 3)
+    assert len(G.generators) == 2
+    with pytest.raises(GroupError, match="3 generator images given, but .* has 2"):
+        hom_by_images(G, G, [2, 1, 1])
+    with pytest.raises(GroupError, match="1 generator images given"):
+        hom_by_images(G, G, [2])
+    with pytest.raises(GroupError, match="image 99 of generator 0 lies outside 0..7"):
+        hom_by_images(G, G, [99, 0])
+    with pytest.raises(GroupError, match="image -1 of generator 0 lies outside 0..7"):
+        hom_by_images(G, G, [-1, 0])
+    with pytest.raises(GroupError, match="image 8 of generator 1"):
+        hom_by_images(G, G, [0, 8])
+
+
+def test_generators_must_generate():
+    G = catalog.small_group(8, 3)
+    partial = DenseGroup(G.table, "partial", G.generators[:1], check=False)
+    with pytest.raises(GroupError, match="reach only"):
+        all_homomorphisms(partial, G)
 
 
 def test_inner_automorphisms(d8):
