@@ -58,6 +58,7 @@ from .cat2 import (
     cat2_isomorphism_classes,
     catn_group,
     diagonal_pre_cat1,
+    is_cat2_group,
     isomorphism_cat2_groups,
     pre_cat2_group,
 )

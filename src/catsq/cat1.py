@@ -2,10 +2,11 @@
 equivalence with crossed modules.
 
 A structure is a pair of endomorphisms (t, h) of one group with t o h = h,
-h o t = t and [ker t, ker h] = 1.  The endomorphism form is canonical; the
-embedding form (e; t, h : G -> R) is a view converted on input and output.
-Enumeration runs over idempotent endomorphisms and lists ordered pairs in
-lexicographic order of their concatenated map arrays.
+h o t = t and [ker t, ker h] = 1 (the identities force im t = im h), each
+reported with a witness by :func:`is_cat1_group`.  The endomorphism form is
+canonical; the embedding form (e; t, h : G -> R) is a view converted on
+input and output.  Enumeration runs over idempotent endomorphisms and lists
+ordered pairs in lexicographic order of their concatenated map arrays.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .groups import (
     semidirect_product,
     sub_conjugation_action,
 )
-from .xmod import CrossedModule, crossed_module
+from .xmod import AxiomCheck, CrossedModule, ValidityReport, _require, crossed_module
 
 
 @dataclass(frozen=True)
@@ -56,14 +57,21 @@ class Cat1Group(PreCat1Group):
     """A pre-cat1-group that also satisfies [ker t, ker h] = 1."""
 
 
-def _pre_cat1_witness(t: Sequence[int], h: Sequence[int]) -> Optional[tuple[str, int]]:
-    for x, hx in enumerate(h):
-        if t[hx] != hx:
-            return ("t o h = h", x)
-    for x, tx in enumerate(t):
-        if h[tx] != tx:
-            return ("h o t = t", x)
-    return None
+# a passing check has no witness, so every report shares one instance per name
+_PASSED = {name: AxiomCheck(name, True)
+           for name in ("t o h = h", "h o t = t", "[ker t, ker h] = 1")}
+
+
+def _fixes_image(name: str, f: Sequence[int], g: Sequence[int]) -> AxiomCheck:
+    """The identity f o g = g, with the first element x where it fails."""
+    for x, gx in enumerate(g):
+        if f[gx] != gx:
+            return AxiomCheck(name, False, (x,))
+    return _PASSED[name]
+
+
+def _pre_cat1_checks(t: Sequence[int], h: Sequence[int]) -> tuple[AxiomCheck, AxiomCheck]:
+    return (_fixes_image("t o h = h", t, h), _fixes_image("h o t = t", h, t))
 
 
 def pre_cat1_by_endomorphisms(t: Homomorphism, h: Homomorphism) -> PreCat1Group:
@@ -71,13 +79,8 @@ def pre_cat1_by_endomorphisms(t: Homomorphism, h: Homomorphism) -> PreCat1Group:
     G = t.source
     if t.target is not G or h.source is not G or h.target is not G:
         raise GroupError("tail and head must be endomorphisms of one group")
-    bad = _pre_cat1_witness(t.mapping, h.mapping)
-    if bad is not None:
-        raise GroupError(f"pre-cat1 axiom {bad[0]} fails at element {bad[1]}")
-    rng = image_of(t)
-    if rng.members != image_of(h).members:
-        raise GroupError("tail and head must share an image")
-    return PreCat1Group(G, t, h, rng)
+    _require(_pre_cat1_checks(t.mapping, h.mapping), "pre-cat1 axiom violated")
+    return PreCat1Group(G, t, h, image_of(t))
 
 
 def _kernels_commute(G: GroupTable, kt: Sequence[int], kh: Sequence[int]) -> Optional[tuple[int, int]]:
@@ -88,19 +91,22 @@ def _kernels_commute(G: GroupTable, kt: Sequence[int], kh: Sequence[int]) -> Opt
     return None
 
 
-def is_cat1_group(C: PreCat1Group) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Kernel-commutator verdict with a noncommuting witness pair on failure."""
-    kt = kernel_of(C.tail).members
-    kh = kernel_of(C.head).members
-    w = _kernels_commute(C.group, kt, kh)
-    return (w is None, w)
+def _kernel_check(C: PreCat1Group) -> AxiomCheck:
+    """[ker t, ker h] = 1, with a noncommuting kernel pair on failure."""
+    w = _kernels_commute(C.group, kernel_of(C.tail).members, kernel_of(C.head).members)
+    name = "[ker t, ker h] = 1"
+    return _PASSED[name] if w is None else AxiomCheck(name, False, w)
+
+
+def is_cat1_group(C: PreCat1Group) -> ValidityReport:
+    """Per-axiom report: t o h = h, h o t = t and [ker t, ker h] = 1."""
+    checks = _pre_cat1_checks(C.tail.mapping, C.head.mapping)
+    return ValidityReport(checks + (_kernel_check(C),))
 
 
 def cat1_group(t: Homomorphism, h: Homomorphism) -> Cat1Group:
     pre = pre_cat1_by_endomorphisms(t, h)
-    ok, w = is_cat1_group(pre)
-    if not ok:
-        raise GroupError(f"[ker t, ker h] != 1: elements {w[0]} and {w[1]} do not commute")
+    _require((_kernel_check(pre),), "not a cat1-group")
     return Cat1Group(pre.group, pre.tail, pre.head, pre.range_)
 
 

@@ -3,6 +3,8 @@
 A cat2-group is an unordered pair of cat1 structures on one group whose four
 maps commute pairwise; constructors keep the caller's orientation while the
 enumeration emits each pair once, lexicographically smaller structure first.
+:func:`is_cat2_group` reports each structure's cat1 axioms, then the
+commutation identities; :func:`cat2_group` re-checks only the kernel axioms.
 The pair scan tests one cat1 structure per Aut(G) orbit against all
 structures with numpy row compositions and carries the partner lists along
 each orbit.  Isomorphism classification computes orbits under Aut(G) combined
@@ -12,7 +14,7 @@ permutations of a small automorphism generating set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -36,11 +38,13 @@ from .cat1 import (
     _UnionFind,
     _families_from_unionfind,
     _intertwines,
+    _kernel_check,
     all_cat1_groups,
     cat1_structure_orbit_maps,
     is_cat1_group,
     pre_cat1_by_endomorphisms,
 )
+from .xmod import AxiomCheck, ValidityReport, _require
 
 
 @dataclass(frozen=True)
@@ -97,21 +101,33 @@ def commutation_witness(c1: PreCat1Group, c2: PreCat1Group) -> Optional[tuple[st
     return None
 
 
+_COMMUTE = AxiomCheck("commutation identities", True)
+
+
+def _commutation_check(c1: PreCat1Group, c2: PreCat1Group) -> AxiomCheck:
+    w = commutation_witness(c1, c2)
+    return _COMMUTE if w is None else AxiomCheck("commutation identities", False, w)
+
+
+def is_cat2_group(C: PreCat2Group) -> ValidityReport:
+    """Per-axiom report: each structure's cat1 axioms, then commutation."""
+    checks = [replace(k, name=f"structure {n}: {k.name}")
+              for n, c in ((1, C.c1), (2, C.c2)) for k in is_cat1_group(c).checks]
+    checks.append(_commutation_check(C.c1, C.c2))
+    return ValidityReport(tuple(checks))
+
+
 def pre_cat2_group(c1: PreCat1Group, c2: PreCat1Group) -> PreCat2Group:
     if c1.group is not c2.group:
         raise GroupError("both structures must live on the same group")
-    bad = commutation_witness(c1, c2)
-    if bad is not None:
-        raise GroupError(f"commutation identity {bad[0]} fails at element {bad[1]}")
+    _require((_commutation_check(c1, c2),), "commutation identity violated")
     return PreCat2Group(c1.group, c1, c2)
 
 
 def cat2_group(c1: Cat1Group, c2: Cat1Group) -> Cat2Group:
     pre = pre_cat2_group(c1, c2)
-    for c in (pre.c1, pre.c2):
-        ok, w = is_cat1_group(c)
-        if not ok:
-            raise GroupError(f"a generating structure is not a cat1-group: witness {w}")
+    _require((_kernel_check(pre.c1), _kernel_check(pre.c2)),
+             "a generating structure is not a cat1-group")
     return Cat2Group(pre.group, pre.c1, pre.c2)
 
 
@@ -125,8 +141,8 @@ def diagonal_pre_cat1(C: PreCat2Group) -> tuple[PreCat1Group, bool, Optional[tup
     t = compose(C.c1.tail, C.c2.tail)
     h = compose(C.c1.head, C.c2.head)
     pre = pre_cat1_by_endomorphisms(t, h)
-    ok, w = is_cat1_group(pre)
-    return pre, ok, w
+    kernels = _kernel_check(pre)
+    return pre, kernels.ok, kernels.witness
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -303,10 +319,9 @@ def catn_group(structures: Sequence[Cat1Group]) -> CatNGroup:
     for c in structures[1:]:
         if c.group is not G:
             raise GroupError("all structures must live on the same group")
+    # swapping the structures permutes the four identities: test i < j only
     for i in range(len(structures)):
-        for j in range(len(structures)):
-            if i == j:
-                continue
+        for j in range(i + 1, len(structures)):
             bad = commutation_witness(structures[i], structures[j])
             if bad is not None:
                 raise GroupError(

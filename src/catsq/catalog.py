@@ -23,8 +23,8 @@ from .groups import (
 )
 
 
-class CatalogKeyError(KeyError):
-    """Unknown (order, gid) catalog key."""
+class CatalogKeyError(KeyError, GroupError):
+    """Unknown (order, gid) catalog key; a GroupError like other bad input."""
 
     def __str__(self) -> str:
         return self.args[0] if self.args else "unknown catalog key"

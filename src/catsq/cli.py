@@ -10,19 +10,16 @@ from typing import Optional
 
 from . import catalog
 from .cache import GroupData, resolve_cache_dir
-from .cat1 import Cat1Group, _kernels_commute, _pre_cat1_witness, cat1_group
-from .cat2 import Cat2Group, cat2_group, commutation_witness
-from .groups import GroupError, Homomorphism, image_of, kernel_of
+from .cat1 import Cat1Group, cat1_group, is_cat1_group
+from .cat2 import Cat2Group, cat2_group, is_cat2_group
+from .groups import GroupError, Homomorphism
 from .serialize import (
-    FormatError,
-    _ints,
-    _open,
     detect_kind,
     emit_cat1,
     emit_cat2,
     emit_xsq,
+    parse_cat1,
     parse_cat2,
-    parse_group,
     parse_xsq,
 )
 from .tables import build_table, check_rows, format_table, group_data
@@ -110,8 +107,8 @@ def _print_rep(kind: str, structure, key) -> None:
 
 
 def cmd_convert(args) -> int:
-    text = Path(args.file).read_text()
     try:
+        text = Path(args.file).read_text()
         kind = detect_kind(text)
         if kind == "cat2":
             out = emit_xsq(crossed_square_of_cat2(parse_cat2(text)))
@@ -125,7 +122,7 @@ def cmd_convert(args) -> int:
         else:
             print(f"error: cannot convert files of kind {kind!r}", file=sys.stderr)
             return 2
-    except (FormatError, GroupError) as exc:
+    except (GroupError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.output:
@@ -135,67 +132,29 @@ def cmd_convert(args) -> int:
     return 0
 
 
-def _report_cat1_text(text: str) -> list[tuple[str, bool, object]]:
-    r = _open(text, "cat1")
-    G = parse_group(r)
-    t = Homomorphism(G, G, _ints(r.expect("t")))
-    h = Homomorphism(G, G, _ints(r.expect("h")))
-    r.expect("end")
-    checks = []
-    bad = _pre_cat1_witness(t.mapping, h.mapping)
-    checks.append(("t o h = h and h o t = t", bad is None, bad))
-    same = image_of(t).members == image_of(h).members
-    checks.append(("images coincide", same, None))
-    w = _kernels_commute(G, kernel_of(t).members, kernel_of(h).members)
-    checks.append(("[ker t, ker h] = 1", w is None, w))
-    return checks
-
-
-def _report_cat2_text(text: str) -> list[tuple[str, bool, object]]:
-    r = _open(text, "cat2")
-    G = parse_group(r)
-    maps = [Homomorphism(G, G, _ints(r.expect(k))) for k in ("t1", "h1", "t2", "h2")]
-    r.expect("end")
-    checks = []
-    pres = []
-    for label, (t, h) in (("structure 1", maps[:2]), ("structure 2", maps[2:])):
-        bad = _pre_cat1_witness(t.mapping, h.mapping)
-        checks.append((f"{label}: pre-cat1 identities", bad is None, bad))
-        w = _kernels_commute(G, kernel_of(t).members, kernel_of(h).members)
-        checks.append((f"{label}: [ker t, ker h] = 1", w is None, w))
-        if bad is None and w is None:
-            pres.append(cat1_group(t, h))
-    if len(pres) == 2:
-        w = commutation_witness(pres[0], pres[1])
-        checks.append(("commutation identities", w is None, w))
-    return checks
+# kind -> (parser, axiom report); `catsq check` parses with validate=False
+CHECKERS = {
+    "cat1": (parse_cat1, is_cat1_group),
+    "cat2": (parse_cat2, is_cat2_group),
+    "xsq": (parse_xsq, is_crossed_square),
+}
 
 
 def cmd_check(args) -> int:
-    text = Path(args.file).read_text()
     try:
+        text = Path(args.file).read_text()
         kind = detect_kind(text)
-        if kind == "cat1":
-            checks = _report_cat1_text(text)
-        elif kind == "cat2":
-            checks = _report_cat2_text(text)
-        elif kind == "xsq":
-            X = parse_xsq(text, validate=False)
-            checks = [(c.name, c.ok, c.witness) for c in is_crossed_square(X).checks]
-        else:
+        if kind not in CHECKERS:
             print(f"error: cannot check files of kind {kind!r}", file=sys.stderr)
             return 2
-    except (FormatError, GroupError) as exc:
+        parse, report_of = CHECKERS[kind]
+        report = report_of(parse(text, validate=False))
+    except (GroupError, OSError, UnicodeDecodeError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 2
-    ok = True
-    for name, passed, witness in checks:
-        if passed:
-            print(f"{name}: pass")
-        else:
-            ok = False
-            print(f"{name}: FAIL witness {witness}")
-    return 0 if ok else 1
+    for c in report.checks:
+        print(f"{c.name}: pass" if c.ok else f"{c.name}: FAIL witness {c.witness}")
+    return 0 if report.ok else 1
 
 
 def main(argv: Optional[list[str]] = None) -> int:

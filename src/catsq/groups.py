@@ -175,6 +175,9 @@ class DenseGroup(GroupTable):
         self.label = label
         if check:
             _check_table(self.table)
+            for g in generators:
+                if not 0 <= g < self.order:
+                    raise GroupError(f"generator {g} lies outside 0..{self.order - 1}")
         self.inv_table = tuple(row.index(0) for row in self.table)
         gens = tuple(dict.fromkeys(g for g in generators if g != 0))
         if not gens:

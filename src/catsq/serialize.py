@@ -3,18 +3,20 @@
 Files are LF-terminated ASCII: a header line ``catsq <version> <kind>``,
 keyword-introduced sections with whitespace-separated decimal integers, and a
 closing ``end`` line.  Emission is canonical (single spaces, no trailing
-whitespace), so ``emit(parse(text)) == text`` byte for byte.
+whitespace), so ``emit(parse(text)) == text`` byte for byte.  One parser per
+kind; ``validate=False`` returns unchecked data for an axiom report.
+Malformed text raises a ``GroupError`` naming the bad line or token.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .groups import DenseGroup, GroupError, GroupTable, Homomorphism, require_dense
-from .cat1 import Cat1Group, PreCat1Group, cat1_group
-from .cat2 import Cat2Group, PreCat2Group, cat2_group
-from .xsq import CrossedSquare
-from .groups import GroupAction
+from .groups import (DenseGroup, GroupAction, GroupError, GroupTable, Homomorphism, image_of,
+                     require_dense)
+from .cat1 import PreCat1Group, cat1_group
+from .cat2 import PreCat2Group, cat2_group
+from .xsq import CrossedSquare, crossed_square
 
 FORMAT_VERSION = 1
 
@@ -28,6 +30,27 @@ def _ints(words) -> list[int]:
         return [int(w) for w in words]
     except ValueError as exc:
         raise FormatError(f"expected integers, got {words!r}") from exc
+
+
+def _map(r: "_Reader", name: str, G: GroupTable, H: GroupTable) -> Homomorphism:
+    """The ``name`` line as a map G -> H; each value must be an element of H."""
+    m = _ints(r.expect(name))
+    if m and not 0 <= min(m) <= max(m) < H.order:
+        bad = next(v for v in m if not 0 <= v < H.order)
+        raise FormatError(f"map {name} has entry {bad} outside 0..{H.order - 1}")
+    return Homomorphism(G, H, m)
+
+
+def _section(r: "_Reader", keyword: str, count: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """A ``keyword count`` line, then ``count`` rows of integers in 0..n-1."""
+    words = r.expect(keyword)
+    if words != [str(count)]:
+        raise FormatError(f"expected '{keyword} {count}', got {[keyword] + words!r}")
+    rows = tuple(tuple(_ints(r.next().split())) for _ in range(count))
+    if not 0 <= min(map(min, rows)) <= max(map(max, rows)) < n:
+        i, bad = next((i, v) for i, row in enumerate(rows) for v in row if not 0 <= v < n)
+        raise FormatError(f"{keyword} row {i} has entry {bad} outside 0..{n - 1}")
+    return rows
 
 
 class _Reader:
@@ -74,9 +97,12 @@ def parse_group(r: _Reader) -> GroupTable:
     if words[0] == "key":
         from .catalog import small_group
 
-        o, i = _ints(words[1:3])
-        return small_group(o, i)
+        if len(words) != 3:
+            raise FormatError(f"expected 'group key <order> <id>', got {words!r}")
+        return small_group(*_ints(words[1:]))
     if words[0] == "table":
+        if len(words) < 2 or not words[1].isdecimal() or int(words[1]) < 1:
+            raise FormatError(f"expected 'group table <order> [label]', got {words!r}")
         n = int(words[1])
         label = " ".join(words[2:]) or f"group{n}"
         table = [_ints(r.next().split()) for _ in range(n)]
@@ -130,60 +156,49 @@ def detect_kind(text: str) -> str:
     first = text.lstrip().split("\n", 1)[0].split()
     if len(first) != 3 or first[0] != "catsq":
         raise FormatError("missing 'catsq <version> <kind>' header")
-    if int(first[1]) != FORMAT_VERSION:
-        raise FormatError(f"unsupported format version {first[1]}")
+    if first[1] != str(FORMAT_VERSION):
+        raise FormatError(f"unsupported format version {first[1]!r}")
     return first[2]
 
 
 def _open(text: str, kind: str) -> _Reader:
+    found = detect_kind(text)
+    if found != kind:
+        raise FormatError(f"expected a {kind} file, found {found}")
     r = _Reader(text)
-    got = r.expect("catsq")
-    if int(got[0]) != FORMAT_VERSION:
-        raise FormatError(f"unsupported format version {got[0]}")
-    if got[1] != kind:
-        raise FormatError(f"expected a {kind} file, found {got[1]}")
+    r.next()  # the header line that detect_kind read
     return r
 
 
-def parse_cat1(text: str) -> Cat1Group:
+def _cat1(t: Homomorphism, h: Homomorphism, validate: bool) -> PreCat1Group:
+    return cat1_group(t, h) if validate else PreCat1Group(t.source, t, h, image_of(t))
+
+
+def parse_cat1(text: str, validate: bool = True) -> PreCat1Group:
     r = _open(text, "cat1")
     G = parse_group(r)
-    t = Homomorphism(G, G, _ints(r.expect("t")))
-    h = Homomorphism(G, G, _ints(r.expect("h")))
+    t, h = (_map(r, k, G, G) for k in ("t", "h"))
     r.expect("end")
-    return cat1_group(t, h)
+    return _cat1(t, h, validate)
 
 
-def parse_cat2(text: str) -> Cat2Group:
+def parse_cat2(text: str, validate: bool = True) -> PreCat2Group:
     r = _open(text, "cat2")
     G = parse_group(r)
-    maps = [Homomorphism(G, G, _ints(r.expect(k))) for k in ("t1", "h1", "t2", "h2")]
+    maps = [_map(r, k, G, G) for k in ("t1", "h1", "t2", "h2")]
     r.expect("end")
-    return cat2_group(cat1_group(maps[0], maps[1]), cat1_group(maps[2], maps[3]))
+    c1, c2 = _cat1(*maps[:2], validate), _cat1(*maps[2:], validate)
+    return cat2_group(c1, c2) if validate else PreCat2Group(G, c1, c2)
 
 
 def parse_xsq(text: str, validate: bool = True) -> CrossedSquare:
     r = _open(text, "xsq")
     L, M, N, P = (parse_group(r) for _ in range(4))
-    kappa = Homomorphism(L, M, _ints(r.expect("kappa")))
-    lam = Homomorphism(L, N, _ints(r.expect("lambda")))
-    mu = Homomorphism(M, P, _ints(r.expect("mu")))
-    nu = Homomorphism(N, P, _ints(r.expect("nu")))
-    acts = []
-    for name, space in (("actl", L), ("actm", M), ("actn", N)):
-        count = _ints(r.expect(name))[0]
-        if count != P.order:
-            raise FormatError(f"{name} must list one permutation per element of P")
-        perms = tuple(tuple(_ints(r.next().split())) for _ in range(count))
-        acts.append(GroupAction(P, space, perms))
-    rows = _ints(r.expect("pairing"))[0]
-    if rows != M.order:
-        raise FormatError("pairing must have one row per element of M")
-    pairing = tuple(tuple(_ints(r.next().split())) for _ in range(rows))
+    kappa, lam = _map(r, "kappa", L, M), _map(r, "lambda", L, N)
+    mu, nu = _map(r, "mu", M, P), _map(r, "nu", N, P)
+    acts = [GroupAction(P, space, _section(r, name, P.order, space.order))
+            for name, space in (("actl", L), ("actm", M), ("actn", N))]
+    pairing = _section(r, "pairing", M.order, L.order)
     r.expect("end")
-    from .xsq import crossed_square
-
-    if not validate:
-        return CrossedSquare(L, M, N, P, kappa, lam, mu, nu,
-                             acts[0], acts[1], acts[2], pairing)
-    return crossed_square(L, M, N, P, kappa, lam, mu, nu, acts[0], acts[1], acts[2], pairing)
+    build = crossed_square if validate else CrossedSquare
+    return build(L, M, N, P, kappa, lam, mu, nu, *acts, pairing)

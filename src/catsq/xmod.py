@@ -1,16 +1,18 @@
 """Crossed modules of groups: the two axioms, standard constructions, morphisms.
 
-A crossed module is a boundary S -> R together with an explicit action of R
-on S satisfying equivariance and the Peiffer identity.  The dataclasses here
-only check shapes; the factory functions validate the axioms exhaustively and
-raise with a witness, while :func:`is_crossed_module` produces a per-axiom
-report for arbitrary candidate data.
+A crossed module is a boundary S -> R together with an explicit action of R on
+S satisfying equivariance and the Peiffer identity.  The dataclasses here only
+check shapes; the factory functions validate the axioms exhaustively and raise
+with a witness, while :func:`is_crossed_module` produces a per-axiom report
+for arbitrary candidate data.  :class:`ValidityReport` is the package's one
+axiom-report type (``is_crossed_module``, ``is_cat1_group``, ``is_cat2_group``,
+``is_crossed_square``); factories raise through :func:`_require`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .groups import (
     GroupAction,
@@ -45,16 +47,12 @@ class ValidityReport:
     def failures(self) -> tuple[AxiomCheck, ...]:
         return tuple(c for c in self.checks if not c.ok)
 
-    def describe(self) -> str:
-        return "; ".join(
-            f"{c.name}: {'pass' if c.ok else f'FAIL at {c.witness}'}" for c in self.checks
-        )
 
-
-def _require(report: ValidityReport, what: str) -> None:
-    if not report.ok:
-        bad = report.failures()[0]
-        raise GroupError(f"{what}: {bad.name} fails with witness {bad.witness}")
+def _require(checks: Iterable[AxiomCheck], what: str) -> None:
+    """Raise with the name and witness of the first failing check."""
+    for c in checks:
+        if not c.ok:
+            raise GroupError(f"{what}: {c.name} fails with witness {c.witness}")
 
 
 @dataclass(frozen=True)
@@ -106,7 +104,7 @@ def is_crossed_module(X: CrossedModule) -> ValidityReport:
 def crossed_module(source: GroupTable, range_: GroupTable, boundary: Homomorphism,
                    action: GroupAction) -> CrossedModule:
     X = CrossedModule(source, range_, boundary, action)
-    _require(is_crossed_module(X), "not a crossed module")
+    _require(is_crossed_module(X).checks, "not a crossed module")
     return X
 
 
@@ -224,5 +222,5 @@ def is_xmod_morphism(m: XModMorphism) -> ValidityReport:
 def xmod_morphism(source: CrossedModule, target: CrossedModule,
                   sigma: Homomorphism, rho: Homomorphism) -> XModMorphism:
     m = XModMorphism(source, target, sigma, rho)
-    _require(is_xmod_morphism(m), "not a crossed module morphism")
+    _require(is_xmod_morphism(m).checks, "not a crossed module morphism")
     return m

@@ -202,7 +202,7 @@ def is_crossed_square(X: CrossedSquare) -> ValidityReport:
 
 def crossed_square(*args, **kwargs) -> CrossedSquare:
     X = CrossedSquare(*args, **kwargs)
-    _require(is_crossed_square(X), "not a crossed square")
+    _require(is_crossed_square(X).checks, "not a crossed square")
     return X
 
 

@@ -44,9 +44,9 @@ def test_pre_cat1_construction(d8):
     # the diagonal t_a o t_b is a pre-cat1 that is not a cat1
     tab = compose(ta, proj_b(d8))
     pre = pre_cat1_by_endomorphisms(tab, tab)
-    ok, witness = is_cat1_group(pre)
-    assert not ok
-    a, b = witness
+    report = is_cat1_group(pre)
+    assert not report.ok
+    a, b = report.failures()[0].witness
     assert d8.mul(a, b) != d8.mul(b, a)
     with pytest.raises(GroupError, match=r"\[ker t, ker h\]"):
         cat1_group(tab, tab)
@@ -61,11 +61,11 @@ def test_pre_cat1_rejects_bad_pairs(d8):
 def test_is_cat1_examples():
     q8 = catalog.small_group(8, 4)
     z = trivial_hom(q8, q8)
-    assert not is_cat1_group(pre_cat1_by_endomorphisms(z, z))[0]
+    assert not is_cat1_group(pre_cat1_by_endomorphisms(z, z)).ok
     a4 = catalog.small_group(12, 3)
     z = trivial_hom(a4, a4)
-    assert not is_cat1_group(pre_cat1_by_endomorphisms(z, z))[0]
-    assert is_cat1_group(identity_cat1(a4))[0]
+    assert not is_cat1_group(pre_cat1_by_endomorphisms(z, z)).ok
+    assert is_cat1_group(identity_cat1(a4)).ok
 
 
 def test_enumeration_counts():
@@ -87,7 +87,7 @@ def test_every_enumerated_structure_is_valid():
     for key in ((6, 1), (8, 2), (8, 3), (12, 3)):
         G = catalog.small_group(*key)
         for C in all_cat1_groups(G):
-            assert is_cat1_group(C)[0]
+            assert is_cat1_group(C).ok
             assert C.tail.is_idempotent() and C.head.is_idempotent()
 
 
@@ -130,7 +130,7 @@ def test_cat1_of_xmod(d8):
     X = conjugation_xmod(z, d8)
     C = cat1_of_xmod(X)
     assert C.group.order == 16
-    assert is_cat1_group(C)[0]
+    assert is_cat1_group(C).ok
     triv = catalog.small_group(1, 1)
     C = cat1_of_xmod(conjugation_xmod(subgroup_generated(triv, []), triv))
     assert C.group.order == 1
@@ -207,7 +207,7 @@ def test_from_general_form_a4_session():
     tg = hom_by_images(a4, R, [pos[proj.mapping[g]] for g in a4.generators])
     C = from_general_form(e, tg, tg)
     assert C.range_.members == syl.members
-    assert is_cat1_group(C)[0]
+    assert is_cat1_group(C).ok
 
 
 def test_from_general_form_identity_embedding(d8):
@@ -233,3 +233,33 @@ def test_classification_reps_are_least(d8):
     for fam, rep in zip(cls.families, cls.representatives):
         assert rep.key() == cls.structures[min(fam)].key()
     assert sorted(p for fam in cls.families for p in fam) == list(range(len(cls.structures)))
+
+
+def test_pre_cat1_identities_force_equal_images():
+    """t o h = h puts im h inside im t and h o t = t the reverse, so a pair
+    passing both identity checks always has im t = im h; a failing identity
+    names an element where it really fails."""
+    from catsq.cat1 import PreCat1Group
+    from catsq.groups import idempotent_endomorphisms, image_of
+
+    passed = failed = 0
+    for order, gid in catalog.catalog_keys():
+        if order > 12:
+            continue
+        G = catalog.small_group(order, gid)
+        ies = idempotent_endomorphisms(G)
+        images = [image_of(f).members for f in ies]
+        for i, t in enumerate(ies):
+            for j, h in enumerate(ies):
+                th, ht = is_cat1_group(PreCat1Group(G, t, h, image_of(t))).checks[:2]
+                assert (th.name, ht.name) == ("t o h = h", "h o t = t")
+                for check, f, g in ((th, t.mapping, h.mapping), (ht, h.mapping, t.mapping)):
+                    if not check.ok:
+                        (x,) = check.witness
+                        assert f[g[x]] != g[x]
+                if th.ok and ht.ok:
+                    assert images[i] == images[j], (order, gid, i, j)
+                    passed += 1
+                else:
+                    failed += 1
+    assert passed > 0 and failed > 0

@@ -5,6 +5,7 @@ from catsq.groups import GroupError, hom_by_images, trivial_hom
 from catsq.tables import HEAVY_KEYS
 from catsq.cat1 import all_cat1_groups, cat1_group, identity_cat1
 from catsq.cat2 import (
+    PreCat2Group,
     all_cat2_group_morphisms,
     all_cat2_groups,
     are_isomorphic_cat2_groups,
@@ -14,6 +15,7 @@ from catsq.cat2 import (
     catn_group,
     commutation_witness,
     diagonal_pre_cat1,
+    is_cat2_group,
     isomorphism_cat2_groups,
     non_cat1_diagonal_count,
     pre_cat2_group,
@@ -207,8 +209,28 @@ def test_pre_cat2_accepts_pre_cat1_pairs():
     q8 = catalog.small_group(8, 4)
     z = trivial_hom(q8, q8)
     pre = pre_cat1_by_endomorphisms(z, z)
-    assert not is_cat1_group(pre)[0]
+    assert not is_cat1_group(pre).ok
     P = pre_cat2_group(pre, pre)
     assert P.size == (8, 1, 1, 1)
     with pytest.raises(GroupError, match="not a cat1-group"):
         cat2_group(pre, pre)
+
+
+def test_is_cat2_group_report():
+    names = [f"structure {n}: {c}" for n in (1, 2)
+             for c in ("t o h = h", "h o t = t", "[ker t, ker h] = 1")]
+    names.append("commutation identities")
+    for key in ((8, 3), (16, 11)):
+        for C in all_cat2_groups(catalog.small_group(*key)):
+            report = is_cat2_group(C)
+            assert report.ok, key
+            assert [c.name for c in report.checks] == names
+    # a pair of cat1 structures that do not commute fails only commutation,
+    # with the witness of the naive oracle
+    cat1s = all_cat1_groups(catalog.small_group(6, 1))
+    c1, c2 = next((a, b) for a in cat1s for b in cat1s
+                  if commutation_witness(a, b) is not None)
+    P = PreCat2Group(c1.group, c1, c2)
+    bad = is_cat2_group(P).failures()
+    assert [(c.name, c.witness) for c in bad] == [
+        ("commutation identities", commutation_witness(c1, c2))]

@@ -1,7 +1,15 @@
+import re
 import subprocess
 import sys
 
+import pytest
+
+from catsq import catalog
+from catsq.cat2 import all_cat2_groups
 from catsq.cli import main
+from catsq.groups import idempotent_endomorphisms
+from catsq.serialize import emit_xsq
+from catsq.xsq import crossed_square_of_cat2
 
 
 def run_cli(*args):
@@ -116,6 +124,115 @@ def test_check_reports_failure(tmp_path, capsys):
     assert main(["check", str(f)]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "[ker t, ker h] = 1" in out
+
+
+def _words(mapping):
+    return " ".join(str(v) for v in mapping)
+
+
+def test_check_cat1_identity_failures_name_witnesses(tmp_path, capsys):
+    # t and h project D8 onto different subgroups of order 2
+    G = catalog.small_group(8, 3)
+    halves = [f.mapping for f in idempotent_endomorphisms(G) if len(set(f.mapping)) == 2]
+    t = halves[0]
+    h = next(m for m in halves if set(m) != set(t))
+    f = tmp_path / "bad.catsq"
+    f.write_text(f"catsq 1 cat1\ngroup key 8 3\nt {_words(t)}\nh {_words(h)}\nend\n")
+    assert main(["check", str(f)]) == 1
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert [l.split(":")[0] for l in lines] == ["t o h = h", "h o t = t", "[ker t, ker h] = 1"]
+    fails = [l for l in lines if "FAIL" in l]
+    assert len(fails) >= 2
+    assert all(re.search(r"FAIL witness \(\d+,( \d+)?\)$", l) for l in fails)
+
+
+def test_check_cat2_reports_commutation_after_structure_failure(tmp_path, capsys):
+    # structure 1 is the zero pre-cat1 on Q8 (kernels do not commute),
+    # structure 2 the identity; the two commute
+    zero, ident = _words([0] * 8), _words(range(8))
+    f = tmp_path / "bad2.catsq"
+    f.write_text(f"catsq 1 cat2\ngroup key 8 4\nt1 {zero}\nh1 {zero}\n"
+                 f"t2 {ident}\nh2 {ident}\nend\n")
+    assert main(["check", str(f)]) == 1
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines == [
+        "structure 1: t o h = h: pass",
+        "structure 1: h o t = t: pass",
+        lines[2],
+        "structure 2: t o h = h: pass",
+        "structure 2: h o t = t: pass",
+        "structure 2: [ker t, ker h] = 1: pass",
+        "commutation identities: pass",
+    ]
+    assert re.fullmatch(r"structure 1: \[ker t, ker h\] = 1: FAIL witness \(\d+, \d+\)",
+                        lines[2])
+
+
+def _two_by_two_square():
+    """A crossed square text whose L and P have order 2, so actl has a
+    nontrivial row and the pairing a row of L indices."""
+    text = emit_xsq(crossed_square_of_cat2(all_cat2_groups(catalog.small_group(4, 2))[-1]))
+    assert "\nactl 2\n0 1\n0 1\n" in text and "\npairing 1\n0\n" in text
+    return text
+
+
+_SQUARE = _two_by_two_square()
+_C2 = "catsq 1 cat2\ngroup table 2 C2\n0 1\n1 0\n"
+_C2_MAPS = "t1 0 1\nh1 0 1\nt2 0 1\nh2 0 1\nend\n"
+
+# name -> (file text, token the error message must name)
+MALFORMED = {
+    "version": ("catsq x cat1\ngroup key 8 3\nend\n", "'x'"),
+    "key without id": ("catsq 1 cat2\ngroup key 8\nend\n", "group key"),
+    "unknown key": ("catsq 1 cat2\ngroup key 8 99\nend\n", "(8,99)"),
+    "table size": ("catsq 1 cat2\ngroup table x\nend\n", "'x'"),
+    "actl count": (re.sub(r"^actl \d+$", "actl", _SQUARE, flags=re.M), "'actl'"),
+    "generator": (_C2 + "gens 5\n" + _C2_MAPS, "generator 5"),
+    "map image": (_C2 + "gens 1\n" + _C2_MAPS.replace("t1 0 1", "t1 0 99"),
+                  "map t1 has entry 99"),
+    "negative generator": (_C2 + "gens -1\n" + _C2_MAPS, "generator -1"),
+    "empty table": ("catsq 1 cat2\ngroup table 0 E\ngens\nend\n", "['table', '0', 'E']"),
+    "action image": (_SQUARE.replace("\nactl 2\n0 1\n0 1\n", "\nactl 2\n0 1\n0 7\n"),
+                     "actl row 1 has entry 7"),
+    "pairing entry": (_SQUARE.replace("\npairing 1\n0\n", "\npairing 1\n5\n"),
+                      "pairing row 0 has entry 5"),
+}
+
+
+@pytest.mark.parametrize("name", ["version", "key without id", "unknown key", "table size",
+                                  "actl count", "generator"])
+def test_malformed_file_no_traceback(tmp_path, name):
+    """The console entry ends a malformed file with exit status 2 and a
+    one-line message naming the bad token, never a traceback."""
+    text, token = MALFORMED[name]
+    f = tmp_path / "bad.catsq"
+    f.write_text(text)
+    for command, prefix in (("check", "invalid: "), ("convert", "error: ")):
+        proc = run_cli(command, str(f))
+        assert proc.returncode == 2, (command, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(prefix) and token in proc.stderr, (command, proc.stderr)
+
+
+@pytest.mark.parametrize("name", ["map image", "negative generator", "empty table",
+                                  "action image", "pairing entry"])
+def test_malformed_values_rejected(tmp_path, capsys, name):
+    text, token = MALFORMED[name]
+    f = tmp_path / "bad.catsq"
+    f.write_text(text)
+    for command, prefix in (("check", "invalid: "), ("convert", "error: ")):
+        assert main([command, str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and token in err, (command, err)
+
+
+def test_unreadable_file(tmp_path, capsys):
+    f = tmp_path / "binary.catsq"
+    f.write_bytes(b"\xff\xfe")
+    for path in (f, tmp_path / "missing.catsq"):
+        for command, prefix in (("check", "invalid: "), ("convert", "error: ")):
+            assert main([command, str(path)]) == 2
+            assert capsys.readouterr().err.startswith(prefix)
 
 
 def test_check_invalid_file(tmp_path, capsys):
