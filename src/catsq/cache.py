@@ -117,7 +117,7 @@ def parse_group_data(text: str) -> GroupData:
         k2 = _ints(r.expect("cat2-families"))[0]
         cat2_fams = tuple(tuple(v - 1 for v in _ints(r.next().split())) for _ in range(k2))
         bad = _ints(r.expect("bad-diagonals"))[0]
-        r.expect("end")
+        r.end()
     except CacheMiss:
         raise
     except (FormatError, ValueError, IndexError) as exc:

@@ -7,12 +7,18 @@ reported with a witness by :func:`is_cat1_group`.  The endomorphism form is
 canonical; the embedding form (e; t, h : G -> R) is a view converted on
 input and output.  Enumeration runs over idempotent endomorphisms and lists
 ordered pairs in lexicographic order of their concatenated map arrays.
+Classification conjugates the k x 2n array of all tail|head maps by each
+Aut(G) generator at once, which gives one permutation of the k positions per
+generator; :func:`_orbit_families` (min-label propagation with pointer
+jumping) turns such permutations into orbits, for the cat2 classes too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .groups import (
     DENSE_CAP,
@@ -194,73 +200,66 @@ class Cat1Classification:
     families: tuple[tuple[int, ...], ...]  # 0-based positions per class
 
 
-def _conjugated_map(alpha: Sequence[int], alpha_inv: Sequence[int],
-                    m: Sequence[int]) -> tuple[int, ...]:
-    return tuple(alpha[m[alpha_inv[x]]] for x in range(len(m)))
+def _cat1_array(G: GroupTable) -> np.ndarray:
+    """The k x 2n array of tail|head maps, one row per cat1 structure."""
+    if "cat1_array" not in G._cache:
+        G._cache["cat1_array"] = np.array(
+            [c.tail.mapping + c.head.mapping for c in all_cat1_groups(G)], dtype=np.intp)
+    return G._cache["cat1_array"]
 
 
-def cat1_structure_orbit_maps(G: GroupTable) -> list[tuple[int, ...]]:
-    """For each Aut(G) generator, the induced permutation of cat1 positions."""
+def cat1_structure_orbit_maps(G: GroupTable) -> np.ndarray:
+    """Row r: the cat1 positions permuted by the r-th Aut(G) generator.
+
+    The generator a sends (t, h) to (a t a^-1, a h a^-1); all structures are
+    conjugated at once by fancy indexing and each row found by its bytes.
+    """
     if "cat1_orbit_maps" not in G._cache:
-        cat1s = all_cat1_groups(G)
-        index = {c.key(): p for p, c in enumerate(cat1s)}
-        sigmas = []
-        for a in automorphism_generators(G):
-            am = a.mapping
-            inv = [0] * len(am)
-            for x, v in enumerate(am):
-                inv[v] = x
-            sigma = []
-            for c in cat1s:
-                key = (_conjugated_map(am, inv, c.tail.mapping),
-                       _conjugated_map(am, inv, c.head.mapping))
-                try:
-                    sigma.append(index[key])
-                except KeyError:
-                    raise GroupError(
-                        "conjugating a cat1 structure left the enumeration; "
-                        "the Aut action is broken") from None
-            sigmas.append(tuple(sigma))
-        G._cache["cat1_orbit_maps"] = tuple(sigmas)
-    return list(G._cache["cat1_orbit_maps"])
+        TH = _cat1_array(G)
+        index = {row.tobytes(): p for p, row in enumerate(TH)}
+        gens = automorphism_generators(G)
+        sigmas = np.empty((len(gens), len(TH)), dtype=np.intp)
+        for r, a in enumerate(gens):
+            am = np.array(a.mapping, dtype=np.intp)
+            inv = np.argsort(am)
+            conj = am[TH[:, np.concatenate((inv, inv + G.order))]]
+            try:
+                sigmas[r] = [index[row.tobytes()] for row in conj]
+            except KeyError:
+                raise GroupError(
+                    "conjugating a cat1 structure left the enumeration; "
+                    "the Aut action is broken") from None
+        sigmas.flags.writeable = False  # the cached array is shared with every caller
+        G._cache["cat1_orbit_maps"] = sigmas
+    return G._cache["cat1_orbit_maps"]
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
+def _orbit_families(n: int, perms) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the permutations ``perms`` of 0..n-1, by least member.
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
-def _families_from_unionfind(uf: _UnionFind, n: int) -> tuple[tuple[int, ...], ...]:
-    groups: dict[int, list[int]] = {}
-    for x in range(n):
-        groups.setdefault(uf.find(x), []).append(x)
-    return tuple(tuple(groups[r]) for r in sorted(groups))
+    Each position takes the least label of itself and its images p[x], and
+    pointer jumping (label[label]) shortens the chains, until a full round
+    changes nothing.  A label is always a member of its position's orbit and
+    only decreases; at the fixed point it cannot drop along any cycle of any
+    p, so it is constant on every orbit: the orbit's least member.
+    """
+    label = np.arange(n)
+    while True:
+        old = label
+        for p in perms:
+            label = np.minimum(label, label[p])
+        label = label[label]
+        if np.array_equal(label, old):
+            break
+    order = np.argsort(label, kind="stable")
+    cuts = np.flatnonzero(np.diff(label[order])) + 1
+    return tuple(tuple(f.tolist()) for f in np.split(order, cuts)) if n else ()
 
 
 def cat1_isomorphism_classes(G: GroupTable) -> Cat1Classification:
     """Aut(G)-orbits of cat1 structures; least member per orbit represents."""
     cat1s = all_cat1_groups(G)
-    n = len(cat1s)
-    uf = _UnionFind(n)
-    for sigma in cat1_structure_orbit_maps(G):
-        for p, q in enumerate(sigma):
-            uf.union(p, q)
-    families = _families_from_unionfind(uf, n)
+    families = _orbit_families(len(cat1s), cat1_structure_orbit_maps(G))
     reps = tuple(cat1s[f[0]] for f in families)
     return Cat1Classification(tuple(cat1s), reps, families)
 
@@ -304,16 +303,6 @@ class Cat1Morphism:
 def _intertwines(f: Sequence[int], a: Sequence[int], b: Sequence[int]) -> bool:
     # f o a = b o f on the source elements
     return all(f[a[x]] == b[f[x]] for x in range(len(f)))
-
-
-def cat1_morphism(C1: PreCat1Group, C2: PreCat1Group, f: Homomorphism) -> Cat1Morphism:
-    if f.source is not C1.group or f.target is not C2.group:
-        raise GroupError("the morphism map must go between the underlying groups")
-    if not _intertwines(f.mapping, C1.tail.mapping, C2.tail.mapping):
-        raise GroupError("f o t1 != t2 o f")
-    if not _intertwines(f.mapping, C1.head.mapping, C2.head.mapping):
-        raise GroupError("f o h1 != h2 o f")
-    return Cat1Morphism(C1, C2, f)
 
 
 def is_cat1_morphism(C1: PreCat1Group, C2: PreCat1Group, f: Homomorphism) -> bool:

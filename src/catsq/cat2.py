@@ -8,8 +8,9 @@ commutation identities; :func:`cat2_group` re-checks only the kernel axioms.
 The pair scan tests one cat1 structure per Aut(G) orbit against all
 structures with numpy row compositions and carries the partner lists along
 each orbit.  Isomorphism classification computes orbits under Aut(G) combined
-with the orientation swap, via union-find over the induced position
-permutations of a small automorphism generating set.
+with the orientation swap: each Aut(G) generator permutes the sorted pair
+codes, and the families come from the same array orbit routine as the cat1
+classes (min-label propagation with pointer jumping).
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ from .groups import (
 from .cat1 import (
     Cat1Group,
     PreCat1Group,
-    _UnionFind,
-    _families_from_unionfind,
+    _cat1_array,
     _intertwines,
     _kernel_check,
+    _orbit_families,
     all_cat1_groups,
     cat1_structure_orbit_maps,
     is_cat1_group,
@@ -157,12 +158,12 @@ def cat2_pair_indices(G: GroupTable) -> list[tuple[int, int]]:
     :func:`cat1_structure_orbit_maps` (orbit-stabilizer transport).
     """
     if "cat2pairs" not in G._cache:
-        cat1s = all_cat1_groups(G)
-        T = np.array([c.tail.mapping for c in cat1s], dtype=np.intp)
-        H = np.array([c.head.mapping for c in cat1s], dtype=np.intp)
-        sigmas = [np.array(s, dtype=np.intp) for s in cat1_structure_orbit_maps(G)]
-        partners: list[Optional[np.ndarray]] = [None] * len(cat1s)
-        for r in range(len(cat1s)):
+        n = G.order
+        TH = _cat1_array(G)
+        T, H = TH[:, :n], TH[:, n:]
+        sigmas = cat1_structure_orbit_maps(G)
+        partners: list[Optional[np.ndarray]] = [None] * len(TH)
+        for r in range(len(TH)):
             if partners[r] is not None:
                 continue
             t, h = T[r], H[r]
@@ -177,11 +178,13 @@ def cat2_pair_indices(G: GroupTable) -> list[tuple[int, int]]:
                     if partners[j] is None:
                         partners[j] = sigma[partners[i]]
                         orbit.append(j)
-        pairs = []
-        for i, js in enumerate(partners):
-            js = np.sort(js[js >= i])
-            pairs.extend((i, j) for j in js.tolist())
-        G._cache["cat2pairs"] = pairs
+        # the codes i*k + j of the pairs i <= j, sorted; the classes reuse them
+        k = len(TH)
+        i = np.repeat(np.arange(k), [len(js) for js in partners])
+        j = np.concatenate(partners)
+        codes = np.sort((i * k + j)[i <= j])
+        G._cache["cat2codes"] = codes
+        G._cache["cat2pairs"] = list(zip(*(a.tolist() for a in np.divmod(codes, k))))
     return list(G._cache["cat2pairs"])
 
 
@@ -205,28 +208,30 @@ class Cat2Classification:
 def cat2_isomorphism_classes(G: GroupTable) -> Cat2Classification:
     """Orbits of Aut(G) x orientation-swap on the cat2 enumeration.
 
-    Stored pairs are already swap-canonical, so conjugating both components
-    by automorphism generators and re-canonicalizing realizes the full orbit
-    relation; union-find over the generator moves yields the families.
+    Stored pairs are already swap-canonical, so each generator of Aut(G)
+    maps the sorted pair codes i*k + j to the codes of the conjugated and
+    re-sorted pairs; one ``searchsorted`` turns them into a permutation of
+    positions, and :func:`_orbit_families` reads off the families.
     """
-    pairs = cat2_pair_indices(G)
-    cat1s = all_cat1_groups(G)
-    index = {p: pos for pos, p in enumerate(pairs)}
-    uf = _UnionFind(len(pairs))
-    for sigma in cat1_structure_orbit_maps(G):
-        for pos, (i, j) in enumerate(pairs):
-            a, b = sigma[i], sigma[j]
-            if a > b:
-                a, b = b, a
-            try:
-                uf.union(pos, index[(a, b)])
-            except KeyError:
-                raise GroupError(
-                    "Aut(G) moved a cat2 structure outside the enumeration") from None
-    families = _families_from_unionfind(uf, len(pairs))
-    reps = tuple(Cat2Group(G, cat1s[pairs[f[0]][0]], cat1s[pairs[f[0]][1]])
-                 for f in families)
-    return Cat2Classification(reps, families, len(pairs))
+    if "cat2_classes" not in G._cache:
+        pairs = cat2_pair_indices(G)
+        cat1s = all_cat1_groups(G)
+        k = len(cat1s)
+        codes = G._cache["cat2codes"]
+        I, J = np.divmod(codes, k)
+        perms = []
+        for sigma in cat1_structure_orbit_maps(G):
+            a, b = sigma[I], sigma[J]
+            moved = np.minimum(a, b) * k + np.maximum(a, b)
+            pos = np.searchsorted(codes, moved)
+            if not np.array_equal(codes[np.minimum(pos, len(codes) - 1)], moved):
+                raise GroupError("Aut(G) moved a cat2 structure outside the enumeration")
+            perms.append(pos)
+        families = _orbit_families(len(pairs), perms)
+        reps = tuple(Cat2Group(G, cat1s[pairs[f[0]][0]], cat1s[pairs[f[0]][1]])
+                     for f in families)
+        G._cache["cat2_classes"] = Cat2Classification(reps, families, len(pairs))
+    return G._cache["cat2_classes"]
 
 
 def non_cat1_diagonal_count(G: GroupTable) -> int:

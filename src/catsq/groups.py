@@ -265,9 +265,6 @@ class SemidirectGroup(GroupTable):
     def encode(self, s: int, r: int) -> int:
         return s * self._rn + r
 
-    def decode(self, x: int) -> tuple[int, int]:
-        return divmod(x, self._rn)
-
     def mul(self, a: int, b: int) -> int:
         rn = self._rn
         s1, r1 = divmod(a, rn)
@@ -795,9 +792,6 @@ class GroupAction:
             for q in P.elements():
                 if self.perms[P.mul(g, q)] != _pcompose(pg, self.perms[q]):
                     raise GroupError(f"action is not a homomorphism at ({g}, {q})")
-
-    def apply(self, p: int, x: int) -> int:
-        return self.perms[p][x]
 
 
 def trivial_action(actor: GroupTable, space: GroupTable) -> GroupAction:

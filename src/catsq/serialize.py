@@ -2,10 +2,11 @@
 
 Files are LF-terminated ASCII: a header line ``catsq <version> <kind>``,
 keyword-introduced sections with whitespace-separated decimal integers, and a
-closing ``end`` line.  Emission is canonical (single spaces, no trailing
-whitespace), so ``emit(parse(text)) == text`` byte for byte.  One parser per
-kind; ``validate=False`` returns unchecked data for an axiom report.
-Malformed text raises a ``GroupError`` naming the bad line or token.
+closing ``end`` line that only blank lines may follow.  Emission is canonical
+(single spaces, no trailing whitespace), so ``emit(parse(text)) == text`` byte
+for byte.  One parser per kind; ``validate=False`` returns unchecked data for
+an axiom report.  Malformed text raises a ``GroupError`` naming the bad line
+or token.
 """
 
 from __future__ import annotations
@@ -72,6 +73,14 @@ class _Reader:
         if not words or words[0] != keyword:
             raise FormatError(f"expected a {keyword!r} line, got {line!r}")
         return words[1:]
+
+    def end(self) -> None:
+        """The closing ``end`` line, which only blank lines may follow."""
+        self.expect("end")
+        for number in range(self.pos, len(self.lines)):
+            if self.lines[number].strip():
+                raise FormatError(f"content after 'end' on line {number + 1}: "
+                                  f"{self.lines[number]!r}")
 
 
 def emit_group(G: GroupTable, key: Optional[tuple[int, int]] = None) -> list[str]:
@@ -178,7 +187,7 @@ def parse_cat1(text: str, validate: bool = True) -> PreCat1Group:
     r = _open(text, "cat1")
     G = parse_group(r)
     t, h = (_map(r, k, G, G) for k in ("t", "h"))
-    r.expect("end")
+    r.end()
     return _cat1(t, h, validate)
 
 
@@ -186,7 +195,7 @@ def parse_cat2(text: str, validate: bool = True) -> PreCat2Group:
     r = _open(text, "cat2")
     G = parse_group(r)
     maps = [_map(r, k, G, G) for k in ("t1", "h1", "t2", "h2")]
-    r.expect("end")
+    r.end()
     c1, c2 = _cat1(*maps[:2], validate), _cat1(*maps[2:], validate)
     return cat2_group(c1, c2) if validate else PreCat2Group(G, c1, c2)
 
@@ -199,6 +208,6 @@ def parse_xsq(text: str, validate: bool = True) -> CrossedSquare:
     acts = [GroupAction(P, space, _section(r, name, P.order, space.order))
             for name, space in (("actl", L), ("actm", M), ("actn", N))]
     pairing = _section(r, "pairing", M.order, L.order)
-    r.expect("end")
+    r.end()
     build = crossed_square if validate else CrossedSquare
     return build(L, M, N, P, kappa, lam, mu, nu, *acts, pairing)

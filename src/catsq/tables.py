@@ -18,7 +18,7 @@ from typing import Optional
 from . import catalog
 from .cache import CacheMiss, GroupData, read_group_data, write_group_data
 from .cat1 import all_cat1_groups, cat1_isomorphism_classes
-from .cat2 import cat2_isomorphism_classes, cat2_pair_indices, diagonal_pre_cat1
+from .cat2 import cat2_isomorphism_classes, cat2_pair_indices, non_cat1_diagonal_count
 from .groups import idempotent_endomorphisms
 
 HEAVY_KEYS = frozenset({(16, 14), (27, 5)})
@@ -158,15 +158,13 @@ def compute_group_data(order: int, gid: int) -> GroupData:
     cat1s = all_cat1_groups(G)
     cls1 = cat1_isomorphism_classes(G)
     pairs = cat2_pair_indices(G)
-    cls2 = cat2_isomorphism_classes(G)
-    bad = sum(1 for rep in cls2.representatives if not diagonal_pre_cat1(rep)[1])
     return GroupData(
         order, gid, ie,
         tuple((c.tail.mapping, c.head.mapping) for c in cat1s),
         cls1.families,
         tuple(pairs),
-        cls2.families,
-        bad,
+        cat2_isomorphism_classes(G).families,
+        non_cat1_diagonal_count(G),
     )
 
 

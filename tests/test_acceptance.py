@@ -4,8 +4,10 @@ Each test prints one ``criterion N (...): PASS/FAIL`` line (visible with
 ``pytest -s``).  Criteria 2 is the full-tier table check and runs under the
 ``heavy`` marker, as do the 16/14 portions of criteria 6 and 7 (the heavy
 part of criterion 7 also checks the 27/5 pair scan against the naive loop,
-and the End(G) kernel and Aut(G) generators of both heavy groups against
-the per-tuple closure of ``tests/test_groups.py``).
+the End(G) kernel and Aut(G) generators of both heavy groups against the
+per-tuple closure of ``tests/test_groups.py``, and their cat1 orbit maps and
+cat1 and cat2 families against the union-find oracle of
+``tests/test_orbits.py``).
 
 The embedded reference data is asserted verbatim except at a few entries that
 are provably wrong.  Those are named in ``TABLE_ERRATA`` and
@@ -69,6 +71,7 @@ from catsq.xsq import (
     is_crossed_square,
 )
 from test_groups import fresh_copy, oracle_aut_generators, oracle_end_maps
+from test_orbits import oracle_problems
 
 
 # Reference entries that are provably wrong, key -> (stated, true).
@@ -566,4 +569,7 @@ def test_criterion_7_oracle_equivalence_16_14():
         if ([a.mapping for a in automorphism_generators(F)]
                 != oracle_aut_generators(F, end_maps[1])):
             problems.append(f"Aut(G) generators differ on {key[0]}/{key[1]}")
+        # the array orbit maps and families against the per-structure
+        # conjugation and union-find they replaced
+        problems += oracle_problems(G, f"{key[0]}/{key[1]}")
     _verdict(7, "oracle equivalence on 16/14 and 27/5", problems)

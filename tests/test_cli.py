@@ -5,10 +5,11 @@ import sys
 import pytest
 
 from catsq import catalog
+from catsq.cat1 import all_cat1_groups
 from catsq.cat2 import all_cat2_groups
 from catsq.cli import main
 from catsq.groups import idempotent_endomorphisms
-from catsq.serialize import emit_xsq
+from catsq.serialize import emit_cat1, emit_cat2, emit_xsq
 from catsq.xsq import crossed_square_of_cat2
 
 
@@ -224,6 +225,36 @@ def test_malformed_values_rejected(tmp_path, capsys, name):
         assert main([command, str(f)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(prefix) and token in err, (command, err)
+
+
+def _valid_file(kind):
+    G = catalog.small_group(8, 3)
+    if kind == "cat1":
+        return emit_cat1(all_cat1_groups(G)[1], (8, 3))
+    if kind == "cat2":
+        return emit_cat2(all_cat2_groups(G)[1], (8, 3))
+    return _SQUARE
+
+
+@pytest.mark.parametrize("kind", ["cat1", "cat2", "xsq"])
+@pytest.mark.parametrize("tail", ["garbage", "concatenated"])
+def test_trailing_content_rejected(tmp_path, capsys, kind, tail):
+    """Only blank lines may follow ``end``; the message names the first
+    line after it that is not blank."""
+    valid = _valid_file(kind)
+    f = tmp_path / "ok.catsq"
+    f.write_text(valid + "\n  \n")
+    assert main(["check", str(f)]) == 0
+    capsys.readouterr()
+    extra = "garbage 1 2 3\n" if tail == "garbage" else valid
+    f.write_text(valid + "\n" + extra)
+    line = valid.count("\n") + 2
+    commands = (("check", "invalid: "),) + ((("convert", "error: "),) if kind != "cat1" else ())
+    for command, prefix in commands:
+        assert main([command, str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and f"after 'end' on line {line}:" in err, (command, err)
+        assert extra.split("\n")[0] in err
 
 
 def test_unreadable_file(tmp_path, capsys):

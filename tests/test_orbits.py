@@ -1,0 +1,156 @@
+"""The array orbit routine of the cat1 and cat2 classifiers, against oracles.
+
+``oracle_orbit_maps`` conjugates one cat1 structure at a time and
+``oracle_families`` joins positions with union-find, as the classifiers did
+before :func:`catsq.cat1._orbit_families` replaced both; they are kept here
+as the oracles of the array code.
+"""
+
+import random
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from catsq import catalog, cat1, cat2
+from catsq.cat1 import (
+    _orbit_families,
+    all_cat1_groups,
+    cat1_isomorphism_classes,
+    cat1_structure_orbit_maps,
+)
+from catsq.cat2 import cat2_isomorphism_classes, cat2_pair_indices
+from catsq.groups import GroupError, automorphism_generators
+from test_groups import LIGHT_KEYS, fresh_copy
+
+
+class UnionFind:
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            if rb < ra:
+                ra, rb = rb, ra
+            self.parent[rb] = ra
+
+
+def oracle_families(n, perms):
+    """Orbits of ``perms`` on 0..n-1 by union-find, ordered by least member."""
+    uf = UnionFind(n)
+    for sigma in perms:
+        for p, q in enumerate(sigma):
+            uf.union(p, int(q))
+    groups = {}
+    for x in range(n):
+        groups.setdefault(uf.find(x), []).append(x)
+    return tuple(tuple(groups[r]) for r in sorted(groups))
+
+
+def oracle_orbit_maps(G):
+    """Per Aut(G) generator a, the position of a o (t, h) o a^-1 for each
+    cat1 structure (t, h), one structure at a time."""
+    cat1s = all_cat1_groups(G)
+    index = {c.key(): p for p, c in enumerate(cat1s)}
+    maps = []
+    for a in automorphism_generators(G):
+        am = a.mapping
+        inv = [0] * len(am)
+        for x, v in enumerate(am):
+            inv[v] = x
+        maps.append(tuple(
+            index[tuple(tuple(am[m[inv[x]]] for x in range(len(m))) for m in c.key())]
+            for c in cat1s))
+    return maps
+
+
+def oracle_cat2_families(G, orbit_maps):
+    """The cat2 families from the generator images of each sorted pair."""
+    pairs = cat2_pair_indices(G)
+    index = {p: pos for pos, p in enumerate(pairs)}
+    perms = [[index[tuple(sorted((sigma[i], sigma[j])))] for i, j in pairs]
+             for sigma in orbit_maps]
+    return oracle_families(len(pairs), perms)
+
+
+def oracle_problems(G, name):
+    """Where the orbit maps or either family partition differ from the oracle."""
+    problems = []
+    maps = oracle_orbit_maps(G)
+    if [tuple(row) for row in cat1_structure_orbit_maps(G).tolist()] != maps:
+        problems.append(f"cat1 orbit maps differ on {name}")
+    if cat1_isomorphism_classes(G).families != oracle_families(len(all_cat1_groups(G)), maps):
+        problems.append(f"cat1 families differ on {name}")
+    if cat2_isomorphism_classes(G).families != oracle_cat2_families(G, maps):
+        problems.append(f"cat2 families differ on {name}")
+    return problems
+
+
+def test_orbit_maps_and_families_match_union_find_oracle():
+    problems = []
+    for key in LIGHT_KEYS:
+        problems += oracle_problems(catalog.small_group(*key), f"{key[0]}/{key[1]}")
+    assert not problems
+
+
+def test_orbit_families_without_permutations():
+    assert _orbit_families(4, []) == ((0,), (1,), (2,), (3,))
+    assert _orbit_families(4, np.empty((0, 4), dtype=np.intp)) == _orbit_families(4, [])
+    assert _orbit_families(0, []) == ()
+    assert _orbit_families(0, np.empty((3, 0), dtype=np.intp)) == ()
+
+
+def _path_involutions(path, n):
+    """Two involutions of 0..n-1 whose edges join ``path`` into one chain."""
+    perms = [np.arange(n), np.arange(n)]
+    for k, (a, b) in enumerate(zip(path, path[1:])):
+        perms[k % 2][[a, b]] = b, a
+    return perms
+
+
+def test_orbit_families_long_chains(monkeypatch):
+    # two shuffled chains and a fixed point: a least label has to travel
+    # along each chain, which takes several rounds of propagation and jumping
+    n = 201
+    nodes = list(range(1, n))
+    random.Random(7).shuffle(nodes)
+    perms = _path_involutions(nodes[:120], n) + _path_involutions(nodes[120:], n)
+    rounds = []
+    array_equal = np.array_equal
+    monkeypatch.setattr(np, "array_equal",
+                        lambda a, b: rounds.append(1) or array_equal(a, b))
+    got = _orbit_families(n, perms)
+    monkeypatch.undo()
+    assert got == oracle_families(n, perms)
+    assert got == ((0,), tuple(sorted(nodes[:120])), tuple(sorted(nodes[120:])))
+    assert len(rounds) >= 3
+
+
+def test_conjugation_outside_the_enumeration(monkeypatch):
+    F = fresh_copy(catalog.small_group(8, 3))
+    # a bijection of D8 that fixes 0 but is not an automorphism
+    bogus = SimpleNamespace(mapping=(0, 2, 1) + tuple(range(3, 8)))
+    monkeypatch.setattr(cat1, "automorphism_generators", lambda G: [bogus])
+    with pytest.raises(GroupError, match="conjugating a cat1 structure left the enumeration"):
+        cat1_structure_orbit_maps(F)
+
+
+def test_aut_moves_cat2_outside_the_enumeration(monkeypatch):
+    F = fresh_copy(catalog.small_group(8, 3))
+    pairs = set(cat2_pair_indices(F))
+    k = len(all_cat1_groups(F))
+    # a cyclic shift of the cat1 positions, which some cat2 pair does not survive
+    shift = np.roll(np.arange(k), 1)
+    assert {tuple(sorted((shift[i], shift[j]))) for i, j in pairs} != pairs
+    monkeypatch.setattr(cat2, "cat1_structure_orbit_maps", lambda G: shift[None, :])
+    with pytest.raises(GroupError, match="Aut\\(G\\) moved a cat2 structure outside the enumeration"):
+        cat2_isomorphism_classes(F)

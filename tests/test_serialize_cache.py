@@ -134,6 +134,17 @@ def test_cache_error_kinds(tmp_path):
         read_group_data(tmp_path, 8, 3, expected_ie=10)
 
 
+def test_cache_trailing_content_recomputed(tmp_path):
+    data = compute_group_data(8, 3)
+    path = write_group_data(tmp_path, data)
+    text = path.read_text()
+    path.write_text(text + "garbage 1 2 3\n")
+    with pytest.raises(CacheFormatError, match=f"line {text.count(chr(10)) + 1}: 'garbage 1 2 3'"):
+        read_group_data(tmp_path, 8, 3, expected_ie=10)
+    assert group_data(8, 3, cache_dir=tmp_path) == data
+    assert path.read_text() == text
+
+
 def test_stale_cache_triggers_recompute(tmp_path):
     data = compute_group_data(8, 3)
     path = write_group_data(tmp_path, data)
