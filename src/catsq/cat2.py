@@ -4,7 +4,8 @@ A cat2-group is an unordered pair of cat1 structures on one group whose four
 maps commute pairwise; constructors keep the caller's orientation while the
 enumeration emits each pair once, lexicographically smaller structure first.
 :func:`is_cat2_group` reports each structure's cat1 axioms, then the
-commutation identities; :func:`cat2_group` re-checks only the kernel axioms.
+commutation identities; :func:`cat2_group` checks commutation, and the kernel
+axiom only of a structure that is not already a :class:`Cat1Group`.
 The pair scan tests one cat1 structure per Aut(G) orbit against all
 structures with numpy row compositions and carries the partner lists along
 each orbit.  Isomorphism classification computes orbits under Aut(G) combined
@@ -126,8 +127,10 @@ def pre_cat2_group(c1: PreCat1Group, c2: PreCat1Group) -> PreCat2Group:
 
 
 def cat2_group(c1: Cat1Group, c2: Cat1Group) -> Cat2Group:
+    """Validated cat2-group; a :class:`Cat1Group` input carries its kernel
+    axiom, so only the other inputs are checked for it."""
     pre = pre_cat2_group(c1, c2)
-    _require((_kernel_check(pre.c1), _kernel_check(pre.c2)),
+    _require((_kernel_check(c) for c in (c1, c2) if not isinstance(c, Cat1Group)),
              "a generating structure is not a cat1-group")
     return Cat2Group(pre.group, pre.c1, pre.c2)
 

@@ -14,7 +14,7 @@ against every edge of the right Cayley graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -538,6 +538,19 @@ class Homomorphism:
         return f"<Hom {self.source.label!r}->{self.target.label!r} {list(self.mapping)}>"
 
 
+def _valid(cls, *values):
+    """``cls(*values)`` for a :class:`Homomorphism` or :class:`GroupAction` that
+    is valid by construction: the last field is normalised to tuples as in
+    ``__post_init__``, whose self-check is skipped (as with
+    ``DenseGroup(check=False)``)."""
+    *head, data = values
+    data = tuple(data) if cls is Homomorphism else tuple(tuple(p) for p in data)
+    obj = object.__new__(cls)
+    for field, value in zip(fields(cls), (*head, data)):
+        object.__setattr__(obj, field.name, value)
+    return obj
+
+
 def identity_hom(G: GroupTable) -> Homomorphism:
     return Homomorphism(G, G, tuple(G.elements()))
 
@@ -546,10 +559,14 @@ def trivial_hom(G: GroupTable, H: GroupTable) -> Homomorphism:
 
 
 def compose(f: Homomorphism, g: Homomorphism) -> Homomorphism:
-    """(f o g)(x) = f(g(x)); g.target must be f.source."""
+    """(f o g)(x) = f(g(x)); g.target must be f.source.
+
+    The result is valid by construction (a composite of homomorphisms is
+    one) and is not re-checked.
+    """
     if g.target is not f.source:
         raise GroupError("composition needs g.target is f.source")
-    return Homomorphism(g.source, f.target, tuple(f.mapping[v] for v in g.mapping))
+    return _valid(Homomorphism, g.source, f.target, tuple(f.mapping[v] for v in g.mapping))
 
 
 def kernel_of(f: Homomorphism) -> Subgroup:
@@ -561,7 +578,11 @@ def image_of(f: Homomorphism) -> Subgroup:
 
 
 def restrict_hom(f: Homomorphism, sub: Subgroup, target_sub: Subgroup) -> Homomorphism:
-    """Restrict ``f`` to a subgroup of its source, landing in a target subgroup."""
+    """Restrict ``f`` to a subgroup of its source, landing in a target subgroup.
+
+    The result is valid by construction (a restriction of a homomorphism is
+    one) and is not re-checked; only its landing in ``target_sub`` is.
+    """
     if sub.parent is not f.source or target_sub.parent is not f.target:
         raise GroupError("restriction subgroups must live in f's source/target")
     S, s_members = group_of_subgroup(sub)
@@ -571,7 +592,7 @@ def restrict_hom(f: Homomorphism, sub: Subgroup, target_sub: Subgroup) -> Homomo
         mapping = tuple(pos[f.mapping[m]] for m in s_members)
     except KeyError:
         raise GroupError("f does not map the subgroup into the stated target") from None
-    return Homomorphism(S, T, mapping)
+    return _valid(Homomorphism, S, T, mapping)
 
 
 def hom_by_images(G: GroupTable, H: GroupTable,
@@ -800,10 +821,14 @@ def trivial_action(actor: GroupTable, space: GroupTable) -> GroupAction:
 
 
 def action_by_hom(f: Homomorphism, base: GroupAction) -> GroupAction:
-    """Pull a ``base`` action back along ``f`` into ``f.source``."""
+    """Pull a ``base`` action back along ``f`` into ``f.source``.
+
+    The result is valid by construction (an action pulled back along a
+    homomorphism is one) and is not re-checked.
+    """
     if f.target is not base.actor:
         raise GroupError("hom target must be the base action's actor")
-    return GroupAction(f.source, base.space, tuple(base.perms[v] for v in f.mapping))
+    return _valid(GroupAction, f.source, base.space, tuple(base.perms[v] for v in f.mapping))
 
 
 def conjugation_action(G: GroupTable, S: Subgroup) -> GroupAction:

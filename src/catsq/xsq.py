@@ -5,16 +5,28 @@ A square holds four groups L (up-left), M (up-right), N (down-left),
 P (down-right), boundaries kappa: L->M, lambda: L->N, mu: M->P, nu: N->P,
 actions of P on L, M, N, and a crossed pairing M x N -> L stored as a dense
 table.  M acts on N and L through mu, N acts on M and L through nu; no
-independent action is stored.  The axiom checker is exhaustive while
-|M| * |N| <= 10^4 and falls back to seeded samples plus all generator tuples
-above that.
+independent action is stored.  The axiom checker ranges over tuple sets of
+up to three corners; each set is checked exhaustively while it has at most
+10^4 tuples, and by seeded samples plus all generator tuples above that.
+
+Data is validated where it enters: :func:`crossed_square` (and every
+construction and parser built on it) runs the axiom checker and returns a
+:class:`ValidCrossedSquare` when no tuple set was sampled.  The two
+equivalence functors rely on the theorem XSq ~ Cat2 instead of re-checking
+their output: :func:`crossed_square_of_cat2` checks an input that is not a
+:class:`Cat2Group` and returns a certified square, and
+:func:`cat2_of_crossed_square` builds the cat2-group directly from a
+certified square, while any other square goes through the checking
+constructors, which reject one that fails an axiom.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 from .groups import (
@@ -24,6 +36,7 @@ from .groups import (
     GroupTable,
     Homomorphism,
     Subgroup,
+    _valid,
     action_by_hom,
     as_dense,
     automorphism_group_as_table,
@@ -31,6 +44,7 @@ from .groups import (
     conjugation_action,
     direct_product,
     group_of_subgroup,
+    image_of,
     inclusion_hom,
     inner_automorphism_indices,
     intersection,
@@ -42,8 +56,8 @@ from .groups import (
     trivial_hom,
 )
 from .xmod import AxiomCheck, CrossedModule, ValidityReport, is_crossed_module, _require
-from .cat1 import cat1_group
-from .cat2 import Cat2Group, PreCat2Group, cat2_group
+from .cat1 import Cat1Group, cat1_group
+from .cat2 import Cat2Group, PreCat2Group, cat2_group, is_cat2_group
 
 _EXHAUSTIVE_TUPLES = 10_000
 
@@ -97,14 +111,28 @@ class CrossedSquare:
             self.down_left.label, self.down_right.label))
 
 
+class ValidCrossedSquare(CrossedSquare):
+    """A crossed square whose axioms were all checked exhaustively, or the
+    image of a cat2-group; build it through :func:`crossed_square` or
+    :func:`crossed_square_of_cat2`, never directly."""
+
+
 # -- axiom checking ------------------------------------------------------------
 
 
+def _tuple_sets(X: CrossedSquare) -> dict[str, tuple[int, ...]]:
+    """The corner orders of each tuple set that :func:`is_crossed_square` ranges over."""
+    l, m, n, p = X.corner_orders()
+    return {"axiom2:left": (m, m, n), "axiom2:right": (m, n, n), "axiom3": (m, n),
+            "axiom4:kappa": (l, n), "axiom4:lambda": (m, l), "axiom5": (p, m, n)}
+
+
+def _exhaustive(sizes: Sequence[int]) -> bool:
+    return math.prod(sizes) <= _EXHAUSTIVE_TUPLES
+
+
 def _tuples(sizes: Sequence[int], gens: Sequence[Sequence[int]], seed: int):
-    total = 1
-    for s in sizes:
-        total *= s
-    if total <= _EXHAUSTIVE_TUPLES:
+    if _exhaustive(sizes):
         return itertools.product(*(range(s) for s in sizes))
     rng = random.Random(seed)
     sample = set(itertools.product(*gens))
@@ -120,6 +148,7 @@ def is_crossed_square(X: CrossedSquare) -> ValidityReport:
                         X.mu.mapping, X.nu.mapping)
     al, am, an = X.act_l.perms, X.act_m.perms, X.act_n.perms
     pairing = X.pairing
+    sets = _tuple_sets(X)
     checks: list[AxiomCheck] = []
 
     w = next(((l,) for l in L.elements() if mu[kap[l]] != nu[lam[l]]), None)
@@ -150,14 +179,14 @@ def is_crossed_square(X: CrossedSquare) -> ValidityReport:
     lg = L.generators or (0,)
 
     w = None
-    for m, m2, n in _tuples((M.order, M.order, N.order), (mg, mg, ng), 20):
+    for m, m2, n in _tuples(sets["axiom2:left"], (mg, mg, ng), 20):
         pm = mu[m]
         if pairing[M.mul(m, m2)][n] != L.mul(pairing[am[pm][m2]][an[pm][n]], pairing[m][n]):
             w = (m, m2, n)
             break
     checks.append(AxiomCheck("axiom2:left", w is None, w))
     w = None
-    for m, n, n2 in _tuples((M.order, N.order, N.order), (mg, ng, ng), 21):
+    for m, n, n2 in _tuples(sets["axiom2:right"], (mg, ng, ng), 21):
         pn = nu[n]
         if pairing[m][N.mul(n, n2)] != L.mul(pairing[m][n], pairing[am[pn][m]][an[pn][n2]]):
             w = (m, n, n2)
@@ -165,33 +194,33 @@ def is_crossed_square(X: CrossedSquare) -> ValidityReport:
     checks.append(AxiomCheck("axiom2:right", w is None, w))
 
     w = None
-    for m, n in _tuples((M.order, N.order), (mg, ng), 22):
+    for m, n in _tuples(sets["axiom3"], (mg, ng), 22):
         if kap[pairing[m][n]] != M.mul(m, M.inv(am[nu[n]][m])):
             w = (m, n)
             break
     checks.append(AxiomCheck("axiom3:kappa", w is None, w))
     w = None
-    for m, n in _tuples((M.order, N.order), (mg, ng), 23):
+    for m, n in _tuples(sets["axiom3"], (mg, ng), 23):
         if lam[pairing[m][n]] != N.mul(an[mu[m]][n], N.inv(n)):
             w = (m, n)
             break
     checks.append(AxiomCheck("axiom3:lambda", w is None, w))
 
     w = None
-    for l, n in _tuples((L.order, N.order), (lg, ng), 24):
+    for l, n in _tuples(sets["axiom4:kappa"], (lg, ng), 24):
         if pairing[kap[l]][n] != L.mul(l, L.inv(al[nu[n]][l])):
             w = (l, n)
             break
     checks.append(AxiomCheck("axiom4:kappa", w is None, w))
     w = None
-    for m, l in _tuples((M.order, L.order), (mg, lg), 25):
+    for m, l in _tuples(sets["axiom4:lambda"], (mg, lg), 25):
         if pairing[m][lam[l]] != L.mul(al[mu[m]][l], L.inv(l)):
             w = (m, l)
             break
     checks.append(AxiomCheck("axiom4:lambda", w is None, w))
 
     w = None
-    for p, m, n in _tuples((P.order, M.order, N.order), (pg, mg, ng), 26):
+    for p, m, n in _tuples(sets["axiom5"], (pg, mg, ng), 26):
         if al[p][pairing[m][n]] != pairing[am[p][m]][an[p][n]]:
             w = (p, m, n)
             break
@@ -201,8 +230,13 @@ def is_crossed_square(X: CrossedSquare) -> ValidityReport:
 
 
 def crossed_square(*args, **kwargs) -> CrossedSquare:
+    """Validated crossed square: a :class:`ValidCrossedSquare` when every tuple
+    set was checked exhaustively, a plain :class:`CrossedSquare` when some
+    were only sampled."""
     X = CrossedSquare(*args, **kwargs)
     _require(is_crossed_square(X).checks, "not a crossed square")
+    if all(map(_exhaustive, _tuple_sets(X).values())):
+        X = ValidCrossedSquare(*args, **kwargs)
     return X
 
 
@@ -348,8 +382,15 @@ def transpose_xsq(X: CrossedSquare) -> CrossedSquare:
 # -- the equivalence with cat2-groups -------------------------------------------
 
 
-def crossed_square_of_cat2(C: PreCat2Group) -> CrossedSquare:
-    """Kernel/image corner square with restricted heads and commutator pairing."""
+def crossed_square_of_cat2(C: PreCat2Group) -> ValidCrossedSquare:
+    """Kernel/image corner square with restricted heads and commutator pairing.
+
+    A :class:`Cat2Group` input is trusted; any other input is checked first
+    and rejected with the failing axiom.  The result is a crossed square by
+    the equivalence XSq ~ Cat2, so it is built without re-checking.
+    """
+    if not isinstance(C, Cat2Group):
+        _require(is_cat2_group(C).checks, "not a cat2-group")
     G = C.group
     kt1 = kernel_of(C.c1.tail)
     kt2 = kernel_of(C.c2.tail)
@@ -366,19 +407,27 @@ def crossed_square_of_cat2(C: PreCat2Group) -> CrossedSquare:
     act_l = sub_conjugation_action(G, Psub, Lsub)
     act_m = sub_conjugation_action(G, Psub, Msub)
     act_n = sub_conjugation_action(G, Psub, Nsub)
+    # t1 fixes m and kills n, t2 the reverse, so [m, n] lies in ker t1 and ker t2
     lpos = {m: i for i, m in enumerate(Lsub.members)}
-    try:
-        pairing = tuple(
-            tuple(lpos[G.comm(m, n)] for n in Nsub.members) for m in Msub.members
-        )
-    except KeyError:
-        raise GroupError("a commutator escaped ker t1 * ker t2; not a cat2-group") from None
-    return crossed_square(act_l.space, act_m.space, act_n.space, act_l.actor,
-                          kappa, lam, mu, nu, act_l, act_m, act_n, pairing)
+    pairing = tuple(
+        tuple(lpos[G.comm(m, n)] for n in Nsub.members) for m in Msub.members
+    )
+    return ValidCrossedSquare(act_l.space, act_m.space, act_n.space, act_l.actor,
+                              kappa, lam, mu, nu, act_l, act_m, act_n, pairing)
 
 
 def cat2_of_crossed_square(X: CrossedSquare) -> Cat2Group:
-    """(L x| N) x| (M x| P) with the induced tail/head endomorphism pairs."""
+    """(L x| N) x| (M x| P) with the induced tail/head endomorphism pairs.
+
+    A :class:`ValidCrossedSquare` gives a cat2-group by the equivalence
+    XSq ~ Cat2, so its maps, the action of M x| P on L x| N and the cat1 and
+    cat2 structures are built without re-checking.  Any other square, raw or
+    only sample-checked, is built through the checking constructors, which
+    raise :class:`GroupError` on a square that fails an axiom.
+    """
+    certified = isinstance(X, ValidCrossedSquare)
+    hom = partial(_valid, Homomorphism) if certified else Homomorphism
+    action = partial(_valid, GroupAction) if certified else GroupAction
     L, M, N, P = X.up_left, X.up_right, X.down_left, X.down_right
     kap, lam, mu, nu = (X.kappa.mapping, X.lambda_.mapping,
                         X.mu.mapping, X.nu.mapping)
@@ -407,7 +456,7 @@ def cat2_of_crossed_square(X: CrossedSquare) -> Cat2Group:
                     pn = ap_n[n]
                     perm[base + n] = L.mul(ml, row_m[pn]) * n_ord + pn
             perms.append(tuple(perm))
-    bigact = GroupAction(MP, LN, tuple(perms))
+    bigact = action(MP, LN, perms)
 
     G = semidirect_product(LN, MP, bigact, label=f"({LN.label}) x| ({MP.label})")
     if G.order <= DENSE_CAP:
@@ -423,6 +472,7 @@ def cat2_of_crossed_square(X: CrossedSquare) -> Cat2Group:
         h1m.append(MP.mul(kap[l] * p_ord + nu[n], mp))
         t2m.append(n * rn + p)
         h2m.append(N.mul(lam[l], n) * rn + P.mul(mu[m], p))
-    c1 = cat1_group(Homomorphism(G, G, t1m), Homomorphism(G, G, h1m))
-    c2 = cat1_group(Homomorphism(G, G, t2m), Homomorphism(G, G, h2m))
-    return cat2_group(c1, c2)
+    t1, h1, t2, h2 = (hom(G, G, m) for m in (t1m, h1m, t2m, h2m))
+    if not certified:
+        return cat2_group(cat1_group(t1, h1), cat1_group(t2, h2))
+    return Cat2Group(G, Cat1Group(G, t1, h1, image_of(t1)), Cat1Group(G, t2, h2, image_of(t2)))

@@ -6,7 +6,7 @@ import pytest
 
 from catsq import catalog
 from catsq.cat1 import all_cat1_groups
-from catsq.cat2 import all_cat2_groups
+from catsq.cat2 import all_cat2_groups, commutation_witness
 from catsq.cli import main
 from catsq.groups import idempotent_endomorphisms
 from catsq.serialize import emit_cat1, emit_cat2, emit_xsq
@@ -225,6 +225,56 @@ def test_malformed_values_rejected(tmp_path, capsys, name):
         assert main([command, str(f)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(prefix) and token in err, (command, err)
+
+
+def _cat2_text(key, t1, h1, t2, h2):
+    return (f"catsq 1 cat2\ngroup key {key[0]} {key[1]}\nt1 {_words(t1)}\nh1 {_words(h1)}\n"
+            f"t2 {_words(t2)}\nh2 {_words(h2)}\nend\n")
+
+
+def _bijection_not_hom():
+    """The identity on C4 with an element of order 4 and one of order 2 swapped."""
+    orders = catalog.small_group(4, 1).element_orders()
+    t1 = list(range(4))
+    i, j = orders.index(2), orders.index(4)
+    t1[i], t1[j] = j, i
+    return _cat2_text((4, 1), t1, range(4), range(4), range(4))
+
+
+def _noncommuting_pair():
+    cat1s = all_cat1_groups(catalog.small_group(6, 1))
+    c1, c2 = next((a, b) for a in cat1s for b in cat1s
+                  if commutation_witness(a, b) is not None)
+    return _cat2_text((6, 1), c1.tail.mapping, c1.head.mapping,
+                      c2.tail.mapping, c2.head.mapping)
+
+
+# name -> (well-formed file text that fails a check, the check the error names)
+INVALID = {
+    "cat2 map not a homomorphism": (_bijection_not_hom(), "not a homomorphism"),
+    "cat2 kernel axiom": (_cat2_text((8, 4), [0] * 8, [0] * 8, range(8), range(8)),
+                          "[ker t, ker h] = 1"),
+    "cat2 commutation": (_noncommuting_pair(), "commutation identities"),
+    "xsq action not by automorphisms": (
+        _SQUARE.replace("\nactl 2\n0 1\n0 1\n", "\nactl 2\n0 1\n1 0\n"),
+        "does not act by an automorphism"),
+    "xsq pairing axiom": (_SQUARE.replace("\npairing 1\n0\n", "\npairing 1\n1\n"),
+                          "not a crossed square: axiom"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID))
+def test_convert_rejects_invalid_input(tmp_path, capsys, name):
+    """``convert`` validates its input where it parses it: a well-formed file
+    that fails a check ends with exit status 2 and one line naming the check."""
+    text, check = INVALID[name]
+    f = tmp_path / "bad.catsq"
+    f.write_text(text)
+    assert main(["convert", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert check in captured.err, captured.err
 
 
 def _valid_file(kind):

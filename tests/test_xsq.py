@@ -1,21 +1,33 @@
+from dataclasses import fields
+
 import pytest
 
 from catsq import catalog
 from catsq.groups import (
     GroupAction,
     GroupError,
+    Homomorphism,
     hom_by_images,
     intersection,
     normal_subgroups,
     subgroup_generated,
     trivial_action,
+    trivial_hom,
     trivial_subgroup,
+    verify_group_axioms,
     whole_subgroup,
 )
-from catsq.cat1 import cat1_group, identity_cat1
-from catsq.cat2 import all_cat2_groups, cat2_group, transpose_cat2
+from catsq.cat1 import cat1_group, identity_cat1, pre_cat1_by_endomorphisms
+from catsq.cat2 import (
+    all_cat2_groups,
+    cat2_group,
+    is_cat2_group,
+    pre_cat2_group,
+    transpose_cat2,
+)
 from catsq.xsq import (
     CrossedSquare,
+    ValidCrossedSquare,
     actor_crossed_square,
     cat2_of_crossed_square,
     crossed_square_by_normal_subgroups,
@@ -50,6 +62,8 @@ def c2ab():
 def test_inclusion_square_xs1(xs1):
     assert xs1.corner_orders() == (5, 10, 10, 20)
     assert is_crossed_square(xs1).ok
+    # every tuple set of the checker has at most 20 * 10 * 10 tuples
+    assert isinstance(xs1, ValidCrossedSquare)
 
 
 def test_inclusion_square_on_d8(d8):
@@ -87,6 +101,9 @@ def test_broken_pairing_fails_axiom3(xs1):
     assert "axiom3:kappa" in names or "axiom3:lambda" in names
     first = rep.failures()[0]
     assert first.witness is not None
+    # a raw square carries no certificate, so the reverse functor checks it
+    with pytest.raises(GroupError):
+        cat2_of_crossed_square(bad)
 
 
 def test_actor_squares():
@@ -213,6 +230,8 @@ def test_sampled_axiom_checker_on_large_square():
     X = trivial_action_crossed_square(c2, big, big, c2,
                                       trivial_action(c2, big), trivial_action(c2, big))
     assert is_crossed_square(X).ok
+    # only sample-checked, so crossed_square() does not certify it
+    assert type(X) is CrossedSquare
     # the sample is deterministic and includes every generator tuple
     gens = (big.generators, big.generators)
     s1 = list(_tuples((128, 128, 128), (big.generators,) * 3, 20))
@@ -232,3 +251,75 @@ def test_inclusion_square_property_sweep():
                 L = intersection(M, N)
                 X = crossed_square_by_normal_subgroups(L, M, N, P)
                 assert is_crossed_square(X).ok
+
+
+def test_raw_square_converts_like_its_certified_twin(d8):
+    a, b = d8.generators
+    c = d8.comm(a, b)
+    X = crossed_square_by_normal_subgroups(subgroup_generated(d8, [c]),
+                                           subgroup_generated(d8, [a, c]),
+                                           subgroup_generated(d8, [b, c]), d8)
+    assert isinstance(X, ValidCrossedSquare)
+    raw = CrossedSquare(*(getattr(X, f.name) for f in fields(X)))
+    C, R = cat2_of_crossed_square(X), cat2_of_crossed_square(raw)
+    assert C.group.table == R.group.table
+    assert C.key() == R.key()
+
+
+def test_crossed_square_of_pre_cat2_checks_the_kernel_axiom():
+    q8 = catalog.small_group(8, 4)
+    pre = pre_cat1_by_endomorphisms(trivial_hom(q8, q8), trivial_hom(q8, q8))
+    with pytest.raises(GroupError, match=r"\[ker t, ker h\] = 1"):
+        crossed_square_of_cat2(pre_cat2_group(pre, pre))
+
+
+@pytest.fixture(scope="module")
+def forward_squares():
+    """(order, cat2, its crossed square) for every cat2 structure on the
+    catalog groups of order <= 16 except 16/14."""
+    out = []
+    for order, gid in catalog.catalog_keys():
+        if order > 16 or (order, gid) == (16, 14):
+            continue
+        for C in all_cat2_groups(catalog.small_group(order, gid)):
+            out.append((order, C, crossed_square_of_cat2(C)))
+    return out
+
+
+def test_forward_functor_maps_and_actions_pass_the_checking_constructors(forward_squares):
+    """The functor builds its output unchecked; the checking constructors are
+    the oracle for the boundary maps and actions (the five axioms are the
+    acceptance sweep's)."""
+    assert len(forward_squares) == 6198
+    for _, _, X in forward_squares:
+        assert isinstance(X, ValidCrossedSquare)
+        for f in (X.kappa, X.lambda_, X.mu, X.nu):
+            Homomorphism(f.source, f.target, f.mapping)
+        for act in (X.act_l, X.act_m, X.act_n):
+            GroupAction(act.actor, act.space, act.perms)
+
+
+def _check_cat2(C):
+    assert is_cat2_group(C).ok
+    for c in (C.c1, C.c2):
+        for f in (c.tail, c.head):
+            Homomorphism(f.source, f.target, f.mapping)
+    G = C.group
+    if G.realization == "dense":
+        verify_group_axioms(G)
+    else:
+        GroupAction(G.action.actor, G.action.space, G.action.perms)
+
+
+def test_reverse_functor_output_passes_the_checks(forward_squares, xs1):
+    squares = [X for order, _, X in forward_squares if order <= 12]
+    assert len(squares) == 2175
+    c1 = catalog.small_group(1, 1)
+    squares.append(trivial_action_crossed_square(c1, c1, c1, c1,
+                                                 trivial_action(c1, c1),
+                                                 trivial_action(c1, c1)))
+    for X in squares:
+        _check_cat2(cat2_of_crossed_square(X))
+    big = cat2_of_crossed_square(xs1)
+    assert big.group.realization == "structural"
+    _check_cat2(big)
