@@ -5,29 +5,24 @@ A square holds four groups L (up-left), M (up-right), N (down-left),
 P (down-right), boundaries kappa: L->M, lambda: L->N, mu: M->P, nu: N->P,
 actions of P on L, M, N, and a crossed pairing M x N -> L stored as a dense
 table.  M acts on N and L through mu, N acts on M and L through nu; no
-independent action is stored.  The axiom checker ranges over tuple sets of
-up to three corners; each set is checked exhaustively while it has at most
-10^4 tuples, and by seeded samples plus all generator tuples above that.
+independent action is stored.  The axiom checker tests every tuple of the
+tuple sets of up to three corners: |M|^2|N| + |M||N|^2 + |P||M||N| tuple
+tests for axioms 2 and 5, and fewer for axioms 3 and 4.
 
 Data is validated where it enters: :func:`crossed_square` (and every
 construction and parser built on it) runs the axiom checker and returns a
-:class:`ValidCrossedSquare` when no tuple set was sampled.  The two
-equivalence functors rely on the theorem XSq ~ Cat2 instead of re-checking
-their output: :func:`crossed_square_of_cat2` checks an input that is not a
+:class:`ValidCrossedSquare`.  The two equivalence functors rely on the
+theorem XSq ~ Cat2 instead of re-checking their output:
+:func:`crossed_square_of_cat2` checks an input that is not a
 :class:`Cat2Group` and returns a certified square, and
-:func:`cat2_of_crossed_square` builds the cat2-group directly from a
-certified square, while any other square goes through the checking
-constructors, which reject one that fails an axiom.
+:func:`cat2_of_crossed_square` checks an input that is not certified and
+then builds the cat2-group directly.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-import random
-from dataclasses import dataclass
-from functools import partial
-from typing import Sequence
+from dataclasses import dataclass, fields
 
 from .groups import (
     DENSE_CAP,
@@ -56,10 +51,8 @@ from .groups import (
     trivial_hom,
 )
 from .xmod import AxiomCheck, CrossedModule, ValidityReport, is_crossed_module, _require
-from .cat1 import Cat1Group, cat1_group
-from .cat2 import Cat2Group, PreCat2Group, cat2_group, is_cat2_group
-
-_EXHAUSTIVE_TUPLES = 10_000
+from .cat1 import Cat1Group
+from .cat2 import Cat2Group, PreCat2Group, is_cat2_group
 
 
 @dataclass(frozen=True)
@@ -112,43 +105,23 @@ class CrossedSquare:
 
 
 class ValidCrossedSquare(CrossedSquare):
-    """A crossed square whose axioms were all checked exhaustively, or the
-    image of a cat2-group; build it through :func:`crossed_square` or
-    :func:`crossed_square_of_cat2`, never directly."""
+    """A crossed square whose axioms were all checked, the image of a
+    cat2-group, or a product of two such squares; build it through
+    :func:`crossed_square`, :func:`crossed_square_of_cat2` or
+    :func:`direct_product_xsq`, never directly."""
 
 
 # -- axiom checking ------------------------------------------------------------
 
 
-def _tuple_sets(X: CrossedSquare) -> dict[str, tuple[int, ...]]:
-    """The corner orders of each tuple set that :func:`is_crossed_square` ranges over."""
-    l, m, n, p = X.corner_orders()
-    return {"axiom2:left": (m, m, n), "axiom2:right": (m, n, n), "axiom3": (m, n),
-            "axiom4:kappa": (l, n), "axiom4:lambda": (m, l), "axiom5": (p, m, n)}
-
-
-def _exhaustive(sizes: Sequence[int]) -> bool:
-    return math.prod(sizes) <= _EXHAUSTIVE_TUPLES
-
-
-def _tuples(sizes: Sequence[int], gens: Sequence[Sequence[int]], seed: int):
-    if _exhaustive(sizes):
-        return itertools.product(*(range(s) for s in sizes))
-    rng = random.Random(seed)
-    sample = set(itertools.product(*gens))
-    while len(sample) < _EXHAUSTIVE_TUPLES:
-        sample.add(tuple(rng.randrange(s) for s in sizes))
-    return iter(sorted(sample))
-
-
 def is_crossed_square(X: CrossedSquare) -> ValidityReport:
-    """Per-axiom report with witness tuples, per the exhaustiveness policy."""
+    """Per-axiom report; a witness is the first failing tuple in product order."""
     L, M, N, P = X.up_left, X.up_right, X.down_left, X.down_right
     kap, lam, mu, nu = (X.kappa.mapping, X.lambda_.mapping,
                         X.mu.mapping, X.nu.mapping)
     al, am, an = X.act_l.perms, X.act_m.perms, X.act_n.perms
     pairing = X.pairing
-    sets = _tuple_sets(X)
+    Ls, Ms, Ns, Ps = L.elements(), M.elements(), N.elements(), P.elements()
     checks: list[AxiomCheck] = []
 
     w = next(((l,) for l in L.elements() if mu[kap[l]] != nu[lam[l]]), None)
@@ -173,20 +146,15 @@ def is_crossed_square(X: CrossedSquare) -> ValidityReport:
               if lam[al[p][l]] != an[p][lam[l]]), None)
     checks.append(AxiomCheck("axiom1:lambda-equivariant", w is None, w))
 
-    mg = M.generators or (0,)
-    ng = N.generators or (0,)
-    pg = P.generators or (0,)
-    lg = L.generators or (0,)
-
     w = None
-    for m, m2, n in _tuples(sets["axiom2:left"], (mg, mg, ng), 20):
+    for m, m2, n in itertools.product(Ms, Ms, Ns):
         pm = mu[m]
         if pairing[M.mul(m, m2)][n] != L.mul(pairing[am[pm][m2]][an[pm][n]], pairing[m][n]):
             w = (m, m2, n)
             break
     checks.append(AxiomCheck("axiom2:left", w is None, w))
     w = None
-    for m, n, n2 in _tuples(sets["axiom2:right"], (mg, ng, ng), 21):
+    for m, n, n2 in itertools.product(Ms, Ns, Ns):
         pn = nu[n]
         if pairing[m][N.mul(n, n2)] != L.mul(pairing[m][n], pairing[am[pn][m]][an[pn][n2]]):
             w = (m, n, n2)
@@ -194,33 +162,33 @@ def is_crossed_square(X: CrossedSquare) -> ValidityReport:
     checks.append(AxiomCheck("axiom2:right", w is None, w))
 
     w = None
-    for m, n in _tuples(sets["axiom3"], (mg, ng), 22):
+    for m, n in itertools.product(Ms, Ns):
         if kap[pairing[m][n]] != M.mul(m, M.inv(am[nu[n]][m])):
             w = (m, n)
             break
     checks.append(AxiomCheck("axiom3:kappa", w is None, w))
     w = None
-    for m, n in _tuples(sets["axiom3"], (mg, ng), 23):
+    for m, n in itertools.product(Ms, Ns):
         if lam[pairing[m][n]] != N.mul(an[mu[m]][n], N.inv(n)):
             w = (m, n)
             break
     checks.append(AxiomCheck("axiom3:lambda", w is None, w))
 
     w = None
-    for l, n in _tuples(sets["axiom4:kappa"], (lg, ng), 24):
+    for l, n in itertools.product(Ls, Ns):
         if pairing[kap[l]][n] != L.mul(l, L.inv(al[nu[n]][l])):
             w = (l, n)
             break
     checks.append(AxiomCheck("axiom4:kappa", w is None, w))
     w = None
-    for m, l in _tuples(sets["axiom4:lambda"], (mg, lg), 25):
+    for m, l in itertools.product(Ms, Ls):
         if pairing[m][lam[l]] != L.mul(al[mu[m]][l], L.inv(l)):
             w = (m, l)
             break
     checks.append(AxiomCheck("axiom4:lambda", w is None, w))
 
     w = None
-    for p, m, n in _tuples(sets["axiom5"], (pg, mg, ng), 26):
+    for p, m, n in itertools.product(Ps, Ms, Ns):
         if al[p][pairing[m][n]] != pairing[am[p][m]][an[p][n]]:
             w = (p, m, n)
             break
@@ -229,15 +197,19 @@ def is_crossed_square(X: CrossedSquare) -> ValidityReport:
     return ValidityReport(tuple(checks))
 
 
-def crossed_square(*args, **kwargs) -> CrossedSquare:
-    """Validated crossed square: a :class:`ValidCrossedSquare` when every tuple
-    set was checked exhaustively, a plain :class:`CrossedSquare` when some
-    were only sampled."""
-    X = CrossedSquare(*args, **kwargs)
+def crossed_square(*args, **kwargs) -> ValidCrossedSquare:
+    """Crossed square checked on every tuple; raises :class:`GroupError`
+    naming the first failing axiom and its witness."""
+    X = ValidCrossedSquare(*args, **kwargs)
     _require(is_crossed_square(X).checks, "not a crossed square")
-    if all(map(_exhaustive, _tuple_sets(X).values())):
-        X = ValidCrossedSquare(*args, **kwargs)
     return X
+
+
+def _certified(X: CrossedSquare) -> ValidCrossedSquare:
+    """``X`` itself when certified, otherwise ``X`` checked by :func:`crossed_square`."""
+    if isinstance(X, ValidCrossedSquare):
+        return X
+    return crossed_square(*(getattr(X, f.name) for f in fields(X)))
 
 
 # -- standard constructions -----------------------------------------------------
@@ -324,15 +296,21 @@ def trivial_action_crossed_square(A: GroupTable, M: GroupTable, N: GroupTable,
     )
 
 
-def direct_product_xsq(X1: CrossedSquare, X2: CrossedSquare) -> CrossedSquare:
-    """Componentwise product of two crossed squares."""
+def direct_product_xsq(X1: CrossedSquare, X2: CrossedSquare) -> ValidCrossedSquare:
+    """Componentwise product of two crossed squares.
+
+    A factor that is not a :class:`ValidCrossedSquare` is checked first by
+    :func:`crossed_square`.  A product of crossed squares is one, so its
+    maps, actions and axioms are not re-checked.
+    """
+    X1, X2 = _certified(X1), _certified(X2)
     L = direct_product(X1.up_left, X2.up_left)
     M = direct_product(X1.up_right, X2.up_right)
     N = direct_product(X1.down_left, X2.down_left)
     P = direct_product(X1.down_right, X2.down_right)
 
     def pair_hom(f1, f2, src, tgt, n1src, n2src, n2tgt):
-        return Homomorphism(src, tgt, tuple(
+        return _valid(Homomorphism, src, tgt, tuple(
             f1.mapping[a] * n2tgt + f2.mapping[b]
             for a in range(n1src) for b in range(n2src)
         ))
@@ -348,7 +326,7 @@ def direct_product_xsq(X1: CrossedSquare, X2: CrossedSquare) -> CrossedSquare:
                     q1[x1] * s2 + q2[x2]
                     for x1 in range(a1.space.order) for x2 in range(s2)
                 ))
-        return GroupAction(P, space, tuple(perms))
+        return _valid(GroupAction, P, space, perms)
 
     l2, m2, n2, p2 = (X2.up_left.order, X2.up_right.order,
                       X2.down_left.order, X2.down_right.order)
@@ -361,10 +339,10 @@ def direct_product_xsq(X1: CrossedSquare, X2: CrossedSquare) -> CrossedSquare:
               for na in range(X1.down_left.order) for nb in range(n2))
         for ma in range(X1.up_right.order) for mb in range(m2)
     )
-    return crossed_square(L, M, N, P, kappa, lam, mu, nu,
-                          pair_act(X1.act_l, X2.act_l, L),
-                          pair_act(X1.act_m, X2.act_m, M),
-                          pair_act(X1.act_n, X2.act_n, N), pairing)
+    return ValidCrossedSquare(L, M, N, P, kappa, lam, mu, nu,
+                              pair_act(X1.act_l, X2.act_l, L),
+                              pair_act(X1.act_m, X2.act_m, M),
+                              pair_act(X1.act_n, X2.act_n, N), pairing)
 
 
 def transpose_xsq(X: CrossedSquare) -> CrossedSquare:
@@ -419,15 +397,14 @@ def crossed_square_of_cat2(C: PreCat2Group) -> ValidCrossedSquare:
 def cat2_of_crossed_square(X: CrossedSquare) -> Cat2Group:
     """(L x| N) x| (M x| P) with the induced tail/head endomorphism pairs.
 
-    A :class:`ValidCrossedSquare` gives a cat2-group by the equivalence
-    XSq ~ Cat2, so its maps, the action of M x| P on L x| N and the cat1 and
-    cat2 structures are built without re-checking.  Any other square, raw or
-    only sample-checked, is built through the checking constructors, which
-    raise :class:`GroupError` on a square that fails an axiom.
+    A :class:`ValidCrossedSquare` input is trusted; any other square is
+    checked first by :func:`crossed_square`, which raises
+    :class:`GroupError` naming the failing axiom.  The result is a
+    cat2-group by the equivalence XSq ~ Cat2, so its maps, the action of
+    M x| P on L x| N and the cat1 and cat2 structures are built without
+    re-checking.
     """
-    certified = isinstance(X, ValidCrossedSquare)
-    hom = partial(_valid, Homomorphism) if certified else Homomorphism
-    action = partial(_valid, GroupAction) if certified else GroupAction
+    X = _certified(X)
     L, M, N, P = X.up_left, X.up_right, X.down_left, X.down_right
     kap, lam, mu, nu = (X.kappa.mapping, X.lambda_.mapping,
                         X.mu.mapping, X.nu.mapping)
@@ -456,7 +433,7 @@ def cat2_of_crossed_square(X: CrossedSquare) -> Cat2Group:
                     pn = ap_n[n]
                     perm[base + n] = L.mul(ml, row_m[pn]) * n_ord + pn
             perms.append(tuple(perm))
-    bigact = action(MP, LN, perms)
+    bigact = _valid(GroupAction, MP, LN, perms)
 
     G = semidirect_product(LN, MP, bigact, label=f"({LN.label}) x| ({MP.label})")
     if G.order <= DENSE_CAP:
@@ -472,7 +449,5 @@ def cat2_of_crossed_square(X: CrossedSquare) -> Cat2Group:
         h1m.append(MP.mul(kap[l] * p_ord + nu[n], mp))
         t2m.append(n * rn + p)
         h2m.append(N.mul(lam[l], n) * rn + P.mul(mu[m], p))
-    t1, h1, t2, h2 = (hom(G, G, m) for m in (t1m, h1m, t2m, h2m))
-    if not certified:
-        return cat2_group(cat1_group(t1, h1), cat1_group(t2, h2))
+    t1, h1, t2, h2 = (_valid(Homomorphism, G, G, m) for m in (t1m, h1m, t2m, h2m))
     return Cat2Group(G, Cat1Group(G, t1, h1, image_of(t1)), Cat1Group(G, t2, h2, image_of(t2)))

@@ -1,0 +1,43 @@
+"""Dead-code checks on the package source with the stdlib ``ast`` module: no
+module imports a name it never uses, and every private top-level function is
+referenced somewhere in the package."""
+
+import ast
+from pathlib import Path
+
+SRC = sorted((Path(__file__).resolve().parent.parent / "src" / "catsq").glob("*.py"))
+TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SRC}
+
+
+def _used_names(tree):
+    """Identifiers and attribute names read anywhere in ``tree``."""
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def test_sources_found():
+    assert {"__init__.py", "groups.py", "xsq.py"} <= set(TREES)
+
+
+def test_no_unused_imports():
+    unused = []
+    for name, tree in TREES.items():
+        if name == "__init__.py":  # its imports are the public re-exports
+            continue
+        used = _used_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{name}: {alias.name}" for alias in node.names
+                           if (alias.asname or alias.name).split(".")[0] not in used]
+    assert unused == []
+
+
+def test_no_unreferenced_private_functions():
+    used = set().union(*map(_used_names, TREES.values()))
+    dead = [f"{name}: {node.name}" for name, tree in TREES.items()
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+            and node.name not in used]
+    assert dead == []

@@ -2,11 +2,12 @@ from dataclasses import fields
 
 import pytest
 
-from catsq import catalog
+from catsq import catalog, cli
 from catsq.groups import (
     GroupAction,
     GroupError,
     Homomorphism,
+    group_from_permutation_generators,
     hom_by_images,
     intersection,
     normal_subgroups,
@@ -25,11 +26,13 @@ from catsq.cat2 import (
     pre_cat2_group,
     transpose_cat2,
 )
+from catsq.serialize import emit_xsq
 from catsq.xsq import (
     CrossedSquare,
     ValidCrossedSquare,
     actor_crossed_square,
     cat2_of_crossed_square,
+    crossed_square,
     crossed_square_by_normal_subgroups,
     crossed_square_of_cat2,
     direct_product_xsq,
@@ -57,6 +60,22 @@ def c2ab():
     t1a = hom_by_images(G, G, [0, 0, gc])
     t1b = hom_by_images(G, G, [ga, 0, 0])
     return cat2_group(cat1_group(t1a, t1a), cat1_group(t1b, t1b))
+
+
+@pytest.fixture(scope="module")
+def c2_7_square():
+    """C2 -> C2^7 (twice) -> C2 with trivial actions and zero boundaries:
+    each axiom-2 tuple set has 128^3 tuples."""
+    big = group_from_permutation_generators(
+        [[(2 * i + 1, 2 * i + 2)] for i in range(7)], "C2^7")
+    c2 = catalog.small_group(2, 1)
+    return trivial_action_crossed_square(c2, big, big, c2,
+                                         trivial_action(c2, big), trivial_action(c2, big))
+
+
+def _fields(X, **changes):
+    """The field values of ``X`` by name, some replaced."""
+    return {**{f.name: getattr(X, f.name) for f in fields(X)}, **changes}
 
 
 def test_inclusion_square_xs1(xs1):
@@ -102,7 +121,7 @@ def test_broken_pairing_fails_axiom3(xs1):
     first = rep.failures()[0]
     assert first.witness is not None
     # a raw square carries no certificate, so the reverse functor checks it
-    with pytest.raises(GroupError):
+    with pytest.raises(GroupError, match="not a crossed square"):
         cat2_of_crossed_square(bad)
 
 
@@ -136,6 +155,13 @@ def test_trivial_action_squares():
 def test_direct_product(xs1):
     P = direct_product_xsq(xs1, xs1)
     assert P.corner_orders() == (25, 100, 100, 400)
+    # built unchecked from certified factors; the axiom checker is the oracle
+    assert isinstance(P, ValidCrossedSquare)
+    assert is_crossed_square(P).ok
+    zero = ((0,) * xs1.down_left.order,) * xs1.up_right.order
+    bad = CrossedSquare(**_fields(xs1, pairing=zero))
+    with pytest.raises(GroupError, match="not a crossed square"):
+        direct_product_xsq(xs1, bad)
 
 
 def test_transpose(xs1, d8):
@@ -219,24 +245,26 @@ def test_transpose_of_conversion_matches_swapped_cat2(c2ab):
     assert direct.mu.mapping == swapped.mu.mapping
 
 
-def test_sampled_axiom_checker_on_large_square():
-    # |M| * |N| = 128 * 128 pushes the checker onto the seeded-sample branch
-    from catsq.groups import group_from_permutation_generators
-    from catsq.xsq import _tuples
+def test_large_square_is_checked_on_every_tuple(c2_7_square):
+    assert is_crossed_square(c2_7_square).ok
+    assert isinstance(c2_7_square, ValidCrossedSquare)
 
-    big = group_from_permutation_generators(
-        [[(2 * i + 1, 2 * i + 2)] for i in range(7)], "C2^7")
-    c2 = catalog.small_group(2, 1)
-    X = trivial_action_crossed_square(c2, big, big, c2,
-                                      trivial_action(c2, big), trivial_action(c2, big))
-    assert is_crossed_square(X).ok
-    # only sample-checked, so crossed_square() does not certify it
-    assert type(X) is CrossedSquare
-    # the sample is deterministic and includes every generator tuple
-    gens = (big.generators, big.generators)
-    s1 = list(_tuples((128, 128, 128), (big.generators,) * 3, 20))
-    s2 = list(_tuples((128, 128, 128), (big.generators,) * 3, 20))
-    assert s1 == s2 and len(s1) >= 10_000
+
+def test_one_wrong_pairing_entry_in_a_large_square_is_found(c2_7_square, tmp_path, capsys):
+    pairing = [list(row) for row in c2_7_square.pairing]
+    pairing[24][14] = 1
+    values = _fields(c2_7_square, pairing=pairing)
+    with pytest.raises(GroupError, match="not a crossed square: axiom2:left"):
+        crossed_square(**values)
+    raw = CrossedSquare(**values)
+    failures = {c.name: c.witness for c in is_crossed_square(raw).failures()}
+    assert failures == {"axiom2:left": (1, 24, 14), "axiom2:right": (24, 1, 5)}
+    f = tmp_path / "bad.xsq"
+    f.write_text(emit_xsq(raw))
+    assert cli.main(["check", str(f)]) == 1
+    out = capsys.readouterr().out
+    assert "axiom2:left: FAIL witness (1, 24, 14)" in out
+    assert "axiom2:right: FAIL witness (24, 1, 5)" in out
 
 
 def test_inclusion_square_property_sweep():
@@ -260,7 +288,7 @@ def test_raw_square_converts_like_its_certified_twin(d8):
                                            subgroup_generated(d8, [a, c]),
                                            subgroup_generated(d8, [b, c]), d8)
     assert isinstance(X, ValidCrossedSquare)
-    raw = CrossedSquare(*(getattr(X, f.name) for f in fields(X)))
+    raw = CrossedSquare(**_fields(X))
     C, R = cat2_of_crossed_square(X), cat2_of_crossed_square(raw)
     assert C.group.table == R.group.table
     assert C.key() == R.key()
