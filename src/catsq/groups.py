@@ -8,7 +8,9 @@ of two permutations is their composition as functions.
 
 Every homomorphism search extends generator images through one numpy
 kernel, :func:`_hom_blocks`, which checks a block of image tuples at a time
-against every edge of the right Cayley graph.
+against every edge of the right Cayley graph.  The tables of permutation
+groups and of Aut(G) are filled along a spanning tree of the same graph
+(:func:`_spanning_tree`), and every checked table passes Light's test.
 """
 
 from __future__ import annotations
@@ -20,11 +22,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 DENSE_CAP = 2000
-
-# Full n^3 associativity check only below this size; permutation composition
-# and validated semidirect data are associative by construction, and Light's
-# test covers larger tables.
-_FULL_CHECK_CAP = 128
 
 Perm = tuple  # permutation as an image tuple
 
@@ -196,6 +193,13 @@ class DenseGroup(GroupTable):
 
 
 def _check_table(table: tuple[tuple[int, ...], ...]) -> None:
+    """Raise :class:`GroupError` unless ``table`` is a group with identity 0.
+
+    Associativity is Light's test: (a b) c = a (b c) for every generator a
+    of :func:`_greedy_generators` and all b, c.  The test is complete, since
+    the left factors that pass it are closed under products and the greedy
+    generators reach every element by products; it costs |gens| n^2 lookups.
+    """
     n = len(table)
     rng = range(n)
     for i, row in enumerate(table):
@@ -209,16 +213,13 @@ def _check_table(table: tuple[tuple[int, ...], ...]) -> None:
     for row in table:
         if 0 not in row:
             raise GroupError("an element has no right inverse")
-    if n <= _FULL_CHECK_CAP:
-        triples = ((a, b, c) for a in rng for b in rng for c in rng)
-    else:
-        # Light's test: associativity over a generating set of left factors
-        # propagates to the whole table.
-        gens = _greedy_generators(table)
-        triples = ((a, b, c) for a in gens for b in rng for c in rng)
-    for a, b, c in triples:
-        if table[table[a][b]][c] != table[a][table[b][c]]:
-            raise GroupError(f"associativity fails at ({a}, {b}, {c})")
+    for a in _greedy_generators(table):
+        row_a = table[a]
+        for b in rng:
+            row_ab, row_b = table[row_a[b]], table[b]
+            for c in rng:
+                if row_ab[c] != row_a[row_b[c]]:
+                    raise GroupError(f"associativity fails at ({a}, {b}, {c})")
 
 
 def _greedy_generators(table: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -310,6 +311,10 @@ def group_from_permutation_generators(gens: Sequence[Sequence[Sequence[int]]],
 
     Elements are ordered identity first, then by breadth-first closure over
     generator products with a lexicographic tie-break on permutation images.
+    The table is filled by :func:`_table_from_right` from the products x * g
+    of every element x by every generator g, so the build composes n k
+    permutations after the closure, not n^2.  The table is then checked by
+    Light's test (:func:`_check_table`).
     """
     degree = 1
     gen_perms = []
@@ -338,16 +343,46 @@ def group_from_permutation_generators(gens: Sequence[Sequence[Sequence[int]]],
             raise TooLargeError(
                 f"closure of {label!r} is too large to materialize (cap {order_cap})")
 
-    n = len(elems)
-    table = [[0] * n for _ in range(n)]
-    for i, p in enumerate(elems):
-        row = table[i]
-        for j, q in enumerate(elems):
-            row[j] = index[_pcompose(p, q)]
+    right = [[index[_pcompose(x, g)] for g in gen_perms] for x in elems]
     gen_idx = [index[p] for p in gen_perms]
-    G = DenseGroup(table, label, gen_idx, check=n <= _FULL_CHECK_CAP)
+    G = DenseGroup(_table_from_right(right, label), label, gen_idx)
     G._cache["perms"] = tuple(elems)
     return G
+
+
+def _spanning_tree(right: Sequence[Sequence[int]], label: str) -> list[tuple[int, int, int]]:
+    """Breadth-first spanning tree of a right Cayley graph, rooted at 0.
+
+    ``right[x][e]`` is x * gens[e].  The tree lists each x != 0 after its
+    parent as ``(x, parent, via)``, x = parent * gens[via].
+    """
+    visit, edge = [0], {0: (0, 0)}
+    for x in visit:
+        for e, y in enumerate(right[x]):
+            if y not in edge:
+                edge[y] = (x, e)
+                visit.append(y)
+    if len(visit) != len(right):
+        raise GroupError(f"the generators of {label!r} reach only "
+                         f"{len(visit)} of its {len(right)} elements")
+    return [(y, *edge[y]) for y in visit[1:]]
+
+
+def _table_from_right(right: Sequence[Sequence[int]], label: str) -> list[tuple[int, ...]]:
+    """The multiplication table of a group from its products by generators.
+
+    ``right[x][e]`` is x * gens[e] for generators ``gens`` of the group.  If
+    y = parent * gens[e], then x * y = (x * parent) * gens[e], so column y is
+    column ``parent`` pushed through ``right[.][e]``.  The columns are filled
+    along :func:`_spanning_tree`, with n^2 list lookups and no multiplication.
+    """
+    by_gen = list(zip(*right))
+    # every column starts as the identity's; the tree overwrites all but column 0
+    cols: list = [range(len(right))] * len(right)
+    for y, parent, via in _spanning_tree(right, label):
+        step = by_gen[via]
+        cols[y] = [step[x] for x in cols[parent]]
+    return list(zip(*cols))
 
 
 def verify_group_axioms(G: GroupTable) -> None:
@@ -623,16 +658,7 @@ def _cayley_tree(G: GroupTable) -> tuple[list[tuple[int, int, int]], np.ndarray]
     if "cayley" not in G._cache:
         right = np.array([[G.mul(x, g) for g in G.generators] for x in G.elements()],
                          dtype=np.intp)
-        visit, edge = [0], {0: (0, 0)}
-        for x in visit:
-            for e, y in enumerate(right[x].tolist()):
-                if y not in edge:
-                    edge[y] = (x, e)
-                    visit.append(y)
-        if len(visit) != G.order:
-            raise GroupError(f"the generators of {G.label!r} reach only "
-                             f"{len(visit)} of its {G.order} elements")
-        G._cache["cayley"] = ([(y, *edge[y]) for y in visit[1:]], right)
+        G._cache["cayley"] = (_spanning_tree(right.tolist(), G.label), right)
     return G._cache["cayley"]
 
 
@@ -726,13 +752,17 @@ def automorphism_group_as_table(G: GroupTable) -> tuple[DenseGroup, tuple[tuple[
 
     Element k of the returned group is the k-th automorphism in canonical
     (lexicographic) order; the identity map sorts first, so index 0 is the
-    group identity.
+    group identity.  Only the products a o g by the
+    :func:`automorphism_generators` g are composed; :func:`_table_from_right`
+    fills the rest of the table from them.
     """
     if "aut_table" not in G._cache:
         maps = tuple(a.mapping for a in automorphism_group(G))
         pos = {m: i for i, m in enumerate(maps)}
-        table = [[pos[_pcompose(a, b)] for b in maps] for a in maps]
-        A = DenseGroup(table, f"Aut({G.label})", check=False)
+        gens = [g.mapping for g in automorphism_generators(G)]
+        label = f"Aut({G.label})"
+        right = [[pos[_pcompose(a, g)] for g in gens] for a in maps]
+        A = DenseGroup(_table_from_right(right, label), label, check=False)
         G._cache["aut_table"] = (A, maps)
     return G._cache["aut_table"]
 

@@ -106,9 +106,9 @@ class CrossedSquare:
 
 class ValidCrossedSquare(CrossedSquare):
     """A crossed square whose axioms were all checked, the image of a
-    cat2-group, or a product of two such squares; build it through
-    :func:`crossed_square`, :func:`crossed_square_of_cat2` or
-    :func:`direct_product_xsq`, never directly."""
+    cat2-group, or the product or transpose of such squares; build it
+    through :func:`crossed_square`, :func:`crossed_square_of_cat2`,
+    :func:`direct_product_xsq` or :func:`transpose_xsq`, never directly."""
 
 
 # -- axiom checking ------------------------------------------------------------
@@ -345,16 +345,22 @@ def direct_product_xsq(X1: CrossedSquare, X2: CrossedSquare) -> ValidCrossedSqua
                               pair_act(X1.act_n, X2.act_n, N), pairing)
 
 
-def transpose_xsq(X: CrossedSquare) -> CrossedSquare:
-    """Swap M and N; the new pairing is (n, m) -> (m |x| n)^-1."""
+def transpose_xsq(X: CrossedSquare) -> ValidCrossedSquare:
+    """Swap M and N; the new pairing is (n, m) -> (m |x| n)^-1.
+
+    An input that is not a :class:`ValidCrossedSquare` is checked first by
+    :func:`crossed_square`.  The transpose of a crossed square is one, so
+    the result is not re-checked.
+    """
+    X = _certified(X)
     L = X.up_left
     pairing = tuple(
         tuple(L.inv(X.pairing[m][n]) for m in range(X.up_right.order))
         for n in range(X.down_left.order)
     )
-    return crossed_square(L, X.down_left, X.up_right, X.down_right,
-                          X.lambda_, X.kappa, X.nu, X.mu,
-                          X.act_l, X.act_n, X.act_m, pairing)
+    return ValidCrossedSquare(L, X.down_left, X.up_right, X.down_right,
+                              X.lambda_, X.kappa, X.nu, X.mu,
+                              X.act_l, X.act_n, X.act_m, pairing)
 
 
 # -- the equivalence with cat2-groups -------------------------------------------

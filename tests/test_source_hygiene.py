@@ -1,6 +1,7 @@
 """Dead-code checks on the package source with the stdlib ``ast`` module: no
-module imports a name it never uses, and every private top-level function is
-referenced somewhere in the package."""
+module imports a name it never uses, and every private top-level function
+and private module-level assigned name is referenced somewhere in the
+package."""
 
 import ast
 from pathlib import Path
@@ -40,4 +41,20 @@ def test_no_unreferenced_private_functions():
             for node in tree.body
             if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
             and node.name not in used]
+    assert dead == []
+
+
+def test_no_unreferenced_private_module_names():
+    read = {n.id for tree in TREES.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    read |= {n.attr for tree in TREES.values() for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute)}
+    dead = []
+    for name, tree in TREES.items():
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            dead += [f"{name}: {t.id}" for t in targets
+                     if isinstance(t, ast.Name) and t.id.startswith("_")
+                     and not t.id.startswith("__") and t.id not in read]
     assert dead == []

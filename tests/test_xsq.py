@@ -2,7 +2,7 @@ from dataclasses import fields
 
 import pytest
 
-from catsq import catalog, cli
+from catsq import catalog, cli, xsq
 from catsq.groups import (
     GroupAction,
     GroupError,
@@ -152,8 +152,13 @@ def test_trivial_action_squares():
                                       trivial_action(c1, c1), trivial_action(c1, c1))
 
 
-def test_direct_product(xs1):
-    P = direct_product_xsq(xs1, xs1)
+@pytest.fixture(scope="module")
+def xs1_squared(xs1):
+    return direct_product_xsq(xs1, xs1)
+
+
+def test_direct_product(xs1, xs1_squared):
+    P = xs1_squared
     assert P.corner_orders() == (25, 100, 100, 400)
     # built unchecked from certified factors; the axiom checker is the oracle
     assert isinstance(P, ValidCrossedSquare)
@@ -162,6 +167,19 @@ def test_direct_product(xs1):
     bad = CrossedSquare(**_fields(xs1, pairing=zero))
     with pytest.raises(GroupError, match="not a crossed square"):
         direct_product_xsq(xs1, bad)
+
+
+def test_transpose_is_certified_without_a_recheck(xs1, xs1_squared):
+    for X in (xs1, xs1_squared):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(xsq, "is_crossed_square", None)  # a re-check would fail
+            T = transpose_xsq(X)
+        assert isinstance(T, ValidCrossedSquare)
+        assert is_crossed_square(T).ok  # the axiom checker is the oracle
+    zero = ((0,) * xs1.down_left.order,) * xs1.up_right.order
+    bad = CrossedSquare(**_fields(xs1, pairing=zero))
+    with pytest.raises(GroupError, match="not a crossed square"):
+        transpose_xsq(bad)
 
 
 def test_transpose(xs1, d8):
