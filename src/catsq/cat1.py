@@ -21,12 +21,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .groups import (
-    DENSE_CAP,
     GroupError,
     GroupTable,
     Homomorphism,
     Subgroup,
-    as_dense,
     automorphism_generators,
     all_homomorphisms,
     compose,
@@ -281,8 +279,6 @@ def cat1_of_xmod(X: CrossedModule) -> Cat1Group:
     """G = S x| R with t(s,r) = (1,r) and h(s,r) = (1, (ds) r)."""
     S, R = X.source, X.range_
     G = semidirect_product(S, R, X.action, label=f"{S.label} x| {R.label}")
-    if G.order <= DENSE_CAP:
-        G = as_dense(G)
     rn = R.order
     bm = X.boundary.mapping
     tmap = tuple(x % rn for x in G.elements())

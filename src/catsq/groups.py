@@ -1,16 +1,18 @@
 """Exact arithmetic for small finite groups on dense element indices.
 
 Every group lives on indices ``0..order-1`` with ``0`` the identity.  Small
-groups are *dense* (a materialized multiplication table); semidirect products
-above :data:`DENSE_CAP` stay *structural* and multiply pairs on the fly.  The
-composition convention is ``(f o g)(x) = f(g(x))`` everywhere, and the product
-of two permutations is their composition as functions.
+groups are *dense* (a materialized multiplication table); products above
+:data:`DENSE_CAP` stay *structural* and multiply pairs on the fly, a choice
+made in one place, :func:`semidirect_product`.  The composition convention
+is ``(f o g)(x) = f(g(x))`` everywhere, and the product of two permutations
+is their composition as functions.
 
 Every homomorphism search extends generator images through one numpy
 kernel, :func:`_hom_blocks`, which checks a block of image tuples at a time
 against every edge of the right Cayley graph.  The tables of permutation
-groups and of Aut(G) are filled along a spanning tree of the same graph
-(:func:`_spanning_tree`), and every checked table passes Light's test.
+groups, of Aut(G) and of dense products are filled along a spanning tree of
+the same graph (:func:`_spanning_tree`).  Every checked table passes Light's
+test, and its stated generators must generate it.
 """
 
 from __future__ import annotations
@@ -179,6 +181,8 @@ class DenseGroup(GroupTable):
         gens = tuple(dict.fromkeys(g for g in generators if g != 0))
         if not gens:
             gens = _greedy_generators(self.table)
+        elif check:  # raises unless the generators reach every element
+            _spanning_tree([[row[g] for g in gens] for row in self.table], label)
         self.generators = gens
 
     def mul(self, a: int, b: int) -> int:
@@ -263,9 +267,6 @@ class SemidirectGroup(GroupTable):
         self.label = label or f"({s_group.label} x| {r_group.label})"
         self.generators = tuple(s * self._rn for s in s_group.generators) + r_group.generators
 
-    def encode(self, s: int, r: int) -> int:
-        return s * self._rn + r
-
     def mul(self, a: int, b: int) -> int:
         rn = self._rn
         s1, r1 = divmod(a, rn)
@@ -282,15 +283,21 @@ class SemidirectGroup(GroupTable):
         return "structural"
 
 
-def as_dense(G: GroupTable, cap: int = DENSE_CAP) -> DenseGroup:
-    """Materialize the full multiplication table of ``G`` (same indexing)."""
+def as_dense(G: GroupTable) -> DenseGroup:
+    """Materialize the multiplication table of ``G``, with the same indexing
+    and generators.
+
+    The table is filled by :func:`_table_from_right` from the n k products
+    x * g of every element x by every generator g, so ``G.mul`` runs n k
+    times, not n^2.  Raises :class:`GroupError` if the generators of ``G`` do
+    not generate it, and :class:`TooLargeError` above :data:`DENSE_CAP`.
+    """
     if isinstance(G, DenseGroup):
         return G
-    if G.order > cap:
-        raise TooLargeError(f"order {G.order} exceeds the dense cap {cap}")
-    table = [[G.mul(a, b) for b in G.elements()] for a in G.elements()]
-    out = DenseGroup(table, G.label, G.generators, check=False)
-    return out
+    if G.order > DENSE_CAP:
+        raise TooLargeError(f"order {G.order} exceeds the dense cap {DENSE_CAP}")
+    right = [[G.mul(x, g) for g in G.generators] for x in G.elements()]
+    return DenseGroup(_table_from_right(right, G.label), G.label, G.generators, check=False)
 
 
 def require_dense(G: GroupTable) -> DenseGroup:
@@ -305,16 +312,17 @@ def require_dense(G: GroupTable) -> DenseGroup:
 
 
 def group_from_permutation_generators(gens: Sequence[Sequence[Sequence[int]]],
-                                      label: str,
-                                      order_cap: int = DENSE_CAP) -> DenseGroup:
+                                      label: str) -> DenseGroup:
     """Dense table of the group generated by permutations given as cycle lists.
 
     Elements are ordered identity first, then by breadth-first closure over
     generator products with a lexicographic tie-break on permutation images.
-    The table is filled by :func:`_table_from_right` from the products x * g
-    of every element x by every generator g, so the build composes n k
-    permutations after the closure, not n^2.  The table is then checked by
-    Light's test (:func:`_check_table`).
+    The closure raises :class:`TooLargeError` once it passes
+    :data:`DENSE_CAP` elements.  The table is filled by
+    :func:`_table_from_right` from the products x * g of every element x by
+    every generator g, so the build composes n k permutations after the
+    closure, not n^2.  The table is then checked by Light's test
+    (:func:`_check_table`).
     """
     degree = 1
     gen_perms = []
@@ -339,9 +347,9 @@ def group_from_permutation_generators(gens: Sequence[Sequence[Sequence[int]]],
         for y in frontier:
             index[y] = len(elems)
             elems.append(y)
-        if len(elems) > order_cap:
+        if len(elems) > DENSE_CAP:
             raise TooLargeError(
-                f"closure of {label!r} is too large to materialize (cap {order_cap})")
+                f"closure of {label!r} is too large to materialize (cap {DENSE_CAP})")
 
     right = [[index[_pcompose(x, g)] for g in gen_perms] for x in elems]
     gen_idx = [index[p] for p in gen_perms]
@@ -896,16 +904,49 @@ def sub_conjugation_action(G: GroupTable, A: Subgroup, S: Subgroup) -> GroupActi
 
 
 def semidirect_product(S: GroupTable, R: GroupTable, act: GroupAction,
-                       label: Optional[str] = None) -> SemidirectGroup:
-    """S x| R with (s1,r1)(s2,r2) = (s1 * (r1 |> s2), r1 r2)."""
-    return SemidirectGroup(S, R, act, label)
+                       label: Optional[str] = None) -> GroupTable:
+    """S x| R with (s1,r1)(s2,r2) = (s1 * (r1 |> s2), r1 r2), on the pair
+    indices s * |R| + r, generated by the generators of S, then of R.
+
+    This is the one place where a product picks its realization: up to
+    :data:`DENSE_CAP` the result is dense (:func:`as_dense` of the
+    :class:`SemidirectGroup`), above it the structural group itself.
+    """
+    G = SemidirectGroup(S, R, act, label)
+    return as_dense(G) if G.order <= DENSE_CAP else G
 
 
 def direct_product(A: GroupTable, B: GroupTable,
                    label: Optional[str] = None) -> GroupTable:
-    G = semidirect_product(A, B, trivial_action(B, A),
-                           label or f"({A.label} x {B.label})")
-    return as_dense(G) if G.order <= DENSE_CAP else G
+    """A x B on the pair indices a * |B| + b: :func:`semidirect_product`
+    with the trivial action, realized the same way."""
+    return semidirect_product(A, B, trivial_action(B, A), label or f"({A.label} x {B.label})")
+
+
+def product_hom(f1: Homomorphism, f2: Homomorphism, source: GroupTable,
+                target: GroupTable) -> Homomorphism:
+    """f1 x f2 : (x1, x2) -> (f1(x1), f2(x2)) from ``source``, the
+    :func:`direct_product` of the factor sources, to ``target``, that of the
+    factor targets.  A product of homomorphisms is one, so the result is not
+    re-checked."""
+    n2 = f2.target.order
+    if (source.order, target.order) != (f1.source.order * f2.source.order, f1.target.order * n2):
+        raise GroupError("source and target must be the products of the factors' groups")
+    return _valid(Homomorphism, source, target,
+                  tuple(a * n2 + b for a in f1.mapping for b in f2.mapping))
+
+
+def product_action(a1: GroupAction, a2: GroupAction, actor: GroupTable,
+                   space: GroupTable) -> GroupAction:
+    """(p1, p2) |> (x1, x2) = (p1 |> x1, p2 |> x2) of ``actor`` on ``space``,
+    the :func:`direct_product` of the factor actors and of the factor spaces.
+    A product of actions is one, so the result is not re-checked."""
+    n2 = a2.space.order
+    if ((actor.order, space.order)
+            != (a1.actor.order * a2.actor.order, a1.space.order * n2)):
+        raise GroupError("actor and space must be the products of the factors' groups")
+    return _valid(GroupAction, actor, space, tuple(
+        tuple(x * n2 + y for x in q1 for y in q2) for q1 in a1.perms for q2 in a2.perms))
 
 
 def semidirect_injections(G: SemidirectGroup) -> tuple[Homomorphism, Homomorphism]:

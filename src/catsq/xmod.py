@@ -25,6 +25,8 @@ from .groups import (
     direct_product,
     inclusion_hom,
     kernel_of,
+    product_action,
+    product_hom,
     trivial_hom,
 )
 
@@ -139,8 +141,10 @@ def zero_boundary_xmod(M: GroupTable, P: GroupTable, act: GroupAction) -> Crosse
     return crossed_module(M, P, trivial_hom(M, P), act)
 
 
-def central_extension_xmod(f: Homomorphism, choice: str = "min") -> CrossedModule:
-    """Surjection with central kernel; r acts through a chosen preimage."""
+def central_extension_xmod(f: Homomorphism) -> CrossedModule:
+    """Surjection with central kernel; r acts by conjugation with its least
+    preimage.  The kernel is central, so any other preimage gives the same
+    action."""
     S, R = f.source, f.target
     if len(set(f.mapping)) != R.order:
         raise GroupError("central extension boundary must be surjective")
@@ -149,10 +153,7 @@ def central_extension_xmod(f: Homomorphism, choice: str = "min") -> CrossedModul
         if k not in centre:
             raise GroupError(f"kernel element {k} is not central in the source")
     picks: dict[int, int] = {}
-    xs = list(S.elements())
-    if choice == "max":
-        xs.reverse()
-    for x in xs:
+    for x in S.elements():
         picks.setdefault(f.mapping[x], x)
     perms = tuple(
         tuple(S.conj(picks[r], s) for s in S.elements()) for r in R.elements()
@@ -161,23 +162,12 @@ def central_extension_xmod(f: Homomorphism, choice: str = "min") -> CrossedModul
 
 
 def direct_product_xmod(X1: CrossedModule, X2: CrossedModule) -> CrossedModule:
+    """Componentwise product; the product map and action are built unchecked,
+    and the crossed-module axioms are checked on them."""
     S = direct_product(X1.source, X2.source)
     R = direct_product(X1.range_, X2.range_)
-    s2n, r2n = X2.source.order, X2.range_.order
-    boundary = Homomorphism(S, R, tuple(
-        X1.boundary.mapping[s1] * r2n + X2.boundary.mapping[s2]
-        for s1 in X1.source.elements() for s2 in X2.source.elements()
-    ))
-    perms = []
-    for r1 in X1.range_.elements():
-        p1 = X1.action.perms[r1]
-        for r2 in X2.range_.elements():
-            p2 = X2.action.perms[r2]
-            perms.append(tuple(
-                p1[s1] * s2n + p2[s2]
-                for s1 in X1.source.elements() for s2 in X2.source.elements()
-            ))
-    return crossed_module(S, R, boundary, GroupAction(R, S, tuple(perms)))
+    return crossed_module(S, R, product_hom(X1.boundary, X2.boundary, S, R),
+                          product_action(X1.action, X2.action, R, S))
 
 
 # -- morphisms ----------------------------------------------------------------

@@ -25,7 +25,6 @@ import itertools
 from dataclasses import dataclass, fields
 
 from .groups import (
-    DENSE_CAP,
     GroupAction,
     GroupError,
     GroupTable,
@@ -33,7 +32,6 @@ from .groups import (
     Subgroup,
     _valid,
     action_by_hom,
-    as_dense,
     automorphism_group_as_table,
     compose,
     conjugation_action,
@@ -44,6 +42,8 @@ from .groups import (
     inner_automorphism_indices,
     intersection,
     kernel_of,
+    product_action,
+    product_hom,
     restrict_hom,
     semidirect_product,
     sub_conjugation_action,
@@ -308,41 +308,16 @@ def direct_product_xsq(X1: CrossedSquare, X2: CrossedSquare) -> ValidCrossedSqua
     M = direct_product(X1.up_right, X2.up_right)
     N = direct_product(X1.down_left, X2.down_left)
     P = direct_product(X1.down_right, X2.down_right)
-
-    def pair_hom(f1, f2, src, tgt, n1src, n2src, n2tgt):
-        return _valid(Homomorphism, src, tgt, tuple(
-            f1.mapping[a] * n2tgt + f2.mapping[b]
-            for a in range(n1src) for b in range(n2src)
-        ))
-
-    def pair_act(a1: GroupAction, a2: GroupAction, space) -> GroupAction:
-        s2 = a2.space.order
-        perms = []
-        for p1 in range(a1.actor.order):
-            q1 = a1.perms[p1]
-            for p2 in range(a2.actor.order):
-                q2 = a2.perms[p2]
-                perms.append(tuple(
-                    q1[x1] * s2 + q2[x2]
-                    for x1 in range(a1.space.order) for x2 in range(s2)
-                ))
-        return _valid(GroupAction, P, space, perms)
-
-    l2, m2, n2, p2 = (X2.up_left.order, X2.up_right.order,
-                      X2.down_left.order, X2.down_right.order)
-    kappa = pair_hom(X1.kappa, X2.kappa, L, M, X1.up_left.order, l2, m2)
-    lam = pair_hom(X1.lambda_, X2.lambda_, L, N, X1.up_left.order, l2, n2)
-    mu = pair_hom(X1.mu, X2.mu, M, P, X1.up_right.order, m2, p2)
-    nu = pair_hom(X1.nu, X2.nu, N, P, X1.down_left.order, n2, p2)
-    pairing = tuple(
-        tuple(X1.pairing[ma][na] * l2 + X2.pairing[mb][nb]
-              for na in range(X1.down_left.order) for nb in range(n2))
-        for ma in range(X1.up_right.order) for mb in range(m2)
-    )
-    return ValidCrossedSquare(L, M, N, P, kappa, lam, mu, nu,
-                              pair_act(X1.act_l, X2.act_l, L),
-                              pair_act(X1.act_m, X2.act_m, M),
-                              pair_act(X1.act_n, X2.act_n, N), pairing)
+    l2 = X2.up_left.order
+    # the pairing of (m1, m2) and (n1, n2) is (m1 |x| n1, m2 |x| n2)
+    pairing = tuple(tuple(a * l2 + b for a in row1 for b in row2)
+                    for row1 in X1.pairing for row2 in X2.pairing)
+    return ValidCrossedSquare(
+        L, M, N, P,
+        product_hom(X1.kappa, X2.kappa, L, M), product_hom(X1.lambda_, X2.lambda_, L, N),
+        product_hom(X1.mu, X2.mu, M, P), product_hom(X1.nu, X2.nu, N, P),
+        product_action(X1.act_l, X2.act_l, P, L), product_action(X1.act_m, X2.act_m, P, M),
+        product_action(X1.act_n, X2.act_n, P, N), pairing)
 
 
 def transpose_xsq(X: CrossedSquare) -> ValidCrossedSquare:
@@ -418,11 +393,7 @@ def cat2_of_crossed_square(X: CrossedSquare) -> Cat2Group:
 
     LN = semidirect_product(L, N, action_by_hom(X.nu, X.act_l),
                             label=f"{L.label} x| {N.label}")
-    if LN.order <= DENSE_CAP:
-        LN = as_dense(LN)
     MP = semidirect_product(M, P, X.act_m, label=f"{M.label} x| {P.label}")
-    if MP.order <= DENSE_CAP:
-        MP = as_dense(MP)
 
     n_ord, p_ord = N.order, P.order
     perms = []
@@ -442,8 +413,6 @@ def cat2_of_crossed_square(X: CrossedSquare) -> Cat2Group:
     bigact = _valid(GroupAction, MP, LN, perms)
 
     G = semidirect_product(LN, MP, bigact, label=f"({LN.label}) x| ({MP.label})")
-    if G.order <= DENSE_CAP:
-        G = as_dense(G)
 
     rn = MP.order
     t1m, h1m, t2m, h2m = [], [], [], []

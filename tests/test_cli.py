@@ -180,6 +180,12 @@ def _two_by_two_square():
 _SQUARE = _two_by_two_square()
 _C2 = "catsq 1 cat2\ngroup table 2 C2\n0 1\n1 0\n"
 _C2_MAPS = "t1 0 1\nh1 0 1\nt2 0 1\nh2 0 1\nend\n"
+# the catalog S3 table with a gens line that reaches only {0, 1}, and maps
+# that respect products by 1 but are no homomorphisms: 2 * 2 = 4
+_S3_GENS_1 = ("catsq 1 cat2\ngroup table 6 S3\n"
+              + "".join(_words(row) + "\n" for row in catalog.small_group(6, 1).table)
+              + "gens 1\n" + "".join(f"{m} 0 0 2 2 2 2\n" for m in ("t1", "h1", "t2", "h2"))
+              + "end\n")
 
 # name -> (file text, token the error message must name)
 MALFORMED = {
@@ -189,6 +195,7 @@ MALFORMED = {
     "table size": ("catsq 1 cat2\ngroup table x\nend\n", "'x'"),
     "actl count": (re.sub(r"^actl \d+$", "actl", _SQUARE, flags=re.M), "'actl'"),
     "generator": (_C2 + "gens 5\n" + _C2_MAPS, "generator 5"),
+    "gens do not generate": (_S3_GENS_1, "the generators of 'S3' reach only 2 of its 6 elements"),
     "map image": (_C2 + "gens 1\n" + _C2_MAPS.replace("t1 0 1", "t1 0 99"),
                   "map t1 has entry 99"),
     "negative generator": (_C2 + "gens -1\n" + _C2_MAPS, "generator -1"),
@@ -201,7 +208,7 @@ MALFORMED = {
 
 
 @pytest.mark.parametrize("name", ["version", "key without id", "unknown key", "table size",
-                                  "actl count", "generator"])
+                                  "actl count", "generator", "gens do not generate"])
 def test_malformed_file_no_traceback(tmp_path, name):
     """The console entry ends a malformed file with exit status 2 and a
     one-line message naming the bad token, never a traceback."""

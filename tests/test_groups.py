@@ -11,6 +11,7 @@ from catsq.groups import (
     GroupAction,
     GroupError,
     Homomorphism,
+    SemidirectGroup,
     TooLargeError,
     all_homomorphisms,
     all_subgroups,
@@ -179,8 +180,10 @@ def test_d20_generators(d20):
 
 
 def test_order_cap():
+    """S7 has 5,040 elements, more than the dense cap of 2,000."""
+    assert groups.DENSE_CAP < math.factorial(7)
     with pytest.raises(TooLargeError):
-        group_from_permutation_generators([[(1, 2, 3, 4, 5, 6, 7)]], "C7", order_cap=5)
+        group_from_permutation_generators([[(1, 2, 3, 4, 5, 6, 7)], [(1, 2)]], "S7")
 
 
 def test_subgroup_generated(d8, d20):
@@ -386,9 +389,11 @@ def test_semidirect_product():
     c3 = catalog.small_group(3, 1)
     c2 = catalog.small_group(2, 1)
     inv = GroupAction(c2, c3, (tuple(range(3)), (0, 2, 1)))
-    G = semidirect_product(c3, c2, inv)
+    G = SemidirectGroup(c3, c2, inv)
     assert G.order == 6 and G.realization == "structural"
-    Gd = as_dense(G)
+    # below the dense cap the product is realized as the dense table of G
+    Gd = semidirect_product(c3, c2, inv)
+    assert Gd.realization == "dense" and Gd.generators == G.generators
     verify_group_axioms(Gd)
     assert catalog.identify_group(Gd) == (6, 1)
     # dense and structural agree element-wise

@@ -1,7 +1,7 @@
-"""Dead-code checks on the package source with the stdlib ``ast`` module: no
-module imports a name it never uses, and every private top-level function
-and private module-level assigned name is referenced somewhere in the
-package."""
+"""Checks on the package source with the stdlib ``ast`` module: no module
+imports a name it never uses, every private top-level function and private
+module-level assigned name is referenced somewhere in the package, and only
+``groups`` chooses between a dense and a structural realization."""
 
 import ast
 from pathlib import Path
@@ -58,3 +58,16 @@ def test_no_unreferenced_private_module_names():
                      if isinstance(t, ast.Name) and t.id.startswith("_")
                      and not t.id.startswith("__") and t.id not in read]
     assert dead == []
+
+
+def test_realization_is_chosen_only_in_groups():
+    """``semidirect_product`` is the one place that picks dense or structural,
+    so no other module imports or reads ``DENSE_CAP`` or ``as_dense``."""
+    outside = []
+    for name, tree in TREES.items():
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+        if name != "groups.py":
+            outside += [f"{name}: {word}" for word in ("DENSE_CAP", "as_dense")
+                        if word in _used_names(tree) | imported]
+    assert outside == []

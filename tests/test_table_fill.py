@@ -1,21 +1,29 @@
 """The group tables built along the right Cayley tree equal the pairwise
-composition tables, and the one Light's-test path of ``_check_table``
-rejects exactly the tables that the exhaustive axiom check rejects."""
+composition tables, the dense products equal their pairwise multiplication
+tables, and the one Light's-test path of ``_check_table`` rejects exactly
+the tables that the exhaustive axiom check rejects."""
 
+import itertools
 import random
 import re
 
 import pytest
 
-from catsq import catalog
+from catsq import catalog, xsq
+from catsq.cat2 import all_cat2_groups
 from catsq.groups import (
     DenseGroup,
     GroupError,
+    SemidirectGroup,
     _pcompose,
+    as_dense,
     automorphism_group,
     automorphism_group_as_table,
     direct_product,
     perm_from_cycles,
+    semidirect_product,
+    subgroup_generated,
+    trivial_action,
     verify_group_axioms,
 )
 
@@ -71,6 +79,82 @@ def test_aut_tables_match_pairwise_composition():
         assert A.generators == DenseGroup(A.table, A.label, check=False).generators
         compared += 1
     assert compared == 86
+
+
+def _pairwise_dense(G):
+    """(table, generators) of ``G`` filled by multiplying every pair."""
+    table = tuple(tuple(G.mul(a, b) for b in G.elements()) for a in G.elements())
+    return table, DenseGroup(table, G.label, G.generators, check=False).generators
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """Records (S, R, action, result) of every ``semidirect_product`` call
+    made by ``xsq.cat2_of_crossed_square``."""
+    calls = []
+
+    def recording(S, R, act, label=None):
+        G = semidirect_product(S, R, act, label)
+        calls.append((S, R, act, G))
+        return G
+
+    monkeypatch.setattr(xsq, "semidirect_product", recording)
+    return calls
+
+
+def _assert_pairwise(S, R, act, G):
+    assert G.realization == "dense"
+    assert (G.table, G.generators) == _pairwise_dense(SemidirectGroup(S, R, act, G.label))
+
+
+def test_reverse_square_products_match_pairwise_fill(products):
+    """LN, MP and G of every reverse request of the benchmark's convert
+    workload: the crossed squares of the cat2-groups of order <= 12."""
+    squares = [xsq.crossed_square_of_cat2(C) for order, gid in catalog.catalog_keys()
+               if order <= 12 for C in all_cat2_groups(catalog.small_group(order, gid))]
+    assert len(squares) == 2175
+    for X in squares:
+        products.clear()
+        C = xsq.cat2_of_crossed_square(X)
+        assert len(products) == 3 and products[2][3] is C.group
+        for S, R, act, G in products:
+            _assert_pairwise(S, R, act, G)
+
+
+def test_d20_square_products(products, d20):
+    """The C5 <= D10, D10' <= D20 inclusion square: LN (order 50) and MP
+    (order 200) are dense, and G (order 10,000) stays structural."""
+    p1, s = d20.generators
+    p1sq = d20.mul(p1, p1)
+    X = xsq.crossed_square_by_normal_subgroups(
+        subgroup_generated(d20, [p1sq]), subgroup_generated(d20, [p1sq, s]),
+        subgroup_generated(d20, [p1sq, d20.mul(p1, s)]), d20)
+    C = xsq.cat2_of_crossed_square(X)
+    (L, N, act_ln, LN), (M, P, act_mp, MP), (_, _, _, G) = products
+    assert (LN.order, MP.order) == (50, 200)
+    _assert_pairwise(L, N, act_ln, LN)
+    _assert_pairwise(M, P, act_mp, MP)
+    assert G is C.group and G.order == 10_000 and G.realization == "structural"
+    assert isinstance(G, SemidirectGroup) and (G.s_group, G.r_group) == (LN, MP)
+
+
+def test_direct_products_match_pairwise_fill():
+    keys = [(1, 1), (2, 1), (4, 2), (6, 1), (8, 3), (8, 4), (12, 3)]
+    pairs = list(itertools.product(keys, repeat=2)) + [((27, 5), (2, 1)), ((6, 1), (16, 14))]
+    for ka, kb in pairs:
+        A, B = catalog.small_group(*ka), catalog.small_group(*kb)
+        _assert_pairwise(A, B, trivial_action(B, A), direct_product(A, B))
+
+
+def test_dense_fill_needs_generating_generators():
+    s3 = catalog.small_group(6, 1)
+    with pytest.raises(GroupError, match="the generators of 'S3' reach only 2 of its 6 elements"):
+        DenseGroup(s3.table, "S3", [1])
+    loose = DenseGroup(s3.table, "S3", [1], check=False)
+    c1 = catalog.small_group(1, 1)
+    G = SemidirectGroup(loose, c1, trivial_action(c1, loose))
+    with pytest.raises(GroupError, match="reach only 2 of its 6 elements"):
+        as_dense(G)
 
 
 def _relabelled(table, rng):

@@ -110,10 +110,13 @@ def test_central_extension_xmod(d8):
     k4q = DenseGroup(table, "Q8/Z")
     f = Homomorphism(q8, k4q, tuple(pos[next(c for c in cosets if x in c)]
                                     for x in q8.elements()))
-    X1 = central_extension_xmod(f, choice="min")
-    X2 = central_extension_xmod(f, choice="max")
+    X = central_extension_xmod(f)
     assert sum(1 for v in f.mapping if v == 0) == 2
-    assert X1.action.perms == X2.action.perms
+    largest = {f.mapping[x]: x for x in q8.elements()}  # the last preimage wins
+    assert X.action.perms == tuple(tuple(q8.conj(largest[r], s) for s in q8.elements())
+                                   for r in k4q.elements())
+    assert any(largest[r] != min(x for x in q8.elements() if f.mapping[x] == r)
+               for r in k4q.elements())
     t = hom_by_images(d8, d8, [d8.generators[0], 0])
     with pytest.raises(GroupError, match="surjective"):
         central_extension_xmod(t)
