@@ -210,23 +210,29 @@ def cat1_structure_orbit_maps(G: GroupTable) -> np.ndarray:
     """Row r: the cat1 positions permuted by the r-th Aut(G) generator.
 
     The generator a sends (t, h) to (a t a^-1, a h a^-1); all structures are
-    conjugated at once by fancy indexing and each row found by its bytes.
+    conjugated at once by fancy indexing.  A structure is fixed by t and h
+    at the generators, so conjugates are matched to the enumeration by a
+    lexsort of those key columns and column 0 (never an empty key list);
+    the matched rows must then equal the conjugates in full, so a map that
+    is no automorphism cannot pass on its keys alone.  Read-only result.
     """
     if "cat1_orbit_maps" not in G._cache:
+        n = G.order
         TH = _cat1_array(G)
-        index = {row.tobytes(): p for p, row in enumerate(TH)}
+        keys = np.array([0, *G.generators, *(n + g for g in G.generators)], dtype=np.intp)
+        by_keys = np.lexsort(TH[:, keys[::-1]].T)
         gens = automorphism_generators(G)
         sigmas = np.empty((len(gens), len(TH)), dtype=np.intp)
         for r, a in enumerate(gens):
             am = np.array(a.mapping, dtype=np.intp)
             inv = np.argsort(am)
-            conj = am[TH[:, np.concatenate((inv, inv + G.order))]]
-            try:
-                sigmas[r] = [index[row.tobytes()] for row in conj]
-            except KeyError:
+            conj = am[TH[:, np.concatenate((inv, inv + n))]]
+            by_conj = np.lexsort(conj[:, keys[::-1]].T)
+            sigmas[r, by_conj] = by_keys
+            if not np.array_equal(conj, TH[sigmas[r]]):
                 raise GroupError(
                     "conjugating a cat1 structure left the enumeration; "
-                    "the Aut action is broken") from None
+                    "the Aut action is broken")
         sigmas.flags.writeable = False  # the cached array is shared with every caller
         G._cache["cat1_orbit_maps"] = sigmas
     return G._cache["cat1_orbit_maps"]

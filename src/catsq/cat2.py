@@ -8,10 +8,11 @@ commutation identities; :func:`cat2_group` checks commutation, and the kernel
 axiom only of a structure that is not already a :class:`Cat1Group`.
 The pair scan tests one cat1 structure per Aut(G) orbit against all
 structures with numpy row compositions and carries the partner lists along
-each orbit.  Isomorphism classification computes orbits under Aut(G) combined
-with the orientation swap: each Aut(G) generator permutes the sorted pair
-codes, and the families come from the same array orbit routine as the cat1
-classes (min-label propagation with pointer jumping).
+all orbits at once, one breadth-first level at a time.  Isomorphism
+classification computes orbits under Aut(G) combined with the orientation
+swap: each Aut(G) generator permutes the sorted pair codes, and the families
+come from the same array orbit routine as the cat1 classes (min-label
+propagation with pointer jumping).
 """
 
 from __future__ import annotations
@@ -155,36 +156,43 @@ def diagonal_pre_cat1(C: PreCat2Group) -> tuple[PreCat1Group, bool, Optional[tup
 def cat2_pair_indices(G: GroupTable) -> list[tuple[int, int]]:
     """Index pairs (i <= j) of commuting cat1 structures, canonical order.
 
-    Commutation is invariant under Aut(G), so only one structure per cat1
-    orbit is tested against all k structures; its partner list is then
-    carried breadth-first along the orbit by the generator permutations of
-    :func:`cat1_structure_orbit_maps` (orbit-stabilizer transport).
+    Commutation is invariant under Aut(G), so only the least structure of
+    each cat1 orbit is tested against all k structures.  The partner lists
+    are then carried breadth-first along all orbits at once by the generator
+    permutations of :func:`cat1_structure_orbit_maps` (orbit-stabilizer
+    transport), one level at a time: each structure first reached as
+    sigma(x) takes the partners of x, moved by sigma, in one gather per level.
     """
     if "cat2pairs" not in G._cache:
         n = G.order
         TH = _cat1_array(G)
+        k = len(TH)
         T, H = TH[:, :n], TH[:, n:]
         sigmas = cat1_structure_orbit_maps(G)
-        partners: list[Optional[np.ndarray]] = [None] * len(TH)
-        for r in range(len(TH)):
-            if partners[r] is not None:
-                continue
-            t, h = T[r], H[r]
-            # row j compares (structure r) o (structure j) with the reverse
-            mask = ((t[T] == T[:, t]).all(axis=1) & (h[H] == H[:, h]).all(axis=1)
-                    & (t[H] == H[:, t]).all(axis=1) & (h[T] == T[:, h]).all(axis=1))
-            partners[r] = np.flatnonzero(mask)
-            orbit = [r]
-            for i in orbit:
-                for sigma in sigmas:
-                    j = sigma[i]
-                    if partners[j] is None:
-                        partners[j] = sigma[partners[i]]
-                        orbit.append(j)
+        level = np.array([f[0] for f in _orbit_families(k, sigmas)])
+        partners = []
+        for t, h in zip(T[level], H[level]):
+            # row j compares (representative) o (structure j) with the reverse
+            partners.append(np.flatnonzero(
+                (t[T] == T[:, t]).all(axis=1) & (h[H] == H[:, h]).all(axis=1)
+                & (t[H] == H[:, t]).all(axis=1) & (h[T] == T[:, h]).all(axis=1)))
+        deg = np.array([len(p) for p in partners])
+        I, J = [np.repeat(level, deg)], [np.concatenate(partners)]
+        seen = np.zeros(k, dtype=bool)
+        seen[level] = True
+        while level.size:
+            img, first = np.unique(sigmas[:, level], return_index=True)
+            fresh = ~seen[img]
+            level, (via, src) = img[fresh], np.divmod(first[fresh], len(level))
+            seen[level] = True
+            # the partner lists of the sources, back to back, then moved along
+            starts = (np.cumsum(deg) - deg)[src]
+            deg = deg[src]
+            back = J[-1][np.repeat(starts - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())]
+            I.append(np.repeat(level, deg))
+            J.append(sigmas[np.repeat(via, deg), back])
         # the codes i*k + j of the pairs i <= j, sorted; the classes reuse them
-        k = len(TH)
-        i = np.repeat(np.arange(k), [len(js) for js in partners])
-        j = np.concatenate(partners)
+        i, j = np.concatenate(I), np.concatenate(J)
         codes = np.sort((i * k + j)[i <= j])
         G._cache["cat2codes"] = codes
         G._cache["cat2pairs"] = list(zip(*(a.tolist() for a in np.divmod(codes, k))))

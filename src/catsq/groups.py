@@ -589,8 +589,8 @@ def _valid(cls, *values):
     *head, data = values
     data = tuple(data) if cls is Homomorphism else tuple(tuple(p) for p in data)
     obj = object.__new__(cls)
-    for field, value in zip(fields(cls), (*head, data)):
-        object.__setattr__(obj, field.name, value)
+    for name, value in zip(_FIELD_NAMES[cls], (*head, data)):
+        object.__setattr__(obj, name, value)
     return obj
 
 
@@ -719,39 +719,52 @@ def all_homomorphisms(G: GroupTable, H: GroupTable) -> list[Homomorphism]:
     return [Homomorphism(G, H, m) for m in maps]
 
 
-def _endomorphism_maps(G: GroupTable) -> tuple[tuple, tuple]:
-    """One End(G) pass: (idempotent maps, bijective maps), each sorted.
+def _endomorphism_maps(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
+    """One End(G) pass: (idempotent maps, bijective maps), read-only int32
+    arrays with one map per row, in lexicographic order.
 
     Each block of :func:`_hom_blocks` is filtered as it comes, so End(G) is
     never held whole; an endomorphism is bijective exactly when its kernel
-    is trivial.  The identity map is in both lists.
+    is trivial.  The identity map is in both.  Homomorphisms that agree on
+    the generators are equal, so rows are sorted on the columns
+    ``0..max(G.generators)`` only (column 0 alone for the trivial group).
     """
     if "end_maps" not in G._cache:
         cands = _order_candidates(G, G, lambda og, oh: og % oh == 0)
         idempotent, bijective = [], []
         for M in _hom_blocks(G, G, cands):
-            fixed = (np.take_along_axis(M, M, axis=1) == M).all(axis=1)
-            idempotent += map(tuple, M[fixed].tolist())
-            bijective += map(tuple, M[(M == 0).sum(axis=1) == 1].tolist())
-        G._cache["end_maps"] = (tuple(sorted(idempotent)), tuple(sorted(bijective)))
+            M = M.astype(np.int32)  # halves the memory of the rows kept until the sort
+            idempotent.append(M[(np.take_along_axis(M, M, axis=1) == M).all(axis=1)])
+            bijective.append(M[(M == 0).sum(axis=1) == 1])
+        maps = []
+        for A in map(np.concatenate, (idempotent, bijective)):
+            A = A[np.lexsort(A[:, max(G.generators, default=0)::-1].T)]
+            A.flags.writeable = False  # the cached arrays are shared with every caller
+            maps.append(A)
+        G._cache["end_maps"] = tuple(maps)
     return G._cache["end_maps"]
 
 
 def idempotent_endomorphisms(G: GroupTable) -> list[Homomorphism]:
-    """All f: G -> G with f o f = f, in canonical (lexicographic) order."""
+    """All f: G -> G with f o f = f, in canonical (lexicographic) order.
+
+    Every row of the End(G) pass passed each right Cayley edge check of
+    :func:`_hom_blocks`, so the maps are not re-checked.
+    """
     require_dense(G)
     if "idempotents" not in G._cache:
         G._cache["idempotents"] = tuple(
-            Homomorphism(G, G, m) for m in _endomorphism_maps(G)[0])
+            _valid(Homomorphism, G, G, m) for m in _endomorphism_maps(G)[0].tolist())
     return list(G._cache["idempotents"])
 
 
 def automorphism_group(G: GroupTable) -> list[Homomorphism]:
-    """All bijective endomorphisms, lexicographic on mapping arrays."""
+    """All bijective endomorphisms, lexicographic on mapping arrays (not
+    re-checked, as in :func:`idempotent_endomorphisms`)."""
     require_dense(G)
     if "automorphisms" not in G._cache:
         G._cache["automorphisms"] = tuple(
-            Homomorphism(G, G, m) for m in _endomorphism_maps(G)[1])
+            _valid(Homomorphism, G, G, m) for m in _endomorphism_maps(G)[1].tolist())
     return list(G._cache["automorphisms"])
 
 
@@ -789,20 +802,23 @@ def automorphism_generators(G: GroupTable) -> list[Homomorphism]:
     Walking the automorphisms in canonical order, each one outside the
     subgroup generated so far becomes a generator.  An automorphism is known
     by its generator images, and (g o x)(gen) = g(x(gen)), so the closure
-    needs only the generator columns of the automorphism array.
+    needs only the generator columns of the automorphism array of
+    :func:`_endomorphism_maps`, sorted once; each new generator sorts its
+    images of them.  The generators are rows of that array, not re-checked.
     """
     require_dense(G)
     if "aut_gens" not in G._cache:
-        maps = _endomorphism_maps(G)[1]
-        A = np.array(maps, dtype=np.intp)
-        cols = A[:, list(G.generators)]
+        A = _endomorphism_maps(G)[1]
+        cols = A[:, [0, *G.generators]]  # column 0 keeps the sort keys non-empty
+        by_cols = np.lexsort(cols.T[::-1])
+        sorted_cols = cols[by_cols]
         known = np.arange(len(A)) == 0  # the identity sorts first
         gens: dict[int, np.ndarray] = {}  # position -> (x -> position of it o x)
         while not known.all():
             a = int(np.argmin(known))
             images = A[a][cols]
-            by_cols, by_images = (np.lexsort(X.T[::-1]) for X in (cols, images))
-            if not np.array_equal(images[by_images], cols[by_cols]):
+            by_images = np.lexsort(images.T[::-1])
+            if not np.array_equal(images[by_images], sorted_cols):
                 raise GroupError("composing automorphisms left Aut(G)")
             gens[a] = np.empty(len(A), dtype=np.intp)
             gens[a][by_images] = by_cols
@@ -812,7 +828,7 @@ def automorphism_generators(G: GroupTable) -> list[Homomorphism]:
                 reached = np.unique(np.concatenate([g[frontier] for g in gens.values()]))
                 frontier = reached[~known[reached]]
                 known[frontier] = True
-        G._cache["aut_gens"] = tuple(Homomorphism(G, G, maps[a]) for a in gens)
+        G._cache["aut_gens"] = tuple(_valid(Homomorphism, G, G, A[a].tolist()) for a in gens)
     return list(G._cache["aut_gens"])
 
 
@@ -851,6 +867,10 @@ class GroupAction:
             for q in P.elements():
                 if self.perms[P.mul(g, q)] != _pcompose(pg, self.perms[q]):
                     raise GroupError(f"action is not a homomorphism at ({g}, {q})")
+
+
+# the field names that :func:`_valid` fills, read once per class
+_FIELD_NAMES = {cls: tuple(f.name for f in fields(cls)) for cls in (Homomorphism, GroupAction)}
 
 
 def trivial_action(actor: GroupTable, space: GroupTable) -> GroupAction:
@@ -947,12 +967,6 @@ def product_action(a1: GroupAction, a2: GroupAction, actor: GroupTable,
         raise GroupError("actor and space must be the products of the factors' groups")
     return _valid(GroupAction, actor, space, tuple(
         tuple(x * n2 + y for x in q1 for y in q2) for q1 in a1.perms for q2 in a2.perms))
-
-
-def semidirect_injections(G: SemidirectGroup) -> tuple[Homomorphism, Homomorphism]:
-    inj_s = Homomorphism(G.s_group, G, tuple(s * G.r_group.order for s in G.s_group.elements()))
-    inj_r = Homomorphism(G.r_group, G, tuple(G.r_group.elements()))
-    return inj_s, inj_r
 
 
 # ---------------------------------------------------------------------------

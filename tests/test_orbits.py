@@ -12,14 +12,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from catsq import catalog, cat1, cat2
+from catsq import catalog, cat1, cat2, groups
 from catsq.cat1 import (
+    _cat1_array,
     _orbit_families,
     all_cat1_groups,
     cat1_isomorphism_classes,
     cat1_structure_orbit_maps,
 )
-from catsq.cat2 import cat2_isomorphism_classes, cat2_pair_indices
+from catsq.cat2 import cat2_isomorphism_classes, cat2_pair_indices, commutation_witness
 from catsq.groups import GroupError, automorphism_generators
 from test_groups import LIGHT_KEYS, fresh_copy
 
@@ -142,6 +143,45 @@ def test_conjugation_outside_the_enumeration(monkeypatch):
     monkeypatch.setattr(cat1, "automorphism_generators", lambda G: [bogus])
     with pytest.raises(GroupError, match="conjugating a cat1 structure left the enumeration"):
         cat1_structure_orbit_maps(F)
+
+
+def test_orbit_maps_compare_whole_rows(monkeypatch):
+    F = fresh_copy(catalog.small_group(8, 3))
+    n, TH = F.order, _cat1_array(F)
+    # the transposition (4 7) is no automorphism of D8, but conjugating by it
+    # agrees with conjugating by the identity on the key columns (column 0,
+    # and t and h at the generators) of every cat1 structure, and not on all
+    swap = np.array([0, 1, 2, 3, 7, 5, 6, 4])
+    conj = swap[TH[:, np.concatenate((swap, swap + n))]]  # swap is its own inverse
+    keys = [0, *F.generators, *(n + g for g in F.generators)]
+    assert np.array_equal(conj[:, keys], TH[:, keys]) and not np.array_equal(conj, TH)
+    bogus = SimpleNamespace(mapping=tuple(swap.tolist()))
+    monkeypatch.setattr(cat1, "automorphism_generators", lambda G: [bogus])
+    with pytest.raises(GroupError, match="conjugating a cat1 structure left the enumeration"):
+        cat1_structure_orbit_maps(F)
+
+
+def test_pair_scan_without_aut_generators():
+    # Aut(C1) and Aut(C2) are trivial, so no partner row is transported
+    for key in ((1, 1), (2, 1)):
+        G = fresh_copy(catalog.small_group(*key))
+        cat1s = all_cat1_groups(G)
+        assert cat1_structure_orbit_maps(G).shape == (0, len(cat1s))
+        naive = [(i, j) for i in range(len(cat1s)) for j in range(i, len(cat1s))
+                 if commutation_witness(cat1s[i], cat1s[j]) is None]
+        assert cat2_pair_indices(G) == naive, key
+
+
+def test_shared_memo_arrays_are_read_only():
+    G = fresh_copy(catalog.small_group(8, 3))
+    shared = (*groups._endomorphism_maps(G), cat1_structure_orbit_maps(G))
+    for A in shared:
+        before = A.copy()
+        with pytest.raises(ValueError):
+            A[0, 0] = 1
+        with pytest.raises(ValueError):
+            A[...] = 0
+        assert np.array_equal(A, before)
 
 
 def test_aut_moves_cat2_outside_the_enumeration(monkeypatch):
