@@ -29,7 +29,9 @@ from .xmod import (
     central_extension_xmod,
     conjugation_xmod,
     direct_product_xmod,
+    is_action,
     is_crossed_module,
+    is_homomorphism,
     zero_boundary_xmod,
 )
 from .cat1 import (

@@ -3,10 +3,11 @@ equivalence with crossed modules.
 
 A structure is a pair of endomorphisms (t, h) of one group with t o h = h,
 h o t = t and [ker t, ker h] = 1 (the identities force im t = im h), each
-reported with a witness by :func:`is_cat1_group`.  The endomorphism form is
-canonical; the embedding form (e; t, h : G -> R) is a view converted on
-input and output.  Enumeration runs over idempotent endomorphisms and lists
-ordered pairs in lexicographic order of their concatenated map arrays.
+reported with a witness by :func:`is_cat1_group` after the lines that t and
+h are homomorphisms.  The endomorphism form is canonical; the embedding form
+(e; t, h : G -> R) is a view converted on input and output.  Enumeration
+runs over idempotent endomorphisms and lists ordered pairs in lexicographic
+order of their concatenated map arrays.
 Classification conjugates the k x 2n array of all tail|head maps by each
 Aut(G) generator at once, which gives one permutation of the k positions per
 generator; :func:`_orbit_families` (min-label propagation with pointer
@@ -38,7 +39,7 @@ from .groups import (
     semidirect_product,
     sub_conjugation_action,
 )
-from .xmod import AxiomCheck, CrossedModule, ValidityReport, _require, crossed_module
+from .xmod import AxiomCheck, CrossedModule, ValidityReport, _map_lines, _require, crossed_module
 
 
 @dataclass(frozen=True)
@@ -103,12 +104,17 @@ def _kernel_check(C: PreCat1Group) -> AxiomCheck:
 
 
 def is_cat1_group(C: PreCat1Group) -> ValidityReport:
-    """Per-axiom report: t o h = h, h o t = t and [ker t, ker h] = 1."""
+    """Per-axiom report: the t and h lines, then t o h = h, h o t = t and
+    [ker t, ker h] = 1."""
+    lines = _map_lines([("t", C.tail), ("h", C.head)])
     checks = _pre_cat1_checks(C.tail.mapping, C.head.mapping)
-    return ValidityReport(checks + (_kernel_check(C),))
+    return ValidityReport(lines + checks + (_kernel_check(C),))
 
 
 def cat1_group(t: Homomorphism, h: Homomorphism) -> Cat1Group:
+    """Certified cat1-group; raises :class:`GroupError` naming the first
+    failing line of :func:`is_cat1_group` and its witness."""
+    _require(_map_lines([("t", t), ("h", h)]), "not a cat1-group")
     pre = pre_cat1_by_endomorphisms(t, h)
     _require((_kernel_check(pre),), "not a cat1-group")
     return Cat1Group(pre.group, pre.tail, pre.head, pre.range_)
@@ -132,20 +138,20 @@ class Cat1GeneralForm:
 
 
 def from_general_form(e: Homomorphism, t: Homomorphism, h: Homomorphism) -> Cat1Group:
-    """Convert the embedding form into an endomorphism-form cat1-group."""
+    """Convert the embedding form into an endomorphism-form cat1-group.
+
+    The embedding e must pass its line "e is a homomorphism".  As e is
+    injective, :func:`cat1_group` on (e o t, e o h) then checks t and h and
+    the general axioms t o e o h = h and h o e o t = t, with their witnesses.
+    """
     R, G = e.source, e.target
     if t.source is not G or h.source is not G or t.target is not R or h.target is not R:
         raise GroupError("tail and head must map G onto the embedded range")
     if len(set(e.mapping)) != R.order:
         raise GroupError("the range embedding must be injective")
+    _require(_map_lines([("e", e)]), "not a cat1-group")
     if len(set(t.mapping)) != R.order or len(set(h.mapping)) != R.order:
         raise GroupError("tail and head must be surjections onto the range")
-    em, tm, hm = e.mapping, t.mapping, h.mapping
-    for x in G.elements():
-        if tm[em[hm[x]]] != hm[x]:
-            raise GroupError(f"general axiom t o e o h = h fails at element {x}")
-        if hm[em[tm[x]]] != tm[x]:
-            raise GroupError(f"general axiom h o e o t = t fails at element {x}")
     return cat1_group(compose(e, t), compose(e, h))
 
 

@@ -3,9 +3,9 @@
 A cat2-group is an unordered pair of cat1 structures on one group whose four
 maps commute pairwise; constructors keep the caller's orientation while the
 enumeration emits each pair once, lexicographically smaller structure first.
-:func:`is_cat2_group` reports each structure's cat1 axioms, then the
-commutation identities; :func:`cat2_group` checks commutation, and the kernel
-axiom only of a structure that is not already a :class:`Cat1Group`.
+:func:`is_cat2_group` reports each structure's cat1 lines, then the
+commutation identities; :func:`cat2_group` checks commutation, and the cat1
+lines only of a structure that is not already a :class:`Cat1Group`.
 The pair scan tests one cat1 structure per Aut(G) orbit against all
 structures with numpy row compositions and carries the partner lists along
 all orbits at once, one breadth-first level at a time.  Isomorphism
@@ -47,7 +47,7 @@ from .cat1 import (
     is_cat1_group,
     pre_cat1_by_endomorphisms,
 )
-from .xmod import AxiomCheck, ValidityReport, _require
+from .xmod import AxiomCheck, ValidityReport, _map_lines, _require
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ def _commutation_check(c1: PreCat1Group, c2: PreCat1Group) -> AxiomCheck:
 
 
 def is_cat2_group(C: PreCat2Group) -> ValidityReport:
-    """Per-axiom report: each structure's cat1 axioms, then commutation."""
+    """Per-axiom report: each structure's cat1 lines, then commutation."""
     checks = [replace(k, name=f"structure {n}: {k.name}")
               for n, c in ((1, C.c1), (2, C.c2)) for k in is_cat1_group(c).checks]
     checks.append(_commutation_check(C.c1, C.c2))
@@ -127,12 +127,15 @@ def pre_cat2_group(c1: PreCat1Group, c2: PreCat1Group) -> PreCat2Group:
     return PreCat2Group(c1.group, c1, c2)
 
 
-def cat2_group(c1: Cat1Group, c2: Cat1Group) -> Cat2Group:
-    """Validated cat2-group; a :class:`Cat1Group` input carries its kernel
-    axiom, so only the other inputs are checked for it."""
+def cat2_group(c1: PreCat1Group, c2: PreCat1Group) -> Cat2Group:
+    """Certified cat2-group; raises naming the first failing line of
+    :func:`is_cat2_group` and its witness.  A :class:`Cat1Group` input is
+    certified already, so only the other inputs' lines are checked."""
+    for n, c in ((1, c1), (2, c2)):
+        if not isinstance(c, Cat1Group):
+            _require(is_cat1_group(c).checks,
+                     f"a generating structure is not a cat1-group: structure {n}")
     pre = pre_cat2_group(c1, c2)
-    _require((_kernel_check(c) for c in (c1, c2) if not isinstance(c, Cat1Group)),
-             "a generating structure is not a cat1-group")
     return Cat2Group(pre.group, pre.c1, pre.c2)
 
 
@@ -273,6 +276,9 @@ def _cat2_intertwines(gm, A: PreCat2Group, c1: PreCat1Group, c2: PreCat1Group) -
 
 def cat2_morphism(A: PreCat2Group, B: PreCat2Group, gamma: Homomorphism,
                   swapped: bool = False) -> Cat2Morphism:
+    """Certified morphism: gamma must pass "gamma is a homomorphism" and
+    intertwine the four structure maps; rho1 and rho2 are its restrictions."""
+    _require(_map_lines([("gamma", gamma)]), "not a cat2 morphism")
     tgt = (B.c2, B.c1) if swapped else (B.c1, B.c2)
     if not _cat2_intertwines(gamma.mapping, A, *tgt):
         raise GroupError("gamma does not intertwine the four structure maps")
@@ -338,8 +344,6 @@ def catn_group(structures: Sequence[Cat1Group]) -> CatNGroup:
     # swapping the structures permutes the four identities: test i < j only
     for i in range(len(structures)):
         for j in range(i + 1, len(structures)):
-            bad = commutation_witness(structures[i], structures[j])
-            if bad is not None:
-                raise GroupError(
-                    f"structures {i + 1} and {j + 1} violate {bad[0]} at {bad[1]}")
+            _require((_commutation_check(structures[i], structures[j]),),
+                     f"structures {i + 1} and {j + 1} do not commute")
     return CatNGroup(G, structures)

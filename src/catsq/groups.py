@@ -13,12 +13,18 @@ against every edge of the right Cayley graph.  The tables of permutation
 groups, of Aut(G) and of dense products are filled along a spanning tree of
 the same graph (:func:`_spanning_tree`).  Every checked table passes Light's
 test, and its stated generators must generate it.
+
+One rule holds in every module: values and dataclasses check shapes, and
+reports and certifying factories check axioms.  :class:`Homomorphism` and
+:class:`GroupAction` check lengths, permutations and the identity; their
+properties are the report lines :func:`catsq.xmod.is_homomorphism` and
+:func:`catsq.xmod.is_action`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -546,6 +552,9 @@ def normal_subgroups(G: GroupTable) -> tuple[Subgroup, ...]:
 
 @dataclass(frozen=True)
 class Homomorphism:
+    """A map ``source -> target`` as its image tuple; the constructor checks
+    the shape, :func:`catsq.xmod.is_homomorphism` the homomorphism property."""
+
     source: GroupTable
     target: GroupTable
     mapping: tuple[int, ...]
@@ -557,13 +566,6 @@ class Homomorphism:
             raise GroupError("mapping length must equal the source order")
         if m and m[0] != 0:
             raise GroupError("a homomorphism must send identity to identity")
-        src, tgt = self.source, self.target
-        for g in src.generators:
-            fg = m[g]
-            for x in src.elements():
-                if m[src.mul(g, x)] != tgt.mul(fg, m[x]):
-                    raise GroupError(
-                        f"not a homomorphism: f({g}*{x}) != f({g})*f({x})")
 
     def __call__(self, x: int) -> int:
         return self.mapping[x]
@@ -581,19 +583,6 @@ class Homomorphism:
         return f"<Hom {self.source.label!r}->{self.target.label!r} {list(self.mapping)}>"
 
 
-def _valid(cls, *values):
-    """``cls(*values)`` for a :class:`Homomorphism` or :class:`GroupAction` that
-    is valid by construction: the last field is normalised to tuples as in
-    ``__post_init__``, whose self-check is skipped (as with
-    ``DenseGroup(check=False)``)."""
-    *head, data = values
-    data = tuple(data) if cls is Homomorphism else tuple(tuple(p) for p in data)
-    obj = object.__new__(cls)
-    for name, value in zip(_FIELD_NAMES[cls], (*head, data)):
-        object.__setattr__(obj, name, value)
-    return obj
-
-
 def identity_hom(G: GroupTable) -> Homomorphism:
     return Homomorphism(G, G, tuple(G.elements()))
 
@@ -604,12 +593,11 @@ def trivial_hom(G: GroupTable, H: GroupTable) -> Homomorphism:
 def compose(f: Homomorphism, g: Homomorphism) -> Homomorphism:
     """(f o g)(x) = f(g(x)); g.target must be f.source.
 
-    The result is valid by construction (a composite of homomorphisms is
-    one) and is not re-checked.
+    When ``f`` and ``g`` are homomorphisms, so is the result.
     """
     if g.target is not f.source:
         raise GroupError("composition needs g.target is f.source")
-    return _valid(Homomorphism, g.source, f.target, tuple(f.mapping[v] for v in g.mapping))
+    return Homomorphism(g.source, f.target, tuple(f.mapping[v] for v in g.mapping))
 
 
 def kernel_of(f: Homomorphism) -> Subgroup:
@@ -623,8 +611,8 @@ def image_of(f: Homomorphism) -> Subgroup:
 def restrict_hom(f: Homomorphism, sub: Subgroup, target_sub: Subgroup) -> Homomorphism:
     """Restrict ``f`` to a subgroup of its source, landing in a target subgroup.
 
-    The result is valid by construction (a restriction of a homomorphism is
-    one) and is not re-checked; only its landing in ``target_sub`` is.
+    Raises unless ``f`` maps ``sub`` into ``target_sub``.  When ``f`` is a
+    homomorphism, so is the result.
     """
     if sub.parent is not f.source or target_sub.parent is not f.target:
         raise GroupError("restriction subgroups must live in f's source/target")
@@ -635,7 +623,7 @@ def restrict_hom(f: Homomorphism, sub: Subgroup, target_sub: Subgroup) -> Homomo
         mapping = tuple(pos[f.mapping[m]] for m in s_members)
     except KeyError:
         raise GroupError("f does not map the subgroup into the stated target") from None
-    return _valid(Homomorphism, S, T, mapping)
+    return Homomorphism(S, T, mapping)
 
 
 def hom_by_images(G: GroupTable, H: GroupTable,
@@ -749,22 +737,22 @@ def idempotent_endomorphisms(G: GroupTable) -> list[Homomorphism]:
     """All f: G -> G with f o f = f, in canonical (lexicographic) order.
 
     Every row of the End(G) pass passed each right Cayley edge check of
-    :func:`_hom_blocks`, so the maps are not re-checked.
+    :func:`_hom_blocks`.
     """
     require_dense(G)
     if "idempotents" not in G._cache:
         G._cache["idempotents"] = tuple(
-            _valid(Homomorphism, G, G, m) for m in _endomorphism_maps(G)[0].tolist())
+            Homomorphism(G, G, m) for m in _endomorphism_maps(G)[0].tolist())
     return list(G._cache["idempotents"])
 
 
 def automorphism_group(G: GroupTable) -> list[Homomorphism]:
-    """All bijective endomorphisms, lexicographic on mapping arrays (not
-    re-checked, as in :func:`idempotent_endomorphisms`)."""
+    """All bijective endomorphisms, lexicographic on mapping arrays, from the
+    End(G) pass as in :func:`idempotent_endomorphisms`."""
     require_dense(G)
     if "automorphisms" not in G._cache:
         G._cache["automorphisms"] = tuple(
-            _valid(Homomorphism, G, G, m) for m in _endomorphism_maps(G)[1].tolist())
+            Homomorphism(G, G, m) for m in _endomorphism_maps(G)[1].tolist())
     return list(G._cache["automorphisms"])
 
 
@@ -804,7 +792,7 @@ def automorphism_generators(G: GroupTable) -> list[Homomorphism]:
     by its generator images, and (g o x)(gen) = g(x(gen)), so the closure
     needs only the generator columns of the automorphism array of
     :func:`_endomorphism_maps`, sorted once; each new generator sorts its
-    images of them.  The generators are rows of that array, not re-checked.
+    images of them.  The generators are rows of that array.
     """
     require_dense(G)
     if "aut_gens" not in G._cache:
@@ -828,7 +816,7 @@ def automorphism_generators(G: GroupTable) -> list[Homomorphism]:
                 reached = np.unique(np.concatenate([g[frontier] for g in gens.values()]))
                 frontier = reached[~known[reached]]
                 known[frontier] = True
-        G._cache["aut_gens"] = tuple(_valid(Homomorphism, G, G, A[a].tolist()) for a in gens)
+        G._cache["aut_gens"] = tuple(Homomorphism(G, G, A[a].tolist()) for a in gens)
     return list(G._cache["aut_gens"])
 
 
@@ -838,7 +826,9 @@ def automorphism_generators(G: GroupTable) -> list[Homomorphism]:
 
 @dataclass(frozen=True)
 class GroupAction:
-    """A left action of ``actor`` on ``space`` by automorphisms."""
+    """A left action of ``actor`` on ``space`` by automorphisms, one
+    permutation per actor element; the constructor checks the shape,
+    :func:`catsq.xmod.is_action` the action."""
 
     actor: GroupTable
     space: GroupTable
@@ -855,22 +845,6 @@ class GroupAction:
         for p in self.perms:
             if len(p) != S.order or len(set(p)) != S.order:
                 raise GroupError("actor images must be permutations of the space")
-        gens = P.generators or tuple(P.elements())
-        for g in gens:
-            pg = self.perms[g]
-            for x in S.elements():
-                gx = pg[x]
-                for y in S.elements():
-                    if self.perms[g][S.mul(x, y)] != S.mul(gx, pg[y]):
-                        raise GroupError(f"actor {g} does not act by an automorphism")
-            # the homomorphism property on generator edges pins every value
-            for q in P.elements():
-                if self.perms[P.mul(g, q)] != _pcompose(pg, self.perms[q]):
-                    raise GroupError(f"action is not a homomorphism at ({g}, {q})")
-
-
-# the field names that :func:`_valid` fills, read once per class
-_FIELD_NAMES = {cls: tuple(f.name for f in fields(cls)) for cls in (Homomorphism, GroupAction)}
 
 
 def trivial_action(actor: GroupTable, space: GroupTable) -> GroupAction:
@@ -881,12 +855,13 @@ def trivial_action(actor: GroupTable, space: GroupTable) -> GroupAction:
 def action_by_hom(f: Homomorphism, base: GroupAction) -> GroupAction:
     """Pull a ``base`` action back along ``f`` into ``f.source``.
 
-    The result is valid by construction (an action pulled back along a
-    homomorphism is one) and is not re-checked.
+    The result is an action when ``f`` passes
+    :func:`catsq.xmod.is_homomorphism` and ``base`` passes
+    :func:`catsq.xmod.is_action`.
     """
     if f.target is not base.actor:
         raise GroupError("hom target must be the base action's actor")
-    return _valid(GroupAction, f.source, base.space, tuple(base.perms[v] for v in f.mapping))
+    return GroupAction(f.source, base.space, tuple(base.perms[v] for v in f.mapping))
 
 
 def conjugation_action(G: GroupTable, S: Subgroup) -> GroupAction:
@@ -930,7 +905,8 @@ def semidirect_product(S: GroupTable, R: GroupTable, act: GroupAction,
 
     This is the one place where a product picks its realization: up to
     :data:`DENSE_CAP` the result is dense (:func:`as_dense` of the
-    :class:`SemidirectGroup`), above it the structural group itself.
+    :class:`SemidirectGroup`), above it the structural group itself.  The
+    result is a group only when ``act`` passes :func:`catsq.xmod.is_action`.
     """
     G = SemidirectGroup(S, R, act, label)
     return as_dense(G) if G.order <= DENSE_CAP else G
@@ -947,25 +923,23 @@ def product_hom(f1: Homomorphism, f2: Homomorphism, source: GroupTable,
                 target: GroupTable) -> Homomorphism:
     """f1 x f2 : (x1, x2) -> (f1(x1), f2(x2)) from ``source``, the
     :func:`direct_product` of the factor sources, to ``target``, that of the
-    factor targets.  A product of homomorphisms is one, so the result is not
-    re-checked."""
+    factor targets.  A product of homomorphisms is one."""
     n2 = f2.target.order
     if (source.order, target.order) != (f1.source.order * f2.source.order, f1.target.order * n2):
         raise GroupError("source and target must be the products of the factors' groups")
-    return _valid(Homomorphism, source, target,
-                  tuple(a * n2 + b for a in f1.mapping for b in f2.mapping))
+    return Homomorphism(source, target, tuple(a * n2 + b for a in f1.mapping for b in f2.mapping))
 
 
 def product_action(a1: GroupAction, a2: GroupAction, actor: GroupTable,
                    space: GroupTable) -> GroupAction:
     """(p1, p2) |> (x1, x2) = (p1 |> x1, p2 |> x2) of ``actor`` on ``space``,
     the :func:`direct_product` of the factor actors and of the factor spaces.
-    A product of actions is one, so the result is not re-checked."""
+    A product of actions is one."""
     n2 = a2.space.order
     if ((actor.order, space.order)
             != (a1.actor.order * a2.actor.order, a1.space.order * n2)):
         raise GroupError("actor and space must be the products of the factors' groups")
-    return _valid(GroupAction, actor, space, tuple(
+    return GroupAction(actor, space, tuple(
         tuple(x * n2 + y for x in q1 for y in q2) for q1 in a1.perms for q2 in a2.perms))
 
 

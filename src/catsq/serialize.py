@@ -4,9 +4,15 @@ Files are LF-terminated ASCII: a header line ``catsq <version> <kind>``,
 keyword-introduced sections with whitespace-separated decimal integers, and a
 closing ``end`` line that only blank lines may follow.  Emission is canonical
 (single spaces, no trailing whitespace), so ``emit(parse(text)) == text`` byte
-for byte.  One parser per kind; ``validate=False`` returns unchecked data for
-an axiom report.  Malformed text raises a ``GroupError`` naming the bad line
-or token.
+for byte.  One parser per kind.  Malformed text raises a ``GroupError``
+naming the bad line or token.
+
+Parsing checks the syntax, each group table (Light's test), the ranges of
+map and action entries and the shapes of the values built from them; the
+axioms, homomorphisms and actions included, are report lines.
+``validate=True`` passes the data through the certifying factory of its
+kind, which raises naming the first failing line and its witness;
+``validate=False`` returns the unchecked data for a report.
 """
 
 from __future__ import annotations
@@ -179,8 +185,8 @@ def _open(text: str, kind: str) -> _Reader:
     return r
 
 
-def _cat1(t: Homomorphism, h: Homomorphism, validate: bool) -> PreCat1Group:
-    return cat1_group(t, h) if validate else PreCat1Group(t.source, t, h, image_of(t))
+def _pre_cat1(t: Homomorphism, h: Homomorphism) -> PreCat1Group:
+    return PreCat1Group(t.source, t, h, image_of(t))
 
 
 def parse_cat1(text: str, validate: bool = True) -> PreCat1Group:
@@ -188,7 +194,7 @@ def parse_cat1(text: str, validate: bool = True) -> PreCat1Group:
     G = parse_group(r)
     t, h = (_map(r, k, G, G) for k in ("t", "h"))
     r.end()
-    return _cat1(t, h, validate)
+    return cat1_group(t, h) if validate else _pre_cat1(t, h)
 
 
 def parse_cat2(text: str, validate: bool = True) -> PreCat2Group:
@@ -196,7 +202,7 @@ def parse_cat2(text: str, validate: bool = True) -> PreCat2Group:
     G = parse_group(r)
     maps = [_map(r, k, G, G) for k in ("t1", "h1", "t2", "h2")]
     r.end()
-    c1, c2 = _cat1(*maps[:2], validate), _cat1(*maps[2:], validate)
+    c1, c2 = _pre_cat1(*maps[:2]), _pre_cat1(*maps[2:])
     return cat2_group(c1, c2) if validate else PreCat2Group(G, c1, c2)
 
 

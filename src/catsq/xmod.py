@@ -1,18 +1,21 @@
 """Crossed modules of groups: the two axioms, standard constructions, morphisms.
 
 A crossed module is a boundary S -> R together with an explicit action of R on
-S satisfying equivariance and the Peiffer identity.  The dataclasses here only
-check shapes; the factory functions validate the axioms exhaustively and raise
-with a witness, while :func:`is_crossed_module` produces a per-axiom report
-for arbitrary candidate data.  :class:`ValidityReport` is the package's one
-axiom-report type (``is_crossed_module``, ``is_cat1_group``, ``is_cat2_group``,
-``is_crossed_square``); factories raise through :func:`_require`.
+S satisfying equivariance and the Peiffer identity.
+
+This module holds the package's one check mechanism.  Values and dataclasses
+check shapes; reports and certifying factories check axioms.  A report
+(``is_crossed_module``, ``is_cat1_group``, ``is_cat2_group``,
+``is_crossed_square``) is a :class:`ValidityReport` of :class:`AxiomCheck`
+lines, starting with one line per map and action from :func:`is_homomorphism`
+and :func:`is_action`.  A certifying factory raises through :func:`_require`
+with the name and witness of the first failing line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .groups import (
     GroupAction,
@@ -57,6 +60,53 @@ def _require(checks: Iterable[AxiomCheck], what: str) -> None:
             raise GroupError(f"{what}: {c.name} fails with witness {c.witness}")
 
 
+def _line(name: str, failures: Iterator[tuple]) -> AxiomCheck:
+    """The line ``name``: it fails with the first of ``failures``, if any."""
+    w = next(failures, None)
+    return AxiomCheck(name, w is None, w)
+
+
+def is_homomorphism(f: Homomorphism) -> AxiomCheck:
+    """f(g x) = f(g) f(x) for every generator g of the source and every x,
+    which pins every product; the witness is the first failing (g, x)."""
+    src, tgt, m = f.source, f.target, f.mapping
+    for g in src.generators:
+        fg = m[g]
+        for x in src.elements():
+            if m[src.mul(g, x)] != tgt.mul(fg, m[x]):
+                return AxiomCheck("homomorphism", False, (g, x))
+    return AxiomCheck("homomorphism", True)
+
+
+def is_action(a: GroupAction) -> AxiomCheck:
+    """Each generator g of the actor acts by an automorphism, and
+    g |> (q |> x) = (g q) |> x for every actor element q, which pins every
+    value.  The witness is the first failing (g, x, y) with
+    g |> (x y) != (g |> x)(g |> y), or (g, q)."""
+    P, S, perms = a.actor, a.space, a.perms
+    for g in P.generators or tuple(P.elements()):
+        pg = perms[g]
+        for x in S.elements():
+            gx = pg[x]
+            for y in S.elements():
+                if pg[S.mul(x, y)] != S.mul(gx, pg[y]):
+                    return AxiomCheck("action", False, (g, x, y))
+        for q in P.elements():
+            if perms[P.mul(g, q)] != tuple(pg[v] for v in perms[q]):
+                return AxiomCheck("action", False, (g, q))
+    return AxiomCheck("action", True)
+
+
+def _map_lines(maps: Iterable[tuple[str, Homomorphism]],
+               actions: Iterable[tuple[str, GroupAction]] = ()) -> tuple[AxiomCheck, ...]:
+    """The report lines "<name> is a homomorphism" and "<name> is an action"
+    of named maps and actions, with the witnesses of :func:`is_homomorphism`
+    and :func:`is_action`."""
+    named = ([(f"{n} is a homomorphism", is_homomorphism(f)) for n, f in maps]
+             + [(f"{n} is an action", is_action(a)) for n, a in actions])
+    return tuple(AxiomCheck(name, c.ok, c.witness) for name, c in named)
+
+
 @dataclass(frozen=True)
 class CrossedModule:
     """Boundary ``S -> R`` with an action of R on S (axioms via factories)."""
@@ -80,27 +130,20 @@ class CrossedModule:
 
 
 def is_crossed_module(X: CrossedModule) -> ValidityReport:
-    """Per-axiom report: equivariance and the Peiffer identity, exhaustively."""
+    """Per-axiom report: the boundary and action lines, then equivariance and
+    the Peiffer identity, exhaustively."""
+    lines = _map_lines([("boundary", X.boundary)], [("action", X.action)])
+    return ValidityReport(lines + _xmod_axioms(X))
+
+
+def _xmod_axioms(X: CrossedModule) -> tuple[AxiomCheck, AxiomCheck]:
+    """Equivariance and the Peiffer identity, with a witness when they fail."""
     S, R, b, act = X.source, X.range_, X.boundary.mapping, X.action.perms
-    equiv = AxiomCheck("equivariance", True)
-    for r in R.elements():
-        pr = act[r]
-        for s in S.elements():
-            if b[pr[s]] != R.conj(r, b[s]):
-                equiv = AxiomCheck("equivariance", False, (r, s))
-                break
-        if not equiv.ok:
-            break
-    peiffer = AxiomCheck("peiffer", True)
-    for s2 in S.elements():
-        pb = act[b[s2]]
-        for s1 in S.elements():
-            if pb[s1] != S.conj(s2, s1):
-                peiffer = AxiomCheck("peiffer", False, (s1, s2))
-                break
-        if not peiffer.ok:
-            break
-    return ValidityReport((equiv, peiffer))
+    Ss = S.elements()
+    return (_line("equivariance", ((r, s) for r in R.elements() for s in Ss
+                                   if b[act[r][s]] != R.conj(r, b[s]))),
+            _line("peiffer", ((s1, s2) for s2 in Ss for s1 in Ss
+                              if act[b[s2]][s1] != S.conj(s2, s1))))
 
 
 def crossed_module(source: GroupTable, range_: GroupTable, boundary: Homomorphism,
@@ -162,8 +205,7 @@ def central_extension_xmod(f: Homomorphism) -> CrossedModule:
 
 
 def direct_product_xmod(X1: CrossedModule, X2: CrossedModule) -> CrossedModule:
-    """Componentwise product; the product map and action are built unchecked,
-    and the crossed-module axioms are checked on them."""
+    """Componentwise product, checked by :func:`crossed_module`."""
     S = direct_product(X1.source, X2.source)
     R = direct_product(X1.range_, X2.range_)
     return crossed_module(S, R, product_hom(X1.boundary, X2.boundary, S, R),
@@ -188,25 +230,16 @@ class XModMorphism:
 
 
 def is_xmod_morphism(m: XModMorphism) -> ValidityReport:
+    """Per-axiom report: the sigma and rho lines, then the boundary square
+    and the compatibility of the actions."""
     X1, X2 = m.source, m.target
     sig, rho = m.sigma.mapping, m.rho.mapping
     b1, b2 = X1.boundary.mapping, X2.boundary.mapping
-    square = AxiomCheck("boundary-square", True)
-    for s in X1.source.elements():
-        if b2[sig[s]] != rho[b1[s]]:
-            square = AxiomCheck("boundary-square", False, (s,))
-            break
-    equivar = AxiomCheck("action-compatibility", True)
-    for r in X1.range_.elements():
-        p1 = X1.action.perms[r]
-        p2 = X2.action.perms[rho[r]]
-        for s in X1.source.elements():
-            if sig[p1[s]] != p2[sig[s]]:
-                equivar = AxiomCheck("action-compatibility", False, (r, s))
-                break
-        if not equivar.ok:
-            break
-    return ValidityReport((square, equivar))
+    a1, a2, Ss = X1.action.perms, X2.action.perms, X1.source.elements()
+    return ValidityReport(_map_lines([("sigma", m.sigma), ("rho", m.rho)]) + (
+        _line("boundary-square", ((s,) for s in Ss if b2[sig[s]] != rho[b1[s]])),
+        _line("action-compatibility", ((r, s) for r in X1.range_.elements() for s in Ss
+                                       if sig[a1[r][s]] != a2[rho[r]][sig[s]]))))
 
 
 def xmod_morphism(source: CrossedModule, target: CrossedModule,

@@ -9,10 +9,14 @@ independent action is stored.  The axiom checker tests every tuple of the
 tuple sets of up to three corners: |M|^2|N| + |M||N|^2 + |P||M||N| tuple
 tests for axioms 2 and 5, and fewer for axioms 3 and 4.
 
-Data is validated where it enters: :func:`crossed_square` (and every
-construction and parser built on it) runs the axiom checker and returns a
+Values and dataclasses check shapes; reports and certifying factories check
+axioms.  :class:`CrossedSquare` checks that its maps, actions and pairing
+fit its corners.  :func:`is_crossed_square` reports the seven map and action
+lines (kappa, lambda, mu, nu, actl, actm, actn), then the axioms.  Data is
+validated where it enters: :func:`crossed_square` (and every construction
+and parser built on it) requires every line and returns a
 :class:`ValidCrossedSquare`.  The two equivalence functors rely on the
-theorem XSq ~ Cat2 instead of re-checking their output:
+theorem XSq ~ Cat2 instead of checking their output:
 :func:`crossed_square_of_cat2` checks an input that is not a
 :class:`Cat2Group` and returns a certified square, and
 :func:`cat2_of_crossed_square` checks an input that is not certified and
@@ -21,7 +25,6 @@ then builds the cat2-group directly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, fields
 
 from .groups import (
@@ -30,7 +33,6 @@ from .groups import (
     GroupTable,
     Homomorphism,
     Subgroup,
-    _valid,
     action_by_hom,
     automorphism_group_as_table,
     compose,
@@ -50,7 +52,7 @@ from .groups import (
     trivial_action,
     trivial_hom,
 )
-from .xmod import AxiomCheck, CrossedModule, ValidityReport, is_crossed_module, _require
+from .xmod import CrossedModule, ValidityReport, _line, _map_lines, _require, _xmod_axioms
 from .cat1 import Cat1Group
 from .cat2 import Cat2Group, PreCat2Group, is_cat2_group
 
@@ -115,17 +117,20 @@ class ValidCrossedSquare(CrossedSquare):
 
 
 def is_crossed_square(X: CrossedSquare) -> ValidityReport:
-    """Per-axiom report; a witness is the first failing tuple in product order."""
+    """Per-axiom report, after one line per map and action; an axiom's
+    witness is the first failing tuple in product order.  The five
+    ``axiom1:*`` edge lines check equivariance and Peiffer only, since their
+    maps and actions are the seven checked first or built from them."""
     L, M, N, P = X.up_left, X.up_right, X.down_left, X.down_right
     kap, lam, mu, nu = (X.kappa.mapping, X.lambda_.mapping,
                         X.mu.mapping, X.nu.mapping)
     al, am, an = X.act_l.perms, X.act_m.perms, X.act_n.perms
     pairing = X.pairing
     Ls, Ms, Ns, Ps = L.elements(), M.elements(), N.elements(), P.elements()
-    checks: list[AxiomCheck] = []
-
-    w = next(((l,) for l in L.elements() if mu[kap[l]] != nu[lam[l]]), None)
-    checks.append(AxiomCheck("square-commutes", w is None, w))
+    checks = list(_map_lines(
+        [("kappa", X.kappa), ("lambda", X.lambda_), ("mu", X.mu), ("nu", X.nu)],
+        [("actl", X.act_l), ("actm", X.act_m), ("actn", X.act_n)]))
+    checks.append(_line("square-commutes", ((l,) for l in Ls if mu[kap[l]] != nu[lam[l]])))
 
     edges = (
         ("axiom1:kappa", CrossedModule(L, M, X.kappa, action_by_hom(X.mu, X.act_l))),
@@ -134,66 +139,32 @@ def is_crossed_square(X: CrossedSquare) -> ValidityReport:
         ("axiom1:nu", CrossedModule(N, P, X.nu, X.act_n)),
         ("axiom1:pi", CrossedModule(L, P, X.diagonal, X.act_l)),
     )
-    for name, xm in edges:
-        rep = is_crossed_module(xm)
-        bad = None if rep.ok else rep.failures()[0]
-        checks.append(AxiomCheck(name, rep.ok, None if bad is None else (bad.name,) + tuple(bad.witness)))
-
-    w = next(((p, l) for p in P.elements() for l in L.elements()
-              if kap[al[p][l]] != am[p][kap[l]]), None)
-    checks.append(AxiomCheck("axiom1:kappa-equivariant", w is None, w))
-    w = next(((p, l) for p in P.elements() for l in L.elements()
-              if lam[al[p][l]] != an[p][lam[l]]), None)
-    checks.append(AxiomCheck("axiom1:lambda-equivariant", w is None, w))
-
-    w = None
-    for m, m2, n in itertools.product(Ms, Ms, Ns):
-        pm = mu[m]
-        if pairing[M.mul(m, m2)][n] != L.mul(pairing[am[pm][m2]][an[pm][n]], pairing[m][n]):
-            w = (m, m2, n)
-            break
-    checks.append(AxiomCheck("axiom2:left", w is None, w))
-    w = None
-    for m, n, n2 in itertools.product(Ms, Ns, Ns):
-        pn = nu[n]
-        if pairing[m][N.mul(n, n2)] != L.mul(pairing[m][n], pairing[am[pn][m]][an[pn][n2]]):
-            w = (m, n, n2)
-            break
-    checks.append(AxiomCheck("axiom2:right", w is None, w))
-
-    w = None
-    for m, n in itertools.product(Ms, Ns):
-        if kap[pairing[m][n]] != M.mul(m, M.inv(am[nu[n]][m])):
-            w = (m, n)
-            break
-    checks.append(AxiomCheck("axiom3:kappa", w is None, w))
-    w = None
-    for m, n in itertools.product(Ms, Ns):
-        if lam[pairing[m][n]] != N.mul(an[mu[m]][n], N.inv(n)):
-            w = (m, n)
-            break
-    checks.append(AxiomCheck("axiom3:lambda", w is None, w))
-
-    w = None
-    for l, n in itertools.product(Ls, Ns):
-        if pairing[kap[l]][n] != L.mul(l, L.inv(al[nu[n]][l])):
-            w = (l, n)
-            break
-    checks.append(AxiomCheck("axiom4:kappa", w is None, w))
-    w = None
-    for m, l in itertools.product(Ms, Ls):
-        if pairing[m][lam[l]] != L.mul(al[mu[m]][l], L.inv(l)):
-            w = (m, l)
-            break
-    checks.append(AxiomCheck("axiom4:lambda", w is None, w))
-
-    w = None
-    for p, m, n in itertools.product(Ps, Ms, Ns):
-        if al[p][pairing[m][n]] != pairing[am[p][m]][an[p][n]]:
-            w = (p, m, n)
-            break
-    checks.append(AxiomCheck("axiom5", w is None, w))
-
+    checks += [_line(name, ((c.name,) + c.witness for c in _xmod_axioms(xm) if not c.ok))
+               for name, xm in edges]
+    checks += [
+        _line("axiom1:kappa-equivariant", ((p, l) for p in Ps for l in Ls
+                                           if kap[al[p][l]] != am[p][kap[l]])),
+        _line("axiom1:lambda-equivariant", ((p, l) for p in Ps for l in Ls
+                                            if lam[al[p][l]] != an[p][lam[l]])),
+        _line("axiom2:left", (
+            (m, m2, n) for m in Ms for m2 in Ms for n in Ns
+            if pairing[M.mul(m, m2)][n] != L.mul(pairing[am[mu[m]][m2]][an[mu[m]][n]],
+                                                 pairing[m][n]))),
+        _line("axiom2:right", (
+            (m, n, n2) for m in Ms for n in Ns for n2 in Ns
+            if pairing[m][N.mul(n, n2)] != L.mul(pairing[m][n],
+                                                 pairing[am[nu[n]][m]][an[nu[n]][n2]]))),
+        _line("axiom3:kappa", ((m, n) for m in Ms for n in Ns
+                               if kap[pairing[m][n]] != M.mul(m, M.inv(am[nu[n]][m])))),
+        _line("axiom3:lambda", ((m, n) for m in Ms for n in Ns
+                                if lam[pairing[m][n]] != N.mul(an[mu[m]][n], N.inv(n)))),
+        _line("axiom4:kappa", ((l, n) for l in Ls for n in Ns
+                               if pairing[kap[l]][n] != L.mul(l, L.inv(al[nu[n]][l])))),
+        _line("axiom4:lambda", ((m, l) for m in Ms for l in Ls
+                                if pairing[m][lam[l]] != L.mul(al[mu[m]][l], L.inv(l)))),
+        _line("axiom5", ((p, m, n) for p in Ps for m in Ms for n in Ns
+                         if al[p][pairing[m][n]] != pairing[am[p][m]][an[p][n]])),
+    ]
     return ValidityReport(tuple(checks))
 
 
@@ -300,8 +271,8 @@ def direct_product_xsq(X1: CrossedSquare, X2: CrossedSquare) -> ValidCrossedSqua
     """Componentwise product of two crossed squares.
 
     A factor that is not a :class:`ValidCrossedSquare` is checked first by
-    :func:`crossed_square`.  A product of crossed squares is one, so its
-    maps, actions and axioms are not re-checked.
+    :func:`crossed_square`.  A product of crossed squares is one, so the
+    product is certified without running the checker.
     """
     X1, X2 = _certified(X1), _certified(X2)
     L = direct_product(X1.up_left, X2.up_left)
@@ -325,7 +296,7 @@ def transpose_xsq(X: CrossedSquare) -> ValidCrossedSquare:
 
     An input that is not a :class:`ValidCrossedSquare` is checked first by
     :func:`crossed_square`.  The transpose of a crossed square is one, so
-    the result is not re-checked.
+    the result is certified without running the checker.
     """
     X = _certified(X)
     L = X.up_left
@@ -345,8 +316,9 @@ def crossed_square_of_cat2(C: PreCat2Group) -> ValidCrossedSquare:
     """Kernel/image corner square with restricted heads and commutator pairing.
 
     A :class:`Cat2Group` input is trusted; any other input is checked first
-    and rejected with the failing axiom.  The result is a crossed square by
-    the equivalence XSq ~ Cat2, so it is built without re-checking.
+    and rejected with the failing line.  The result is a crossed square by
+    the equivalence XSq ~ Cat2, so it is certified without running the
+    checker.
     """
     if not isinstance(C, Cat2Group):
         _require(is_cat2_group(C).checks, "not a cat2-group")
@@ -380,10 +352,10 @@ def cat2_of_crossed_square(X: CrossedSquare) -> Cat2Group:
 
     A :class:`ValidCrossedSquare` input is trusted; any other square is
     checked first by :func:`crossed_square`, which raises
-    :class:`GroupError` naming the failing axiom.  The result is a
+    :class:`GroupError` naming the failing line.  The result is a
     cat2-group by the equivalence XSq ~ Cat2, so its maps, the action of
-    M x| P on L x| N and the cat1 and cat2 structures are built without
-    re-checking.
+    M x| P on L x| N and the cat1 and cat2 structures are built with the
+    plain constructors and certified without running a checker.
     """
     X = _certified(X)
     L, M, N, P = X.up_left, X.up_right, X.down_left, X.down_right
@@ -410,7 +382,7 @@ def cat2_of_crossed_square(X: CrossedSquare) -> Cat2Group:
                     pn = ap_n[n]
                     perm[base + n] = L.mul(ml, row_m[pn]) * n_ord + pn
             perms.append(tuple(perm))
-    bigact = _valid(GroupAction, MP, LN, perms)
+    bigact = GroupAction(MP, LN, perms)
 
     G = semidirect_product(LN, MP, bigact, label=f"({LN.label}) x| ({MP.label})")
 
@@ -424,5 +396,5 @@ def cat2_of_crossed_square(X: CrossedSquare) -> Cat2Group:
         h1m.append(MP.mul(kap[l] * p_ord + nu[n], mp))
         t2m.append(n * rn + p)
         h2m.append(N.mul(lam[l], n) * rn + P.mul(mu[m], p))
-    t1, h1, t2, h2 = (_valid(Homomorphism, G, G, m) for m in (t1m, h1m, t2m, h2m))
+    t1, h1, t2, h2 = (Homomorphism(G, G, m) for m in (t1m, h1m, t2m, h2m))
     return Cat2Group(G, Cat1Group(G, t1, h1, image_of(t1)), Cat1Group(G, t2, h2, image_of(t2)))

@@ -218,7 +218,8 @@ def test_pre_cat2_accepts_pre_cat1_pairs():
 
 def test_is_cat2_group_report():
     names = [f"structure {n}: {c}" for n in (1, 2)
-             for c in ("t o h = h", "h o t = t", "[ker t, ker h] = 1")]
+             for c in ("t is a homomorphism", "h is a homomorphism",
+                       "t o h = h", "h o t = t", "[ker t, ker h] = 1")]
     names.append("commutation identities")
     for key in ((8, 3), (16, 11)):
         for C in all_cat2_groups(catalog.small_group(*key)):

@@ -8,9 +8,9 @@ from catsq import catalog
 from catsq.cat1 import all_cat1_groups
 from catsq.cat2 import all_cat2_groups, commutation_witness
 from catsq.cli import main
-from catsq.groups import idempotent_endomorphisms
+from catsq.groups import idempotent_endomorphisms, trivial_action
 from catsq.serialize import emit_cat1, emit_cat2, emit_xsq
-from catsq.xsq import crossed_square_of_cat2
+from catsq.xsq import crossed_square_of_cat2, trivial_action_crossed_square
 
 
 def run_cli(*args):
@@ -141,7 +141,9 @@ def test_check_cat1_identity_failures_name_witnesses(tmp_path, capsys):
     f.write_text(f"catsq 1 cat1\ngroup key 8 3\nt {_words(t)}\nh {_words(h)}\nend\n")
     assert main(["check", str(f)]) == 1
     lines = capsys.readouterr().out.strip().split("\n")
-    assert [l.split(":")[0] for l in lines] == ["t o h = h", "h o t = t", "[ker t, ker h] = 1"]
+    assert [l.split(":")[0] for l in lines] == ["t is a homomorphism", "h is a homomorphism",
+                                                "t o h = h", "h o t = t", "[ker t, ker h] = 1"]
+    assert lines[:2] == ["t is a homomorphism: pass", "h is a homomorphism: pass"]
     fails = [l for l in lines if "FAIL" in l]
     assert len(fails) >= 2
     assert all(re.search(r"FAIL witness \(\d+,( \d+)?\)$", l) for l in fails)
@@ -157,16 +159,20 @@ def test_check_cat2_reports_commutation_after_structure_failure(tmp_path, capsys
     assert main(["check", str(f)]) == 1
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines == [
+        "structure 1: t is a homomorphism: pass",
+        "structure 1: h is a homomorphism: pass",
         "structure 1: t o h = h: pass",
         "structure 1: h o t = t: pass",
-        lines[2],
+        lines[4],
+        "structure 2: t is a homomorphism: pass",
+        "structure 2: h is a homomorphism: pass",
         "structure 2: t o h = h: pass",
         "structure 2: h o t = t: pass",
         "structure 2: [ker t, ker h] = 1: pass",
         "commutation identities: pass",
     ]
     assert re.fullmatch(r"structure 1: \[ker t, ker h\] = 1: FAIL witness \(\d+, \d+\)",
-                        lines[2])
+                        lines[4])
 
 
 def _two_by_two_square():
@@ -258,13 +264,14 @@ def _noncommuting_pair():
 
 # name -> (well-formed file text that fails a check, the check the error names)
 INVALID = {
-    "cat2 map not a homomorphism": (_bijection_not_hom(), "not a homomorphism"),
+    "cat2 map not a homomorphism": (_bijection_not_hom(),
+                                    "structure 1: t is a homomorphism fails with witness ("),
     "cat2 kernel axiom": (_cat2_text((8, 4), [0] * 8, [0] * 8, range(8), range(8)),
                           "[ker t, ker h] = 1"),
     "cat2 commutation": (_noncommuting_pair(), "commutation identities"),
     "xsq action not by automorphisms": (
         _SQUARE.replace("\nactl 2\n0 1\n0 1\n", "\nactl 2\n0 1\n1 0\n"),
-        "does not act by an automorphism"),
+        "actl is an action fails with witness (1, 0, 0)"),
     "xsq pairing axiom": (_SQUARE.replace("\npairing 1\n0\n", "\npairing 1\n1\n"),
                           "not a crossed square: axiom"),
 }
@@ -282,6 +289,67 @@ def test_convert_rejects_invalid_input(tmp_path, capsys, name):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert check in captured.err, captured.err
+
+
+# on S3, t(2 * 3) = t(5) = 0 but t(2) t(3) = 1 * 0 = 1
+_S3_NOT_HOM = (0, 1, 1, 0, 0, 0)
+_S3_CAT1_LINES = ["t is a homomorphism: FAIL witness (2, 3)", "h is a homomorphism: pass",
+                  "t o h = h: FAIL witness (2,)", "h o t = t: pass", "[ker t, ker h] = 1: pass"]
+_XSQ_AXIOMS = ["square-commutes", "axiom1:kappa", "axiom1:lambda", "axiom1:mu", "axiom1:nu",
+               "axiom1:pi", "axiom1:kappa-equivariant", "axiom1:lambda-equivariant",
+               "axiom2:left", "axiom2:right", "axiom3:kappa", "axiom3:lambda",
+               "axiom4:kappa", "axiom4:lambda", "axiom5"]
+
+
+def _c5_square_bad_actl():
+    """The square C5 -> 1, 1 -> C2 with trivial actions, except that the
+    generator of C2 swaps 1 and 2 of C5: a permutation fixing 0 that is no
+    automorphism (those of C5 other than the identity fix 0 alone)."""
+    c1, c2, c5 = (catalog.small_group(n, 1) for n in (1, 2, 5))
+    text = emit_xsq(trivial_action_crossed_square(c5, c1, c1, c2, trivial_action(c2, c1),
+                                                  trivial_action(c2, c1)))
+    good = "\nactl 2\n0 1 2 3 4\n0 1 2 3 4\n"
+    assert good in text
+    return text.replace(good, "\nactl 2\n0 1 2 3 4\n0 2 1 3 4\n")
+
+
+# name -> (file text with one map or action failing its line,
+#          every line `check` prints, the one line `convert` prints or None)
+NOT_A_MAP = {
+    "cat1 t": (f"catsq 1 cat1\ngroup key 6 1\nt {_words(_S3_NOT_HOM)}\nh {_words(range(6))}\nend\n",
+               _S3_CAT1_LINES, None),
+    "cat2 t1": (_cat2_text((6, 1), _S3_NOT_HOM, range(6), range(6), range(6)),
+                [f"structure 1: {l}" for l in _S3_CAT1_LINES]
+                + [f"structure 2: {l}: pass" for l in ("t is a homomorphism", "h is a homomorphism",
+                                                      "t o h = h", "h o t = t",
+                                                      "[ker t, ker h] = 1")]
+                + ["commutation identities: pass"],
+                "error: a generating structure is not a cat1-group: "
+                "structure 1: t is a homomorphism fails with witness (2, 3)"),
+    "xsq actl": (_c5_square_bad_actl(),
+                 [f"{n} is a homomorphism: pass" for n in ("kappa", "lambda", "mu", "nu")]
+                 + ["actl is an action: FAIL witness (1, 1, 1)", "actm is an action: pass",
+                    "actn is an action: pass"]
+                 + [f"{n}: pass" for n in _XSQ_AXIOMS],
+                 "error: not a crossed square: actl is an action fails with witness (1, 1, 1)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_A_MAP))
+def test_check_reports_maps_and_actions_that_fail(tmp_path, capsys, name):
+    """A map that is no homomorphism, or an action row that is no
+    automorphism, fails its own line of the full report (exit status 1);
+    ``convert`` rejects the file naming that line and its witness."""
+    text, lines, error = NOT_A_MAP[name]
+    f = tmp_path / "bad.catsq"
+    f.write_text(text)
+    assert main(["check", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.split("\n") == lines + [""] and captured.err == ""
+    if error is not None:
+        assert main(["convert", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == error + "\n"
 
 
 def _valid_file(kind):

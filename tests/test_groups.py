@@ -42,6 +42,7 @@ from catsq.groups import (
     whole_subgroup,
 )
 from catsq.tables import HEAVY_KEYS
+from catsq.xmod import is_homomorphism
 
 
 # -- the per-tuple closure that the batched End(G) kernel replaced -------------
@@ -477,8 +478,11 @@ def test_subgroup_counts(d8):
 
 def test_hom_validation_rejects_non_hom(d8):
     a, b = d8.generators
-    with pytest.raises(GroupError):
-        Homomorphism(d8, d8, tuple([0] * 7 + [a]))
+    m = tuple([0] * 7 + [a])
+    check = is_homomorphism(Homomorphism(d8, d8, m))
+    g, x = check.witness
+    assert not check.ok and g in d8.generators
+    assert m[d8.mul(g, x)] != d8.mul(m[g], m[x])
     with pytest.raises(GroupError):
         hom_by_images(d8, d8, [a, d8.mul(a, b)])  # b -> ab breaks b^2 = 1
 

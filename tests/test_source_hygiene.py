@@ -1,7 +1,8 @@
 """Checks on the package source with the stdlib ``ast`` module: no module
 imports a name it never uses, every private top-level function and private
-module-level assigned name is referenced somewhere in the package, and only
-``groups`` chooses between a dense and a structural realization."""
+module-level assigned name is referenced somewhere in the package, only
+``groups`` chooses between a dense and a structural realization, and no
+dataclass constructor multiplies."""
 
 import ast
 from pathlib import Path
@@ -71,3 +72,15 @@ def test_realization_is_chosen_only_in_groups():
             outside += [f"{name}: {word}" for word in ("DENSE_CAP", "as_dense")
                         if word in _used_names(tree) | imported]
     assert outside == []
+
+
+def test_post_init_checks_shapes_only():
+    """No ``__post_init__`` calls ``mul``, ``conj`` or ``comm``: constructors
+    check shapes, and group-theoretic properties are report lines."""
+    calls = [f"{name}: {node.name} calls {call.func.attr}"
+             for name, tree in TREES.items() for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
+             for call in ast.walk(node)
+             if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+             and call.func.attr in ("mul", "conj", "comm")]
+    assert calls == []

@@ -1,6 +1,11 @@
 import pytest
 
 from catsq import catalog
+from catsq.cat1 import PreCat1Group, all_cat1_groups, cat1_group, from_general_form, general_form
+from catsq.cat2 import all_cat2_groups, cat2_group, cat2_morphism
+from catsq.cli import _cat1_from_maps
+from catsq.serialize import parse_cat1
+from catsq.xsq import crossed_square, trivial_action_crossed_square
 from catsq.groups import (
     DenseGroup,
     GroupAction,
@@ -10,6 +15,7 @@ from catsq.groups import (
     automorphism_group_as_table,
     hom_by_images,
     identity_hom,
+    image_of,
     isomorphism_between,
     subgroup_generated,
     trivial_action,
@@ -23,7 +29,9 @@ from catsq.xmod import (
     conjugation_xmod,
     crossed_module,
     direct_product_xmod,
+    is_action,
     is_crossed_module,
+    is_homomorphism,
     is_xmod_morphism,
     xmod_morphism,
     zero_boundary_xmod,
@@ -165,3 +173,58 @@ def test_xmod_morphism_validation(d8):
     with pytest.raises(GroupError, match="boundary-square"):
         xmod_morphism(X, triv_target, trivial_hom(X.source, triv_target.source),
                       identity_hom(d8))
+
+
+def test_certifying_factories_name_the_failing_map_line():
+    """Every factory that takes maps or actions from callers or files
+    requires their lines, and raises naming the first failing line with the
+    witness of :func:`is_homomorphism` or :func:`is_action`."""
+    s3, c1, c2, c5 = (catalog.small_group(*k) for k in ((6, 1), (1, 1), (2, 1), (5, 1)))
+    bad = Homomorphism(s3, s3, (0, 1, 1, 0, 0, 0))  # t(2 * 3) = 0, t(2) t(3) = 1
+    ident = identity_hom(s3)
+    w = is_homomorphism(bad).witness
+    assert w == (2, 3)
+    # C2 on C5 with the generator swapping 1 and 2: no automorphism of C5
+    bad_act = GroupAction(c2, c5, ((0, 1, 2, 3, 4), (0, 2, 1, 3, 4)))
+    assert is_action(bad_act).witness == (1, 1, 1)
+    assert is_action(trivial_action(c2, c5)).ok and is_homomorphism(ident).ok
+
+    gf = general_form(next(C for C in all_cat1_groups(s3) if C.range_.order == 2))
+    c3 = s3.element_orders().index(3)
+    bad_e = Homomorphism(gf.embedding.source, s3, (0, c3))  # e(1)^2 != e(1 * 1) = 0
+    Y = conjugation_xmod(subgroup_generated(s3, [c3]), s3)
+    bad_sigma = Homomorphism(Y.source, Y.source, (0, 1, 1))
+    square = trivial_action_crossed_square(c5, c1, c1, c2, trivial_action(c2, c1),
+                                           trivial_action(c2, c1))
+    A = all_cat2_groups(s3)[0]
+    cases = [
+        (lambda: cat1_group(bad, ident),
+         f"not a cat1-group: t is a homomorphism fails with witness {w}"),
+        (lambda: parse_cat1("catsq 1 cat1\ngroup key 6 1\nt 0 1 1 0 0 0\nh 0 1 2 3 4 5\nend\n"),
+         f"not a cat1-group: t is a homomorphism fails with witness {w}"),
+        (lambda: _cat1_from_maps((6, 1), (ident.mapping, bad.mapping)),
+         f"not a cat1-group: h is a homomorphism fails with witness {w}"),
+        (lambda: from_general_form(bad_e, gf.tail, gf.head),
+         "not a cat1-group: e is a homomorphism fails with witness "
+         f"{is_homomorphism(bad_e).witness}"),
+        (lambda: cat2_group(PreCat1Group(s3, bad, ident, image_of(bad)), A.c1),
+         f"structure 1: t is a homomorphism fails with witness {w}"),
+        (lambda: cat2_morphism(A, A, bad),
+         f"not a cat2 morphism: gamma is a homomorphism fails with witness {w}"),
+        (lambda: crossed_module(c5, c2, trivial_hom(c5, c2), bad_act),
+         "not a crossed module: action is an action fails with witness (1, 1, 1)"),
+        (lambda: crossed_module(Y.source, Y.source, bad_sigma, trivial_action(Y.source, Y.source)),
+         "not a crossed module: boundary is a homomorphism fails with witness "
+         f"{is_homomorphism(bad_sigma).witness}"),
+        (lambda: xmod_morphism(Y, Y, bad_sigma, identity_hom(s3)),
+         "not a crossed module morphism: sigma is a homomorphism fails with witness "
+         f"{is_homomorphism(bad_sigma).witness}"),
+        (lambda: crossed_square(square.up_left, square.up_right, square.down_left,
+                                square.down_right, square.kappa, square.lambda_, square.mu,
+                                square.nu, bad_act, square.act_m, square.act_n, square.pairing),
+         "not a crossed square: actl is an action fails with witness (1, 1, 1)"),
+    ]
+    for build, message in cases:
+        with pytest.raises(GroupError) as exc:
+            build()
+        assert message in str(exc.value)

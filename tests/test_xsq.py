@@ -6,7 +6,6 @@ from catsq import catalog, cli, xsq
 from catsq.groups import (
     GroupAction,
     GroupError,
-    Homomorphism,
     group_from_permutation_generators,
     hom_by_images,
     intersection,
@@ -27,6 +26,7 @@ from catsq.cat2 import (
     transpose_cat2,
 )
 from catsq.serialize import emit_xsq
+from catsq.xmod import is_action, is_homomorphism
 from catsq.xsq import (
     CrossedSquare,
     ValidCrossedSquare,
@@ -333,28 +333,28 @@ def forward_squares():
 
 
 def test_forward_functor_maps_and_actions_pass_the_checking_constructors(forward_squares):
-    """The functor builds its output unchecked; the checking constructors are
-    the oracle for the boundary maps and actions (the five axioms are the
-    acceptance sweep's)."""
+    """The functor builds its output with the plain constructors;
+    :func:`is_homomorphism` and :func:`is_action` are the oracle for the
+    boundary maps and actions (the five axioms are the acceptance sweep's)."""
     assert len(forward_squares) == 6198
     for _, _, X in forward_squares:
         assert isinstance(X, ValidCrossedSquare)
         for f in (X.kappa, X.lambda_, X.mu, X.nu):
-            Homomorphism(f.source, f.target, f.mapping)
+            assert is_homomorphism(f).ok
         for act in (X.act_l, X.act_m, X.act_n):
-            GroupAction(act.actor, act.space, act.perms)
+            assert is_action(act).ok
 
 
 def _check_cat2(C):
     assert is_cat2_group(C).ok
     for c in (C.c1, C.c2):
         for f in (c.tail, c.head):
-            Homomorphism(f.source, f.target, f.mapping)
+            assert is_homomorphism(f).ok
     G = C.group
     if G.realization == "dense":
         verify_group_axioms(G)
     else:
-        GroupAction(G.action.actor, G.action.space, G.action.perms)
+        assert is_action(G.action).ok
 
 
 def test_reverse_functor_output_passes_the_checks(forward_squares, xs1):
