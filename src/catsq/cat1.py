@@ -6,8 +6,10 @@ h o t = t and [ker t, ker h] = 1 (the identities force im t = im h), each
 reported with a witness by :func:`is_cat1_group` after the lines that t and
 h are homomorphisms.  The endomorphism form is canonical; the embedding form
 (e; t, h : G -> R) is a view converted on input and output.  Enumeration
-runs over idempotent endomorphisms and lists ordered pairs in lexicographic
-order of their concatenated map arrays.
+pairs the rows of the sorted idempotent array of the End(G) pass with array
+tests of both axioms at once, and lists ordered pairs in lexicographic order
+of their concatenated map arrays; the k x 2n tail|head array is one gather
+from the same rows.
 Classification conjugates the k x 2n array of all tail|head maps by each
 Aut(G) generator at once, which gives one permutation of the k positions per
 generator; :func:`_orbit_families` (min-label propagation with pointer
@@ -26,6 +28,8 @@ from .groups import (
     GroupTable,
     Homomorphism,
     Subgroup,
+    _endomorphism_maps,
+    _np_table,
     automorphism_generators,
     all_homomorphisms,
     compose,
@@ -168,32 +172,47 @@ def general_form(C: Cat1Group) -> Cat1GeneralForm:
 # -- enumeration and classification -------------------------------------------
 
 
+def _cat1_pairs(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (tails, heads) of the idempotent array of every cat1 structure,
+    in lexicographic order of (tail, head); read-only intp arrays.
+
+    An idempotent fixes exactly its image, so t o h = h and h o t = t hold
+    for a pair of idempotents precisely when their fixed-point sets are
+    equal: neither has a point outside the other.  [ker t, ker h] = 1 fails
+    exactly when ker t x ker h meets the mask NC of non-commuting element
+    pairs.  Both are counted for all pairs at once by products of 0/1
+    matrices, ``fixed @ (1 - fixed).T`` and ``ker @ NC @ ker.T``.
+    ``np.nonzero`` lists the pairs in C order, which is lexicographic
+    because the idempotent array is.
+    """
+    if "cat1_pairs" not in G._cache:
+        I = _endomorphism_maps(G)[0]
+        T = _np_table(G)
+        # the counts stay below 2**24, so float32 products are exact
+        fixed = (I == np.arange(G.order)).astype(np.float32)
+        ker = (I == 0).astype(np.float32)
+        outside = fixed @ (1 - fixed).T
+        clash = ker @ (T != T.T).astype(np.float32) @ ker.T
+        pairs = np.nonzero((outside == 0) & (outside.T == 0) & (clash == 0))
+        for a in pairs:
+            a.flags.writeable = False  # the cached arrays are shared with every caller
+        G._cache["cat1_pairs"] = pairs
+    return G._cache["cat1_pairs"]
+
+
 def all_cat1_groups(G: GroupTable) -> list[Cat1Group]:
     """Every cat1 structure (t, h) on G, ordered pairs, lexicographic order.
 
-    Since idempotents fix exactly their image, t o h = h and h o t = t hold
-    for a pair of idempotents precisely when the two images coincide; pairs
-    are then filtered by the kernel-commutator axiom.
+    The structures are the index pairs of :func:`_cat1_pairs` over
+    :func:`idempotent_endomorphisms`; the structures with one tail share
+    one range subgroup, its image.
     """
     require_dense(G)
     if "cat1s" not in G._cache:
         ies = idempotent_endomorphisms(G)
-        kers = [tuple(x for x, v in enumerate(f.mapping) if v == 0) for f in ies]
-        by_image: dict[frozenset, list[int]] = {}
-        for i, f in enumerate(ies):
-            by_image.setdefault(frozenset(f.mapping), []).append(i)
-        commute_cache: dict[tuple, Optional[tuple]] = {}
-        out = []
-        for i, f in enumerate(ies):
-            mates = by_image[frozenset(f.mapping)]
-            for j in mates:
-                key = (kers[i], kers[j])
-                if key not in commute_cache:
-                    commute_cache[key] = _kernels_commute(G, kers[i], kers[j])
-                if commute_cache[key] is None:
-                    rng = image_of(f)
-                    out.append(Cat1Group(G, f, ies[j], rng))
-        G._cache["cat1s"] = out
+        ranges = [image_of(f) for f in ies]
+        G._cache["cat1s"] = [Cat1Group(G, ies[i], ies[j], ranges[i])
+                             for i, j in zip(*(a.tolist() for a in _cat1_pairs(G)))]
     return list(G._cache["cat1s"])
 
 
@@ -205,10 +224,14 @@ class Cat1Classification:
 
 
 def _cat1_array(G: GroupTable) -> np.ndarray:
-    """The k x 2n array of tail|head maps, one row per cat1 structure."""
+    """The k x 2n array of tail|head maps, one row per cat1 structure, in
+    the order of :func:`all_cat1_groups`: one gather from the idempotent
+    array.  Read-only."""
     if "cat1_array" not in G._cache:
-        G._cache["cat1_array"] = np.array(
-            [c.tail.mapping + c.head.mapping for c in all_cat1_groups(G)], dtype=np.intp)
+        I = _endomorphism_maps(G)[0].astype(np.intp)
+        TH = I[np.stack(_cat1_pairs(G), axis=1)].reshape(-1, 2 * G.order)
+        TH.flags.writeable = False  # the cached array is shared with every caller
+        G._cache["cat1_array"] = TH
     return G._cache["cat1_array"]
 
 

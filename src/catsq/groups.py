@@ -553,7 +553,8 @@ def normal_subgroups(G: GroupTable) -> tuple[Subgroup, ...]:
 @dataclass(frozen=True)
 class Homomorphism:
     """A map ``source -> target`` as its image tuple; the constructor checks
-    the shape, :func:`catsq.xmod.is_homomorphism` the homomorphism property."""
+    the shape and that every image is an element of ``target``,
+    :func:`catsq.xmod.is_homomorphism` the homomorphism property."""
 
     source: GroupTable
     target: GroupTable
@@ -566,6 +567,9 @@ class Homomorphism:
             raise GroupError("mapping length must equal the source order")
         if m and m[0] != 0:
             raise GroupError("a homomorphism must send identity to identity")
+        if m and not 0 <= min(m) <= max(m) < self.target.order:
+            bad = next(v for v in m if not 0 <= v < self.target.order)
+            raise GroupError(f"image {bad} lies outside 0..{self.target.order - 1}")
 
     def __call__(self, x: int) -> int:
         return self.mapping[x]
@@ -658,6 +662,13 @@ def _cayley_tree(G: GroupTable) -> tuple[list[tuple[int, int, int]], np.ndarray]
     return G._cache["cayley"]
 
 
+def _np_table(H: GroupTable) -> np.ndarray:
+    """The multiplication table of a dense ``H`` as an intp array (memoized)."""
+    if "np_table" not in H._cache:
+        H._cache["np_table"] = np.array(require_dense(H).table, dtype=np.intp)
+    return H._cache["np_table"]
+
+
 def _hom_blocks(G: GroupTable, H: GroupTable,
                 cands: Sequence[Sequence[int]]) -> Iterator[np.ndarray]:
     """The homomorphisms G -> H with generator images drawn from ``cands``.
@@ -665,31 +676,32 @@ def _hom_blocks(G: GroupTable, H: GroupTable,
     ``cands[e]`` lists the allowed images of ``G.generators[e]``.  Image
     tuples are taken in ``itertools.product`` order, ``_BLOCK_ROWS`` at a
     time, and each block yields the mapping arrays of its homomorphisms as
-    rows, in that order.  A row is built along :func:`_cayley_tree` and kept
-    only if every right Cayley edge (x, g) has ``f(x g) = f(x) f(g)``.
+    rows, in that order.  A block is held as (order x rows), one map per
+    column, so each step f(y) = f(parent) f(via) along :func:`_cayley_tree`
+    writes one contiguous row; a map is kept only if every right Cayley
+    edge (x, g) has ``f(x g) = f(x) f(g)``.
     """
     tree, right = _cayley_tree(G)
-    if "np_table" not in H._cache:
-        H._cache["np_table"] = np.array(require_dense(H).table, dtype=np.intp)
-    T = H._cache["np_table"]
+    T = _np_table(H).ravel()  # read flat: H[a, b] = T[a * |H| + b]
     cands = [np.asarray(c, dtype=np.intp) for c in cands]
     total = math.prod(len(c) for c in cands)
     for start in range(0, total, _BLOCK_ROWS):
         rows = min(_BLOCK_ROWS, total - start)
         # mixed-radix digits of start + 0..rows-1, the last generator fastest
-        images = np.empty((rows, len(cands)), dtype=np.intp)
+        images = np.empty((len(cands), rows), dtype=np.intp)
         carry, rest = np.arange(rows), start
         for e in reversed(range(len(cands))):
             rest, low = divmod(rest, len(cands[e]))
             carry, digit = np.divmod(carry + low, len(cands[e]))
-            images[:, e] = cands[e][digit]
-        M = np.zeros((rows, G.order), dtype=np.intp)
+            images[e] = cands[e][digit]
+        M = np.zeros((G.order, rows), dtype=np.intp)
         for y, parent, via in tree:
-            M[:, y] = T[M[:, parent], images[:, via]]
+            M[y] = T[M[parent] * H.order + images[via]]
+        MH = M * H.order
         ok = np.ones(rows, dtype=bool)
         for e in range(len(cands)):
-            ok &= (M[:, right[:, e]] == T[M, images[:, e:e + 1]]).all(axis=1)
-        yield M[ok]
+            ok &= (M[right[:, e]] == T[MH + images[e]]).all(axis=0)
+        yield M[:, ok].T
 
 
 def _order_candidates(G: GroupTable, H: GroupTable, fits) -> list[list[int]]:
@@ -813,8 +825,11 @@ def automorphism_generators(G: GroupTable) -> list[Homomorphism]:
             frontier = np.array([a])
             known[a] = True
             while frontier.size:
-                reached = np.unique(np.concatenate([g[frontier] for g in gens.values()]))
-                frontier = reached[~known[reached]]
+                # a hit mask, not np.unique, which imports numpy.ma on first use
+                hit = np.zeros(len(A), dtype=bool)
+                for g in gens.values():
+                    hit[g[frontier]] = True
+                frontier = np.flatnonzero(hit & ~known)
                 known[frontier] = True
         G._cache["aut_gens"] = tuple(Homomorphism(G, G, A[a].tolist()) for a in gens)
     return list(G._cache["aut_gens"])
@@ -842,9 +857,14 @@ class GroupAction:
         ident = tuple(S.elements())
         if self.perms[0] != ident:
             raise GroupError("the identity must act trivially")
+        points = set(ident)
         for p in self.perms:
-            if len(p) != S.order or len(set(p)) != S.order:
-                raise GroupError("actor images must be permutations of the space")
+            if len(p) != S.order or set(p) != points:
+                extra, missing = set(p) - points, points - set(p)
+                what = (f"has length {len(p)}, not {S.order}" if len(p) != S.order
+                        else f"has {min(extra)}" if extra else f"misses {min(missing)}")
+                raise GroupError("actor images must be permutations of the space: "
+                                 f"row {self.perms.index(p)} {what}")
 
 
 def trivial_action(actor: GroupTable, space: GroupTable) -> GroupAction:

@@ -40,12 +40,18 @@ def _ints(words) -> list[int]:
 
 
 def _map(r: "_Reader", name: str, G: GroupTable, H: GroupTable) -> Homomorphism:
-    """The ``name`` line as a map G -> H; each value must be an element of H."""
+    """The ``name`` line as a map G -> H; each value must be an element of H.
+
+    The constructor checks the range; only a rejected map is scanned again,
+    so that an entry outside H is reported under the map's name."""
     m = _ints(r.expect(name))
-    if m and not 0 <= min(m) <= max(m) < H.order:
-        bad = next(v for v in m if not 0 <= v < H.order)
-        raise FormatError(f"map {name} has entry {bad} outside 0..{H.order - 1}")
-    return Homomorphism(G, H, m)
+    try:
+        return Homomorphism(G, H, m)
+    except GroupError:
+        if m and not 0 <= min(m) <= max(m) < H.order:
+            bad = next(v for v in m if not 0 <= v < H.order)
+            raise FormatError(f"map {name} has entry {bad} outside 0..{H.order - 1}") from None
+        raise
 
 
 def _section(r: "_Reader", keyword: str, count: int, n: int) -> tuple[tuple[int, ...], ...]:

@@ -45,6 +45,7 @@ from catsq.groups import (
     trivial_hom,
 )
 from catsq.cat1 import (
+    _cat1_array,
     all_cat1_groups,
     cat1_group,
     cat1_isomorphism_classes,
@@ -520,13 +521,17 @@ def test_criterion_7_oracle_equivalence_fast():
                 if got != literal:
                     problems.append(f"literal filter differs for {ka} -> {kb}")
 
-    # cat1 and cat2 enumerations against the naive loops, order <= 16
+    # the cat1 enumeration and its tail|head array against the naive loop
+    # over pairs of idempotents on every light group, and the cat2
+    # enumeration against its naive loop up to order 16.  The loop also
+    # counts the same-image pairs that fail only the kernel axiom.
+    kernel_rejects = {}
     for order, gid in catalog.catalog_keys():
-        if order > 16 or (order, gid) in HEAVY_KEYS:
+        if (order, gid) in HEAVY_KEYS:
             continue
         G = catalog.small_group(order, gid)
         ies = idempotent_endomorphisms(G)
-        naive1 = []
+        naive1, rejects = [], 0
         for t in ies:
             for h in ies:
                 tm, hm = t.mapping, h.mapping
@@ -536,13 +541,23 @@ def test_criterion_7_oracle_equivalence_fast():
                     kh = [x for x in G.elements() if hm[x] == 0]
                     if all(G.mul(a, b) == G.mul(b, a) for a in kt for b in kh):
                         naive1.append((tm, hm))
-        if naive1 != [c.key() for c in all_cat1_groups(G)]:
-            problems.append(f"cat1 naive loop differs on {order}/{gid}")
+                    else:
+                        rejects += 1
+        kernel_rejects[(order, gid)] = rejects
         cat1s = all_cat1_groups(G)
+        if naive1 != [c.key() for c in cat1s]:
+            problems.append(f"cat1 naive loop differs on {order}/{gid}")
+        if _cat1_array(G).tolist() != [list(c.tail.mapping + c.head.mapping) for c in cat1s]:
+            problems.append(f"cat1 array differs from the structures on {order}/{gid}")
+        if order > 16:
+            continue
         naive2 = [(i, j) for i in range(len(cat1s)) for j in range(i, len(cat1s))
                   if commutation_witness(cat1s[i], cat1s[j]) is None]
         if naive2 != cat2_pair_indices(G):
             problems.append(f"cat2 naive loop differs on {order}/{gid}")
+    seen = {k: kernel_rejects[k] for k in ((24, 14), (27, 3), (28, 3))}
+    if seen != {(24, 14): 461, (27, 3): 73, (28, 3): 47}:
+        problems.append(f"same-image pairs failing the kernel axiom: {seen}")
 
     _verdict(7, "oracle equivalence", problems)
 

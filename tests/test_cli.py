@@ -19,6 +19,20 @@ def run_cli(*args):
     return proc
 
 
+def test_table_imports_no_numpy_module_beyond_catsq():
+    """In a fresh interpreter, the table pipeline imports no numpy module
+    that ``import catsq`` did not.  (``np.unique`` without ``return_*``
+    flags imports numpy.ma, about 19 ms, on numpy 2.4.)"""
+    code = ("import sys, catsq\n"
+            "before = {m for m in sys.modules if m.startswith('numpy')}\n"
+            "from catsq import tables\n"
+            "tables.build_table()\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy') and m not in before))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_table_csv_header(capsys):
     assert main(["table", "--max-order", "6"]) == 0
     out = capsys.readouterr().out

@@ -174,11 +174,12 @@ def test_pair_scan_without_aut_generators():
 
 def test_shared_memo_arrays_are_read_only():
     G = fresh_copy(catalog.small_group(8, 3))
-    shared = (*groups._endomorphism_maps(G), cat1_structure_orbit_maps(G))
+    shared = (*groups._endomorphism_maps(G), *cat1._cat1_pairs(G), _cat1_array(G),
+              cat1_structure_orbit_maps(G))
     for A in shared:
         before = A.copy()
         with pytest.raises(ValueError):
-            A[0, 0] = 1
+            A[(0,) * A.ndim] = 1
         with pytest.raises(ValueError):
             A[...] = 0
         assert np.array_equal(A, before)

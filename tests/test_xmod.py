@@ -228,3 +228,22 @@ def test_certifying_factories_name_the_failing_map_line():
         with pytest.raises(GroupError) as exc:
             build()
         assert message in str(exc.value)
+
+
+def test_constructors_reject_values_outside_the_groups():
+    """A report can only index maps and actions whose values are elements,
+    so the constructors reject any other value and name it; is_homomorphism
+    and is_action never see one."""
+    c2, c3 = catalog.small_group(2, 1), catalog.small_group(3, 1)
+    with pytest.raises(GroupError, match=r"image 5 lies outside 0\.\.1"):
+        is_homomorphism(Homomorphism(c2, c2, (0, 5)))
+    with pytest.raises(GroupError, match=r"image -1 lies outside 0\.\.2"):
+        Homomorphism(c3, c3, (0, -1, 1))
+    with pytest.raises(GroupError, match="permutations of the space: row 1 has 7"):
+        is_action(GroupAction(c2, c3, ((0, 1, 2), (0, 1, 7))))
+    with pytest.raises(GroupError, match="permutations of the space: row 1 misses 2"):
+        GroupAction(c2, c3, ((0, 1, 2), (0, 1, 1)))
+    with pytest.raises(GroupError, match="permutations of the space: row 1 has length 2, not 3"):
+        GroupAction(c2, c3, ((0, 1, 2), (0, 1)))
+    assert is_homomorphism(Homomorphism(c2, c3, (0, 0))).ok
+    assert is_action(GroupAction(c2, c3, ((0, 1, 2), (0, 2, 1)))).ok
