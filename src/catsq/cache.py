@@ -1,11 +1,12 @@
-"""On-disk cache of per-group enumeration results.
+"""On-disk cache of the per-group table row.
 
-One file per catalog key holds the cat1 structure maps, both family
-partitions, the cat2 pair list, and the bad-diagonal class count.  Writes are
-atomic (temp file + rename).  Reads validate the format version and a group
+One file per catalog key holds the row of :mod:`catsq.tables`: the
+idempotent-endomorphism count, the cat1 and cat2 structure and class counts,
+and the bad-diagonal class count, on one ``counts`` line.  Writes are atomic
+(temp file + rename).  Reads validate the format version and a group
 fingerprint (order plus idempotent-endomorphism count) before trusting the
-payload; any problem raises a distinct, recoverable error so callers can fall
-back to recomputation.
+counts; any problem, a file in an older layout included, raises a distinct,
+recoverable error so callers can fall back to recomputation.
 """
 
 from __future__ import annotations
@@ -39,21 +40,21 @@ class CacheFormatError(CacheMiss):
 
 @dataclass(frozen=True)
 class GroupData:
-    """The cacheable computation result for one catalog group."""
+    """The table row of one catalog group, as cached."""
 
     order: int
     gid: int
     ie_count: int
-    cat1_maps: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    cat1_families: tuple[tuple[int, ...], ...]
-    cat2_pairs: tuple[tuple[int, int], ...]
-    cat2_families: tuple[tuple[int, ...], ...]
+    cat1_count: int
+    cat1_classes: int
+    cat2_count: int
+    cat2_classes: int
     bad_diagonals: int
 
     @property
     def counts(self) -> tuple[int, int, int, int, int]:
-        return (self.ie_count, len(self.cat1_maps), len(self.cat1_families),
-                len(self.cat2_pairs), len(self.cat2_families))
+        return (self.ie_count, self.cat1_count, self.cat1_classes,
+                self.cat2_count, self.cat2_classes)
 
 
 def resolve_cache_dir(explicit: Optional[str]) -> Optional[Path]:
@@ -68,24 +69,9 @@ def cache_path(cache_dir: Path, order: int, gid: int) -> Path:
 
 
 def emit_group_data(data: GroupData) -> str:
-    lines = [f"catsq {FORMAT_VERSION} cache"]
-    lines.append(f"group key {data.order} {data.gid}")
-    lines.append(f"fingerprint {data.order} {data.ie_count}")
-    lines.append(f"cat1 {len(data.cat1_maps)}")
-    for t, h in data.cat1_maps:
-        lines.append(" ".join(str(v) for v in t) + " " + " ".join(str(v) for v in h))
-    lines.append(f"cat1-families {len(data.cat1_families)}")
-    for fam in data.cat1_families:
-        lines.append(" ".join(str(p + 1) for p in fam))
-    lines.append(f"cat2 {len(data.cat2_pairs)}")
-    for i, j in data.cat2_pairs:
-        lines.append(f"{i + 1} {j + 1}")
-    lines.append(f"cat2-families {len(data.cat2_families)}")
-    for fam in data.cat2_families:
-        lines.append(" ".join(str(p + 1) for p in fam))
-    lines.append(f"bad-diagonals {data.bad_diagonals}")
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    counts = " ".join(map(str, (*data.counts, data.bad_diagonals)))
+    return (f"catsq {FORMAT_VERSION} cache\ngroup key {data.order} {data.gid}\n"
+            f"fingerprint {data.order} {data.ie_count}\ncounts {counts}\nend\n")
 
 
 def parse_group_data(text: str) -> GroupData:
@@ -99,33 +85,19 @@ def parse_group_data(text: str) -> GroupData:
         words = r.expect("group")
         order, gid = _ints(words[1:3])
         forder, ie = _ints(r.expect("fingerprint"))
-        n1 = _ints(r.expect("cat1"))[0]
-        cat1_maps = []
-        half = order
-        for _ in range(n1):
-            vals = _ints(r.next().split())
-            if len(vals) != 2 * half:
-                raise CacheFormatError("cat1 map line has the wrong length")
-            cat1_maps.append((tuple(vals[:half]), tuple(vals[half:])))
-        k1 = _ints(r.expect("cat1-families"))[0]
-        cat1_fams = tuple(tuple(v - 1 for v in _ints(r.next().split())) for _ in range(k1))
-        n2 = _ints(r.expect("cat2"))[0]
-        cat2_pairs = []
-        for _ in range(n2):
-            i, j = _ints(r.next().split())
-            cat2_pairs.append((i - 1, j - 1))
-        k2 = _ints(r.expect("cat2-families"))[0]
-        cat2_fams = tuple(tuple(v - 1 for v in _ints(r.next().split())) for _ in range(k2))
-        bad = _ints(r.expect("bad-diagonals"))[0]
+        words = r.expect("counts")
+        if len(words) != 6 or not all(w.isdecimal() for w in words):
+            raise CacheFormatError(f"line {r.pos}: {r.lines[r.pos - 1]!r} does not "
+                                   "hold six non-negative integers")
+        counts = _ints(words)
         r.end()
     except CacheMiss:
         raise
     except (FormatError, ValueError, IndexError) as exc:
         raise CacheFormatError(str(exc)) from exc
-    if forder != order:
-        raise CacheFingerprintError("fingerprint order does not match the group key")
-    return GroupData(order, gid, ie, tuple(cat1_maps), cat1_fams,
-                     tuple(cat2_pairs), cat2_fams, bad)
+    if (forder, ie) != (order, counts[0]):
+        raise CacheFingerprintError("fingerprint does not match the group key and counts")
+    return GroupData(order, gid, *counts)
 
 
 def write_group_data(cache_dir: Path, data: GroupData) -> Path:

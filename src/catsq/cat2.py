@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .cat1 import (
     is_cat1_group,
     pre_cat1_by_endomorphisms,
 )
-from .xmod import AxiomCheck, ValidityReport, _map_lines, _require
+from .xmod import AxiomCheck, ValidityReport, _line, _map_lines, _require
 
 
 @dataclass(frozen=True)
@@ -90,26 +90,24 @@ class Cat2Group(PreCat2Group):
     """Both generating structures are cat1-groups."""
 
 
-def commutation_witness(c1: PreCat1Group, c2: PreCat1Group) -> Optional[tuple[str, int]]:
-    """First violated commutation identity, as (name, element), or None."""
+def _noncommuting(c1: PreCat1Group, c2: PreCat1Group) -> Iterator[tuple[str, int]]:
+    """Each violated commutation identity, as (name, element), in order."""
     t1, h1 = c1.tail.mapping, c1.head.mapping
     t2, h2 = c2.tail.mapping, c2.head.mapping
-    for name, a, b in (("t1 o t2 = t2 o t1", t1, t2),
-                       ("h1 o h2 = h2 o h1", h1, h2),
-                       ("t1 o h2 = h2 o t1", t1, h2),
-                       ("t2 o h1 = h1 o t2", t2, h1)):
-        for x in range(len(a)):
-            if a[b[x]] != b[a[x]]:
-                return (name, x)
-    return None
+    return ((name, x) for name, a, b in (("t1 o t2 = t2 o t1", t1, t2),
+                                         ("h1 o h2 = h2 o h1", h1, h2),
+                                         ("t1 o h2 = h2 o t1", t1, h2),
+                                         ("t2 o h1 = h1 o t2", t2, h1))
+            for x in range(len(a)) if a[b[x]] != b[a[x]])
 
 
-_COMMUTE = AxiomCheck("commutation identities", True)
+def commutation_witness(c1: PreCat1Group, c2: PreCat1Group) -> Optional[tuple[str, int]]:
+    """First violated commutation identity, as (name, element), or None."""
+    return next(_noncommuting(c1, c2), None)
 
 
 def _commutation_check(c1: PreCat1Group, c2: PreCat1Group) -> AxiomCheck:
-    w = commutation_witness(c1, c2)
-    return _COMMUTE if w is None else AxiomCheck("commutation identities", False, w)
+    return _line("commutation identities", _noncommuting(c1, c2))
 
 
 def is_cat2_group(C: PreCat2Group) -> ValidityReport:

@@ -9,10 +9,10 @@ from pathlib import Path
 from typing import Optional
 
 from . import catalog
-from .cache import GroupData, resolve_cache_dir
-from .cat1 import Cat1Group, cat1_group, is_cat1_group
-from .cat2 import Cat2Group, cat2_group, is_cat2_group
-from .groups import GroupError, Homomorphism
+from .cache import resolve_cache_dir
+from .cat1 import cat1_isomorphism_classes, is_cat1_group
+from .cat2 import cat2_isomorphism_classes, is_cat2_group
+from .groups import GroupError
 from .serialize import (
     detect_kind,
     emit_cat1,
@@ -22,20 +22,8 @@ from .serialize import (
     parse_cat2,
     parse_xsq,
 )
-from .tables import build_table, check_rows, format_table, group_data
+from .tables import build_table, check_rows, format_table
 from .xsq import cat2_of_crossed_square, crossed_square_of_cat2, is_crossed_square
-
-
-def _cat1_from_maps(order_gid, maps) -> Cat1Group:
-    G = catalog.small_group(*order_gid)
-    t, h = maps
-    return cat1_group(Homomorphism(G, G, t), Homomorphism(G, G, h))
-
-
-def _cat2_from_data(order_gid, data: GroupData, pair) -> Cat2Group:
-    i, j = pair
-    return cat2_group(_cat1_from_maps(order_gid, data.cat1_maps[i]),
-                      _cat1_from_maps(order_gid, data.cat1_maps[j]))
 
 
 def cmd_table(args) -> int:
@@ -60,27 +48,21 @@ def cmd_inspect(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     key = (args.order, args.gid)
-    data = group_data(args.order, args.gid, resolve_cache_dir(args.cache_dir))
-    families = data.cat1_families if args.kind == "cat1" else data.cat2_families
-    count = len(families)
-
-    def rep(k: int):
-        pos = families[k][0]
-        if args.kind == "cat1":
-            return _cat1_from_maps(key, data.cat1_maps[pos])
-        return _cat2_from_data(key, data, data.cat2_pairs[pos])
+    classify = cat1_isomorphism_classes if args.kind == "cat1" else cat2_isomorphism_classes
+    cls = classify(catalog.small_group(*key))
+    count = len(cls.families)
 
     if args.selector == "count":
         print(count)
         return 0
     if args.selector == "families":
         print(f"families {count}")
-        for fam in families:
+        for fam in cls.families:
             print(" ".join(str(p + 1) for p in fam))
         return 0
     if args.selector == "classes":
-        for k in range(count):
-            _print_rep(args.kind, rep(k), key)
+        for rep in cls.representatives:
+            _print_rep(args.kind, rep, key)
         return 0
     try:
         index = int(args.selector)
@@ -92,7 +74,7 @@ def cmd_inspect(args) -> int:
         print(f"error: index {index} out of range; there are {count} classes "
               f"for ({args.order},{args.gid})", file=sys.stderr)
         return 2
-    _print_rep(args.kind, rep(index - 1), key)
+    _print_rep(args.kind, cls.representatives[index - 1], key)
     return 0
 
 
@@ -181,7 +163,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     p.add_argument("gid", type=int)
     p.add_argument("selector",
                    help="1-based class index, or 'count', 'classes', 'families'")
-    p.add_argument("--cache-dir", default=None)
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("convert", help="convert serialized cat2 <-> crossed square")

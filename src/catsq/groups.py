@@ -649,16 +649,23 @@ def hom_by_images(G: GroupTable, H: GroupTable,
 _BLOCK_ROWS = 1024
 
 
-def _cayley_tree(G: GroupTable) -> tuple[list[tuple[int, int, int]], np.ndarray]:
+def _cayley_tree(G: GroupTable) -> tuple[list[tuple[int, int, int]], list[tuple]]:
     """Breadth-first spanning tree of the right Cayley graph of ``G``.
 
-    Returns ``(tree, right)`` with ``right[x, e] = x * gens[e]``; ``tree`` lists
-    each ``x != 0`` after its parent as ``(x, parent, via)``, x = parent * gens[via].
+    Returns ``(tree, edges)``.  ``tree`` lists each ``x != 0`` after its
+    parent as ``(x, parent, via)``, x = parent * gens[via].  ``edges[e]`` is
+    ``(xs, xs * gens[e])``, where ``xs`` are the x whose edge (x, gens[e]) is
+    not on the tree, as intp arrays.
     """
     if "cayley" not in G._cache:
-        right = np.array([[G.mul(x, g) for g in G.generators] for x in G.elements()],
-                         dtype=np.intp)
-        G._cache["cayley"] = (_spanning_tree(right.tolist(), G.label), right)
+        right = [[G.mul(x, g) for g in G.generators] for x in G.elements()]
+        tree = _spanning_tree(right, G.label)
+        right = np.array(right, dtype=np.intp)
+        off_tree = np.ones(right.shape, dtype=bool)
+        for _, parent, via in tree:
+            off_tree[parent, via] = False
+        edges = [(xs, right[xs, e]) for e, xs in enumerate(map(np.flatnonzero, off_tree.T))]
+        G._cache["cayley"] = (tree, edges)
     return G._cache["cayley"]
 
 
@@ -678,10 +685,11 @@ def _hom_blocks(G: GroupTable, H: GroupTable,
     time, and each block yields the mapping arrays of its homomorphisms as
     rows, in that order.  A block is held as (order x rows), one map per
     column, so each step f(y) = f(parent) f(via) along :func:`_cayley_tree`
-    writes one contiguous row; a map is kept only if every right Cayley
-    edge (x, g) has ``f(x g) = f(x) f(g)``.
+    writes one contiguous row.  The tree edges hold by construction; a map
+    is kept only if every other right Cayley edge (x, g) has
+    ``f(x g) = f(x) f(g)``.
     """
-    tree, right = _cayley_tree(G)
+    tree, edges = _cayley_tree(G)
     T = _np_table(H).ravel()  # read flat: H[a, b] = T[a * |H| + b]
     cands = [np.asarray(c, dtype=np.intp) for c in cands]
     total = math.prod(len(c) for c in cands)
@@ -697,10 +705,9 @@ def _hom_blocks(G: GroupTable, H: GroupTable,
         M = np.zeros((G.order, rows), dtype=np.intp)
         for y, parent, via in tree:
             M[y] = T[M[parent] * H.order + images[via]]
-        MH = M * H.order
         ok = np.ones(rows, dtype=bool)
-        for e in range(len(cands)):
-            ok &= (M[right[:, e]] == T[MH + images[e]]).all(axis=0)
+        for e, (xs, ys) in enumerate(edges):
+            ok &= (M[ys] == T[M[xs] * H.order + images[e]]).all(axis=0)
         yield M[:, ok].T
 
 
@@ -748,8 +755,9 @@ def _endomorphism_maps(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
 def idempotent_endomorphisms(G: GroupTable) -> list[Homomorphism]:
     """All f: G -> G with f o f = f, in canonical (lexicographic) order.
 
-    Every row of the End(G) pass passed each right Cayley edge check of
-    :func:`_hom_blocks`.
+    Every row of the End(G) pass respects each right Cayley edge: the tree
+    edges of :func:`_cayley_tree` by construction, the others by the check
+    of :func:`_hom_blocks`.
     """
     require_dense(G)
     if "idempotents" not in G._cache:

@@ -2,9 +2,11 @@
 
 Each catalog group gets a row of five counts (idempotent endomorphisms, cat1
 structures, cat1 classes, cat2 structures, cat2 classes) plus the number of
-cat2 classes whose diagonal fails to be a cat1-group.  The reference table is
-embedded verbatim for the check flag; cyclic groups are covered by the closed
-forms (2^m structures for m distinct prime factors, all classes singletons).
+cat2 classes whose diagonal fails to be a cat1-group, read off the
+classifiers; :func:`group_data` can keep each row in :mod:`catsq.cache`.
+The reference table is embedded verbatim for the check flag; cyclic groups
+are covered by the closed forms (2^m structures for m distinct prime
+factors, all classes singletons).
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from typing import Optional
 
 from . import catalog
 from .cache import CacheMiss, GroupData, read_group_data, write_group_data
-from .cat1 import all_cat1_groups, cat1_isomorphism_classes
-from .cat2 import cat2_isomorphism_classes, cat2_pair_indices, non_cat1_diagonal_count
+from .cat1 import cat1_isomorphism_classes
+from .cat2 import cat2_isomorphism_classes, non_cat1_diagonal_count
 from .groups import idempotent_endomorphisms
 
 HEAVY_KEYS = frozenset({(16, 14), (27, 5)})
@@ -152,20 +154,13 @@ class ClassificationRow:
 
 
 def compute_group_data(order: int, gid: int) -> GroupData:
-    """Enumerate and classify everything for one catalog group."""
+    """The table row of one catalog group, read off the classifiers."""
     G = catalog.small_group(order, gid)
-    ie = len(idempotent_endomorphisms(G))
-    cat1s = all_cat1_groups(G)
     cls1 = cat1_isomorphism_classes(G)
-    pairs = cat2_pair_indices(G)
-    return GroupData(
-        order, gid, ie,
-        tuple((c.tail.mapping, c.head.mapping) for c in cat1s),
-        cls1.families,
-        tuple(pairs),
-        cat2_isomorphism_classes(G).families,
-        non_cat1_diagonal_count(G),
-    )
+    cls2 = cat2_isomorphism_classes(G)
+    return GroupData(order, gid, len(idempotent_endomorphisms(G)),
+                     len(cls1.structures), len(cls1.families),
+                     cls2.total, len(cls2.families), non_cat1_diagonal_count(G))
 
 
 def group_data(order: int, gid: int, cache_dir: Optional[Path] = None) -> GroupData:

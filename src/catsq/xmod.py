@@ -14,6 +14,7 @@ with the name and witness of the first failing line.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -63,7 +64,10 @@ def _require(checks: Iterable[AxiomCheck], what: str) -> None:
 def _line(name: str, failures: Iterator[tuple]) -> AxiomCheck:
     """The line ``name``: it fails with the first of ``failures``, if any."""
     w = next(failures, None)
-    return AxiomCheck(name, w is None, w)
+    return _passing(name, True) if w is None else AxiomCheck(name, False, w)
+
+
+_passing = functools.cache(AxiomCheck)  # a passing line has no witness: one per name
 
 
 def is_homomorphism(f: Homomorphism) -> AxiomCheck:

@@ -1,3 +1,4 @@
+import hashlib
 import re
 import subprocess
 import sys
@@ -103,6 +104,52 @@ def test_inspect_classes_lists_all(capsys):
     assert main(["inspect", "cat1", "8", "3", "classes"]) == 0
     out = capsys.readouterr().out
     assert out.count("catsq 1 cat1") == 3
+
+
+# sha256 of the stdout of `catsq inspect KIND ORDER ID SELECTOR`, recorded
+# when the command still rebuilt its representatives from the cache payload;
+# a regression pin for the representatives and families of both classifiers
+INSPECT_SHA256 = {
+    ("cat1", 8, 3, "count"): "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
+    ("cat1", 8, 3, "families"): "c9accbcb2aa6fb795357702b0e8f0ecd5a5f5f2934edc33341cf39b01a22e76e",
+    ("cat1", 8, 3, "classes"): "a22c601a03f8789c4786cc1ca4ffd87dec8bb084dcbf0151a776d9b5585083bb",
+    ("cat1", 8, 3, "1"): "2e6ea76152df23ee4ea739d98289a9a610dbbf6639ac29f19dd865339c3c0aa2",
+    ("cat2", 8, 3, "count"): "06e9d52c1720fca412803e3b07c4b228ff113e303f4c7ab94665319d832bbfb7",
+    ("cat2", 8, 3, "families"): "4a494c972fd4dbbac0c8b08b76d3ae353510ab6710ab7da89a3dbfbd85e1526e",
+    ("cat2", 8, 3, "classes"): "c7ae86efed0923d313bae128357cd8a937f4b2b23fc80c62d1ec2b5a18313f1b",
+    ("cat2", 8, 3, "1"): "85b9af5a5d100b14a8cacfc993737191053b636a0199f4c19e80f8876ca84b47",
+    ("xsq", 8, 3, "count"): "06e9d52c1720fca412803e3b07c4b228ff113e303f4c7ab94665319d832bbfb7",
+    ("xsq", 8, 3, "families"): "4a494c972fd4dbbac0c8b08b76d3ae353510ab6710ab7da89a3dbfbd85e1526e",
+    ("xsq", 8, 3, "classes"): "9c97a31a9e406f05807824ea0042b033d3256de9160478773c6d8ffcdbd487a5",
+    ("xsq", 8, 3, "1"): "9b3274abe276ee0c00c04518833827d61927d3e69f1f07bfe0962fb68992602e",
+    ("cat1", 16, 11, "count"): "2e6d31a5983a91251bfae5aefa1c0a19d8ba3cf601d0e8a706b4cfa9661a6b8a",
+    ("cat1", 16, 11, "families"): "a8afc821fc09a84f787ab85bce42d478f2f69f435179665a2f7b15b67f9b286c",
+    ("cat1", 16, 11, "classes"): "5f9fec7fc8c45f736979c36f39438c5842f1b0ed6f7c6c1e4489a737c05fda36",
+    ("cat1", 16, 11, "1"): "c426a6c75409e7381694ef6357ad38fc4094d70f2922242b1ffbd32514d2a569",
+    ("cat2", 16, 11, "count"): "3840bc236ee03aacbb1ef7d5108ddfa347c59f10b68d4174affbb53140f31273",
+    ("cat2", 16, 11, "families"): "39428d1cfb55ff3e12cb11de0b1973a0fdd2d0646880d5dd5e2d8f24931b44ce",
+    ("cat2", 16, 11, "classes"): "a941b2ff43c160ace9cb0dd1a33bd949a1979b675f6b580cd2d7c0b2bf61b455",
+    ("cat2", 16, 11, "1"): "ffa4b368ac41e2f9055cf0d5a54c2a86f9ad8fd3c1ad69483bb74ec8e63f1d15",
+    ("xsq", 16, 11, "count"): "3840bc236ee03aacbb1ef7d5108ddfa347c59f10b68d4174affbb53140f31273",
+    ("xsq", 16, 11, "families"): "39428d1cfb55ff3e12cb11de0b1973a0fdd2d0646880d5dd5e2d8f24931b44ce",
+    ("xsq", 16, 11, "classes"): "7c7585258b294954b15db2b3e1c887c55644961771c1957bfafeb38cf3e74abf",
+    ("xsq", 16, 11, "1"): "91754a1410a73d884c003072d8607ae029ab9482753bb0bd30a2c23a598f7a91",
+}
+
+
+def test_inspect_output_pinned(capsys):
+    got = {}
+    for kind, order, gid, selector in INSPECT_SHA256:
+        assert main(["inspect", kind, str(order), str(gid), selector]) == 0
+        got[kind, order, gid, selector] = hashlib.sha256(
+            capsys.readouterr().out.encode()).hexdigest()
+    assert got == INSPECT_SHA256
+
+
+def test_inspect_has_no_cache_option(capsys):
+    with pytest.raises(SystemExit):
+        main(["inspect", "cat1", "8", "3", "count", "--cache-dir", "x"])
+    assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
 
 
 def test_convert_round_trip(tmp_path, capsys):

@@ -84,18 +84,12 @@ def test_group_data_round_trip():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.data())
-def test_group_data_round_trip_random(data):
-    n = data.draw(st.integers(1, 6))
-    k = data.draw(st.integers(0, 5))
-    maps = tuple(
-        (tuple(data.draw(st.integers(0, n - 1)) for _ in range(n)),
-         tuple(data.draw(st.integers(0, n - 1)) for _ in range(n)))
-        for _ in range(k))
-    fam1 = tuple((i,) for i in range(k))
-    pairs = tuple((i, i) for i in range(k))
-    gd = GroupData(n, 1, k, maps, fam1, pairs, fam1, data.draw(st.integers(0, 3)))
-    assert parse_group_data(emit_group_data(gd)) == gd
+@given(st.integers(1, 30), st.integers(1, 15), st.lists(st.integers(0, 10**6), min_size=6, max_size=6))
+def test_group_data_round_trip_random(order, gid, counts):
+    gd = GroupData(order, gid, *counts)
+    text = emit_group_data(gd)
+    assert len(text.splitlines()) == 5
+    assert parse_group_data(text) == gd
 
 
 def test_cache_write_read(tmp_path):
@@ -155,6 +149,38 @@ def test_stale_cache_triggers_recompute(tmp_path):
     # and the rewritten entry is valid again
     again = read_group_data(tmp_path, 8, 3, expected_ie=10)
     assert again == fresh
+
+
+def test_cache_counts_line_must_hold_six_counts(tmp_path):
+    data = compute_group_data(8, 3)
+    path = write_group_data(tmp_path, data)
+    text = path.read_text()
+    assert text.splitlines()[3] == "counts 10 9 3 21 6 1"
+    for bad in ("counts 10 9 3 21 6", "counts 10 9 3 21 6 1 7", "counts 10 9 3 21 -6 1",
+                "counts 10 9 3 21 six 1", "counts"):
+        path.write_text(text.replace("counts 10 9 3 21 6 1", bad))
+        with pytest.raises(CacheFormatError, match=f"line 4: {bad!r} does not hold six"):
+            read_group_data(tmp_path, 8, 3, expected_ie=10)
+    # the counts must agree with the fingerprint
+    path.write_text(text.replace("counts 10 ", "counts 11 "))
+    with pytest.raises(CacheFingerprintError):
+        read_group_data(tmp_path, 8, 3, expected_ie=10)
+
+
+def test_old_layout_cache_entry_recomputed(tmp_path):
+    """An entry that stores the whole enumeration, as earlier versions
+    wrote it, is a miss: group_data recomputes it and writes the row."""
+    old = ("catsq 1 cache\ngroup key 6 1\nfingerprint 6 5\ncat1 1\n"
+           "0 1 2 3 4 5 0 1 2 3 4 5\ncat1-families 1\n1\ncat2 1\n1 1\n"
+           "cat2-families 1\n1\nbad-diagonals 0\nend\n")
+    path = tmp_path / "6_1.catsq"
+    path.write_text(old)
+    with pytest.raises(CacheFormatError, match="expected a 'counts' line"):
+        read_group_data(tmp_path, 6, 1, expected_ie=5)
+    data = group_data(6, 1, cache_dir=tmp_path)
+    assert data == compute_group_data(6, 1)
+    assert path.read_text() == emit_group_data(data)
+    assert read_group_data(tmp_path, 6, 1, expected_ie=5) == data
 
 
 def test_cached_equals_computed(tmp_path):

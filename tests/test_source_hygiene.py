@@ -1,8 +1,9 @@
 """Checks on the package source with the stdlib ``ast`` module: no module
 imports a name it never uses, every private top-level function and private
 module-level assigned name is referenced somewhere in the package, only
-``groups`` chooses between a dense and a structural realization, and no
-dataclass constructor multiplies."""
+``groups`` chooses between a dense and a structural realization, only
+``tables`` and ``cli`` import the result cache, and no dataclass constructor
+multiplies."""
 
 import ast
 from pathlib import Path
@@ -72,6 +73,24 @@ def test_realization_is_chosen_only_in_groups():
             outside += [f"{name}: {word}" for word in ("DENSE_CAP", "as_dense")
                         if word in _used_names(tree) | imported]
     assert outside == []
+
+
+def test_cache_is_imported_only_by_tables_and_cli():
+    """``catsq.cache`` is reached through ``tables.group_data`` and
+    ``table --cache-dir`` alone, so that deleting it touches two modules."""
+    importers = set()
+    for name, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                modules = ([node.module] if node.module
+                           else [alias.name for alias in node.names])
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(m.split(".")[-1] == "cache" for m in modules):
+                importers.add(name)
+    assert importers == {"tables.py", "cli.py"}
 
 
 def test_post_init_checks_shapes_only():

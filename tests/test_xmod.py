@@ -3,7 +3,6 @@ import pytest
 from catsq import catalog
 from catsq.cat1 import PreCat1Group, all_cat1_groups, cat1_group, from_general_form, general_form
 from catsq.cat2 import all_cat2_groups, cat2_group, cat2_morphism
-from catsq.cli import _cat1_from_maps
 from catsq.serialize import parse_cat1
 from catsq.xsq import crossed_square, trivial_action_crossed_square
 from catsq.groups import (
@@ -202,7 +201,7 @@ def test_certifying_factories_name_the_failing_map_line():
          f"not a cat1-group: t is a homomorphism fails with witness {w}"),
         (lambda: parse_cat1("catsq 1 cat1\ngroup key 6 1\nt 0 1 1 0 0 0\nh 0 1 2 3 4 5\nend\n"),
          f"not a cat1-group: t is a homomorphism fails with witness {w}"),
-        (lambda: _cat1_from_maps((6, 1), (ident.mapping, bad.mapping)),
+        (lambda: cat1_group(ident, bad),
          f"not a cat1-group: h is a homomorphism fails with witness {w}"),
         (lambda: from_general_form(bad_e, gf.tail, gf.head),
          "not a cat1-group: e is a homomorphism fails with witness "
