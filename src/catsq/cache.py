@@ -121,7 +121,11 @@ def read_group_data(cache_dir: Path, order: int, gid: int,
     path = cache_path(cache_dir, order, gid)
     if not path.exists():
         raise CacheMiss(f"no cache entry at {path}")
-    data = parse_group_data(path.read_text())
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CacheFormatError(f"unreadable cache entry {path}: {exc}") from exc
+    data = parse_group_data(text)
     if (data.order, data.gid) != (order, gid):
         raise CacheFingerprintError("cache entry is for a different group")
     if data.ie_count != expected_ie:

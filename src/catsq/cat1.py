@@ -13,12 +13,15 @@ from the same rows.
 Classification conjugates the k x 2n array of all tail|head maps by each
 Aut(G) generator at once, which gives one permutation of the k positions per
 generator; :func:`_orbit_families` (min-label propagation with pointer
-jumping) turns such permutations into orbits, for the cat2 classes too.
+jumping) turns such permutations into orbits, for the cat2 classes too.  The
+memoized classification holds positions and the total; the structure objects
+are built only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -154,6 +157,16 @@ def general_form(C: Cat1Group) -> Cat1GeneralForm:
 # -- enumeration and classification -------------------------------------------
 
 
+def _noncommuting_mask(G: GroupTable) -> np.ndarray:
+    """The float32 0/1 mask of element pairs (a, b) with ab != ba; read-only."""
+    if "nc_mask" not in G._cache:
+        T = _np_table(G)
+        NC = (T != T.T).astype(np.float32)
+        NC.flags.writeable = False  # the cached array is shared with every caller
+        G._cache["nc_mask"] = NC
+    return G._cache["nc_mask"]
+
+
 def _cat1_pairs(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     """Rows (tails, heads) of the idempotent array of every cat1 structure,
     in lexicographic order of (tail, head); read-only intp arrays.
@@ -169,12 +182,11 @@ def _cat1_pairs(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     """
     if "cat1_pairs" not in G._cache:
         I = _endomorphism_maps(G)[0]
-        T = _np_table(G)
         # the counts stay below 2**24, so float32 products are exact
         fixed = (I == np.arange(G.order)).astype(np.float32)
         ker = (I == 0).astype(np.float32)
         outside = fixed @ (1 - fixed).T
-        clash = ker @ (T != T.T).astype(np.float32) @ ker.T
+        clash = ker @ _noncommuting_mask(G) @ ker.T
         pairs = np.nonzero((outside == 0) & (outside.T == 0) & (clash == 0))
         for a in pairs:
             a.flags.writeable = False  # the cached arrays are shared with every caller
@@ -200,9 +212,24 @@ def all_cat1_groups(G: GroupTable) -> list[Cat1Group]:
 
 @dataclass(frozen=True)
 class Cat1Classification:
-    structures: tuple[Cat1Group, ...]
-    representatives: tuple[Cat1Group, ...]
+    """The Aut(G)-orbits of the cat1 structures on ``group``, as positions.
+
+    ``families`` and ``total`` come from the arrays; the structure objects
+    are built only when ``structures`` or ``representatives`` is read.
+    """
+
+    group: GroupTable
     families: tuple[tuple[int, ...], ...]  # 0-based positions per class
+    total: int
+
+    @cached_property
+    def structures(self) -> tuple[Cat1Group, ...]:
+        return tuple(all_cat1_groups(self.group))
+
+    @cached_property
+    def representatives(self) -> tuple[Cat1Group, ...]:
+        """The least member of each family."""
+        return tuple(self.structures[f[0]] for f in self.families)
 
 
 def _cat1_array(G: GroupTable) -> np.ndarray:
@@ -272,11 +299,15 @@ def _orbit_families(n: int, perms) -> tuple[tuple[int, ...], ...]:
 
 
 def cat1_isomorphism_classes(G: GroupTable) -> Cat1Classification:
-    """Aut(G)-orbits of cat1 structures; least member per orbit represents."""
-    cat1s = all_cat1_groups(G)
-    families = _orbit_families(len(cat1s), cat1_structure_orbit_maps(G))
-    reps = tuple(cat1s[f[0]] for f in families)
-    return Cat1Classification(tuple(cat1s), reps, families)
+    """Aut(G)-orbits of cat1 structures, read off the orbit maps of the
+    structure array and memoized; the cat2 pair scan takes its orbit
+    representatives from the same families."""
+    require_dense(G)
+    if "cat1_classes" not in G._cache:
+        k = len(_cat1_pairs(G)[0])
+        families = _orbit_families(k, cat1_structure_orbit_maps(G))
+        G._cache["cat1_classes"] = Cat1Classification(G, families, k)
+    return G._cache["cat1_classes"]
 
 
 # -- the equivalence with crossed modules --------------------------------------

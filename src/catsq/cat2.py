@@ -12,7 +12,9 @@ all orbits at once, one breadth-first level at a time.  Isomorphism
 classification computes orbits under Aut(G) combined with the orientation
 swap: each Aut(G) generator permutes the sorted pair codes, and the families
 come from the same array orbit routine as the cat1 classes (min-label
-propagation with pointer jumping).
+propagation with pointer jumping).  The classification holds positions and
+builds its representatives only when they are read; the diagonal probe of
+:func:`non_cat1_diagonal_count` tests all representatives in one array pass.
 """
 
 from __future__ import annotations
@@ -41,8 +43,10 @@ from .cat1 import (
     _cat1_array,
     _intertwines,
     _kernel_check,
+    _noncommuting_mask,
     _orbit_families,
     all_cat1_groups,
+    cat1_isomorphism_classes,
     cat1_structure_orbit_maps,
     is_cat1_group,
     pre_cat1_by_endomorphisms,
@@ -154,8 +158,9 @@ def diagonal_pre_cat1(C: PreCat2Group) -> tuple[PreCat1Group, bool, Optional[tup
 # -- enumeration ---------------------------------------------------------------
 
 
-def cat2_pair_indices(G: GroupTable) -> list[tuple[int, int]]:
-    """Index pairs (i <= j) of commuting cat1 structures, canonical order.
+def _cat2_codes(G: GroupTable) -> np.ndarray:
+    """The sorted codes i*k + j of the index pairs (i <= j) of commuting cat1
+    structures, k being the cat1 count; the pair scan.
 
     Commutation is invariant under Aut(G), so only the least structure of
     each cat1 orbit is tested against all k structures.  The partner lists
@@ -164,13 +169,13 @@ def cat2_pair_indices(G: GroupTable) -> list[tuple[int, int]]:
     transport), one level at a time: each structure first reached as
     sigma(x) takes the partners of x, moved by sigma, in one gather per level.
     """
-    if "cat2pairs" not in G._cache:
+    if "cat2codes" not in G._cache:
         n = G.order
         TH = _cat1_array(G)
         k = len(TH)
         T, H = TH[:, :n], TH[:, n:]
         sigmas = cat1_structure_orbit_maps(G)
-        level = np.array([f[0] for f in _orbit_families(k, sigmas)])
+        level = np.array([f[0] for f in cat1_isomorphism_classes(G).families])
         partners = []
         for t, h in zip(T[level], H[level]):
             # row j compares (representative) o (structure j) with the reverse
@@ -192,12 +197,18 @@ def cat2_pair_indices(G: GroupTable) -> list[tuple[int, int]]:
             back = J[-1][np.repeat(starts - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())]
             I.append(np.repeat(level, deg))
             J.append(sigmas[np.repeat(via, deg), back])
-        # the codes i*k + j of the pairs i <= j, sorted; the classes reuse them
         i, j = np.concatenate(I), np.concatenate(J)
         codes = np.sort((i * k + j)[i <= j])
+        codes.flags.writeable = False  # the cached array is shared with every caller
         G._cache["cat2codes"] = codes
-        G._cache["cat2pairs"] = list(zip(*(a.tolist() for a in np.divmod(codes, k))))
-    return list(G._cache["cat2pairs"])
+    return G._cache["cat2codes"]
+
+
+def cat2_pair_indices(G: GroupTable) -> list[tuple[int, int]]:
+    """Index pairs (i <= j) of commuting cat1 structures, canonical order:
+    the pair codes of :func:`_cat2_codes`, decoded."""
+    k = len(_cat1_array(G))
+    return list(zip(*(a.tolist() for a in np.divmod(_cat2_codes(G), k))))
 
 
 def all_cat2_groups(G: GroupTable) -> list[Cat2Group]:
@@ -212,24 +223,40 @@ def all_cat2_groups(G: GroupTable) -> list[Cat2Group]:
 
 @dataclass(frozen=True)
 class Cat2Classification:
-    representatives: tuple[Cat2Group, ...]
+    """The classes of the cat2 structures on ``group``, as positions in the
+    enumeration of :func:`all_cat2_groups`; the representatives are built
+    only when read."""
+
+    group: GroupTable
     families: tuple[tuple[int, ...], ...]  # 0-based positions per class
     total: int
 
+    @cached_property
+    def representatives(self) -> tuple[Cat2Group, ...]:
+        """The least member of each family."""
+        cat1s = all_cat1_groups(self.group)
+        return tuple(Cat2Group(self.group, cat1s[i], cat1s[j])
+                     for i, j in zip(*(a.tolist() for a in _least_pairs(self))))
+
+
+def _least_pairs(cls: Cat2Classification) -> tuple[np.ndarray, np.ndarray]:
+    """The cat1 positions (i, j) of the least member of each family."""
+    TH = _cat1_array(cls.group)
+    return np.divmod(_cat2_codes(cls.group)[[f[0] for f in cls.families]], len(TH))
+
 
 def cat2_isomorphism_classes(G: GroupTable) -> Cat2Classification:
-    """Orbits of Aut(G) x orientation-swap on the cat2 enumeration.
+    """Orbits of Aut(G) x orientation-swap on the cat2 enumeration; memoized.
 
     Stored pairs are already swap-canonical, so each generator of Aut(G)
     maps the sorted pair codes i*k + j to the codes of the conjugated and
     re-sorted pairs; one ``searchsorted`` turns them into a permutation of
     positions, and :func:`_orbit_families` reads off the families.
     """
+    require_dense(G)
     if "cat2_classes" not in G._cache:
-        pairs = cat2_pair_indices(G)
-        cat1s = all_cat1_groups(G)
-        k = len(cat1s)
-        codes = G._cache["cat2codes"]
+        codes = _cat2_codes(G)
+        k = len(_cat1_array(G))
         I, J = np.divmod(codes, k)
         perms = []
         for sigma in cat1_structure_orbit_maps(G):
@@ -239,17 +266,36 @@ def cat2_isomorphism_classes(G: GroupTable) -> Cat2Classification:
             if not np.array_equal(codes[np.minimum(pos, len(codes) - 1)], moved):
                 raise GroupError("Aut(G) moved a cat2 structure outside the enumeration")
             perms.append(pos)
-        families = _orbit_families(len(pairs), perms)
-        reps = tuple(Cat2Group(G, cat1s[pairs[f[0]][0]], cat1s[pairs[f[0]][1]])
-                     for f in families)
-        G._cache["cat2_classes"] = Cat2Classification(reps, families, len(pairs))
+        families = _orbit_families(len(codes), perms)
+        G._cache["cat2_classes"] = Cat2Classification(G, families, len(codes))
     return G._cache["cat2_classes"]
 
 
 def non_cat1_diagonal_count(G: GroupTable) -> int:
-    """Number of cat2 isomorphism classes whose diagonal is not a cat1-group."""
-    cls = cat2_isomorphism_classes(G)
-    return sum(1 for rep in cls.representatives if not diagonal_pre_cat1(rep)[1])
+    """Number of cat2 isomorphism classes whose diagonal is not a cat1-group.
+
+    One array pass over the class representatives: their tail|head rows are
+    gathered by pair code, giving t = t1 o t2 and h = h1 o h2 for all of them
+    at once.  Every diagonal must be a pre-cat1 structure (t o h = h and
+    h o t = t), or :class:`GroupError` names the first failing
+    representative.  The diagonal fails [ker t, ker h] = 1 exactly when
+    ker t x ker h meets the non-commuting mask NC, counted by the diagonal
+    of ``ker_t @ NC @ ker_h.T`` (exact in float32).  The single-structure
+    form is :func:`diagonal_pre_cat1`.
+    """
+    n = G.order
+    TH = _cat1_array(G)
+    i, j = _least_pairs(cat2_isomorphism_classes(G))
+    rows = np.arange(len(i))[:, None]
+    t = TH[i[:, None], TH[j, :n]]  # t1(t2(x)) at column x
+    h = TH[i[:, None], n + TH[j, n:]]
+    wrong = np.stack((t[rows, h] != h, h[rows, t] != t), axis=1)
+    if wrong.any():
+        r, line, x = np.argwhere(wrong)[0].tolist()  # first class, line, element
+        raise GroupError(f"pre-cat1 axiom violated on the diagonal of cat2 class {r + 1}: "
+                         f"{('t o h = h', 'h o t = t')[line]} fails with witness ({x},)")
+    ker_t, ker_h = ((m == 0).astype(np.float32) for m in (t, h))
+    return int(np.count_nonzero((ker_t @ _noncommuting_mask(G) * ker_h).any(axis=1)))
 
 
 # -- morphisms -----------------------------------------------------------------

@@ -28,7 +28,11 @@ from .xsq import cat2_of_crossed_square, crossed_square_of_cat2, is_crossed_squa
 
 def cmd_table(args) -> int:
     cache_dir = resolve_cache_dir(args.cache_dir)
-    rows = build_table(args.max_order, heavy=args.heavy, cache_dir=cache_dir)
+    try:
+        rows = build_table(args.max_order, heavy=args.heavy, cache_dir=cache_dir)
+    except OSError as exc:  # the cache directory or an entry cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     sys.stdout.write(format_table(rows, args.format))
     if args.check:
         problems = check_rows(rows)
@@ -104,13 +108,13 @@ def cmd_convert(args) -> int:
         else:
             print(f"error: cannot convert files of kind {kind!r}", file=sys.stderr)
             return 2
+        if args.output:
+            Path(args.output).write_text(out)
+        else:
+            sys.stdout.write(out)
     except (GroupError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.output:
-        Path(args.output).write_text(out)
-    else:
-        sys.stdout.write(out)
     return 0
 
 

@@ -2,8 +2,9 @@
 
 Each catalog group gets a row of five counts (idempotent endomorphisms, cat1
 structures, cat1 classes, cat2 structures, cat2 classes) plus the number of
-cat2 classes whose diagonal fails to be a cat1-group, read off the
-classifiers; :func:`group_data` can keep each row in :mod:`catsq.cache`.
+cat2 classes whose diagonal fails to be a cat1-group, read off the End(G)
+arrays and the classifiers' families and totals without building a structure
+object; :func:`group_data` can keep each row in :mod:`catsq.cache`.
 The reference table is embedded verbatim for the check flag; cyclic groups
 are covered by the closed forms (2^m structures for m distinct prime
 factors, all classes singletons).
@@ -21,7 +22,7 @@ from . import catalog
 from .cache import CacheMiss, GroupData, read_group_data, write_group_data
 from .cat1 import cat1_isomorphism_classes
 from .cat2 import cat2_isomorphism_classes, non_cat1_diagonal_count
-from .groups import idempotent_endomorphisms
+from .groups import _endomorphism_maps
 
 HEAVY_KEYS = frozenset({(16, 14), (27, 5)})
 
@@ -154,20 +155,20 @@ class ClassificationRow:
 
 
 def compute_group_data(order: int, gid: int) -> GroupData:
-    """The table row of one catalog group, read off the classifiers."""
+    """The table row of one catalog group, read off the End(G) arrays and the
+    classifiers' families and totals; no structure object is built."""
     G = catalog.small_group(order, gid)
     cls1 = cat1_isomorphism_classes(G)
     cls2 = cat2_isomorphism_classes(G)
-    return GroupData(order, gid, len(idempotent_endomorphisms(G)),
-                     len(cls1.structures), len(cls1.families),
+    return GroupData(order, gid, len(_endomorphism_maps(G)[0]),
+                     cls1.total, len(cls1.families),
                      cls2.total, len(cls2.families), non_cat1_diagonal_count(G))
 
 
 def group_data(order: int, gid: int, cache_dir: Optional[Path] = None) -> GroupData:
     """Cache-aware variant of :func:`compute_group_data`."""
     if cache_dir is not None:
-        G = catalog.small_group(order, gid)
-        ie = len(idempotent_endomorphisms(G))
+        ie = len(_endomorphism_maps(catalog.small_group(order, gid))[0])
         try:
             return read_group_data(cache_dir, order, gid, ie)
         except CacheMiss:

@@ -5,9 +5,10 @@ Each test prints one ``criterion N (...): PASS/FAIL`` line (visible with
 ``heavy`` marker, as do the 16/14 portions of criteria 6 and 7 (the heavy
 part of criterion 7 also checks the 27/5 pair scan against the naive loop,
 the End(G) kernel and Aut(G) generators of both heavy groups against the
-per-tuple closure of ``tests/test_groups.py``, and their cat1 orbit maps and
+per-tuple closure of ``tests/test_groups.py``, their cat1 orbit maps and
 cat1 and cat2 families against the union-find oracle of
-``tests/test_orbits.py``).
+``tests/test_orbits.py``, and the 16/14 diagonal probe against the
+per-representative loop of ``tests/test_cat2.py``).
 
 The embedded reference data is asserted verbatim except at a few entries that
 are provably wrong.  Those are named in ``TABLE_ERRATA`` and
@@ -71,6 +72,7 @@ from catsq.xsq import (
     crossed_square_of_cat2,
     is_crossed_square,
 )
+from test_cat2 import oracle_bad_diagonals
 from test_groups import end_map_tuples, fresh_copy, oracle_aut_generators, oracle_end_maps
 from test_orbits import oracle_problems
 
@@ -568,6 +570,9 @@ def test_criterion_7_oracle_equivalence_16_14():
     G = catalog.small_group(16, 14)
     if _naive_cat1_keys_16_14() != [c.key() for c in all_cat1_groups(G)]:
         problems.append("cat1 naive loop differs on 16/14")
+    # the array diagonal probe against the per-representative loop
+    if non_cat1_diagonal_count(G) != oracle_bad_diagonals(G):
+        problems.append("diagonal probe differs from the per-representative loop on 16/14")
     for key in ((16, 14), (27, 5)):
         G = catalog.small_group(*key)
         cat1s = all_cat1_groups(G)

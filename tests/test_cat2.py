@@ -1,10 +1,12 @@
+import numpy as np
 import pytest
 
 from catsq import catalog
-from catsq.groups import GroupError, hom_by_images, trivial_hom
+from catsq.groups import GroupError, compose, hom_by_images, trivial_hom
 from catsq.tables import HEAVY_KEYS
-from catsq.cat1 import all_cat1_groups, cat1_group, identity_cat1
+from catsq.cat1 import all_cat1_groups, cat1_group, identity_cat1, pre_cat1_by_endomorphisms
 from catsq.cat2 import (
+    Cat2Classification,
     PreCat2Group,
     all_cat2_group_morphisms,
     all_cat2_groups,
@@ -21,6 +23,7 @@ from catsq.cat2 import (
     pre_cat2_group,
     transpose_cat2,
 )
+from test_groups import fresh_copy
 
 
 def session_16_3():
@@ -200,6 +203,43 @@ def test_diagonal_census_examples():
     assert non_cat1_diagonal_count(catalog.small_group(8, 3)) == 1
     assert non_cat1_diagonal_count(catalog.small_group(8, 2)) == 0
     assert non_cat1_diagonal_count(catalog.small_group(12, 3)) == 0
+
+
+def oracle_bad_diagonals(G):
+    """The bad-diagonal count by the per-representative loop that the array
+    probe replaced: one :func:`diagonal_pre_cat1` per class representative."""
+    return sum(not diagonal_pre_cat1(rep)[1]
+               for rep in cat2_isomorphism_classes(G).representatives)
+
+
+def test_diagonal_probe_matches_the_per_representative_loop():
+    keys = [k for k in catalog.catalog_keys() if k not in HEAVY_KEYS] + [(27, 5)]
+    for key in keys:
+        G = catalog.small_group(*key)
+        assert non_cat1_diagonal_count(G) == oracle_bad_diagonals(G), key
+
+
+def test_diagonal_probe_rejects_a_diagonal_that_is_no_pre_cat1():
+    """A pair code whose diagonal fails t o h = h or h o t = t raises, naming
+    the line and witness that :func:`pre_cat1_by_endomorphisms` names."""
+    G = fresh_copy(catalog.small_group(8, 3))
+    cat1s = all_cat1_groups(G)
+
+    def diagonal_error(a, b):
+        try:
+            pre_cat1_by_endomorphisms(compose(a.tail, b.tail), compose(a.head, b.head))
+        except GroupError as exc:
+            return str(exc)
+        return None
+
+    i, j, message = next((i, j, m) for i in range(len(cat1s)) for j in range(i, len(cat1s))
+                         if (m := diagonal_error(cat1s[i], cat1s[j])))
+    # the enumeration, corrupted to hold that one pair as its only class
+    G._cache["cat2codes"] = np.array([i * len(cat1s) + j])
+    G._cache["cat2_classes"] = Cat2Classification(G, ((0,),), 1)
+    with pytest.raises(GroupError, match="on the diagonal of cat2 class 1") as caught:
+        non_cat1_diagonal_count(G)
+    assert str(caught.value).endswith(message.split(": ", 1)[1])
 
 
 def test_pre_cat2_accepts_pre_cat1_pairs():

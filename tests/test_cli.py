@@ -34,6 +34,26 @@ def test_table_imports_no_numpy_module_beyond_catsq():
     assert proc.stdout.strip() == "[]"
 
 
+def test_table_path_builds_no_homomorphism_per_structure():
+    """In a fresh interpreter, the table row of 27/5 (236 idempotents, 2,108
+    cat1 structures) constructs no more ``Homomorphism`` values than Aut(G)
+    has generators: the counts come from the arrays, not from objects."""
+    code = ("from catsq import catalog, groups, tables\n"
+            "made = 0\n"
+            "check = groups.Homomorphism.__post_init__\n"
+            "def counted(self):\n"
+            "    global made\n"
+            "    made += 1\n"
+            "    check(self)\n"
+            "groups.Homomorphism.__post_init__ = counted\n"
+            "tables.compute_group_data(27, 5)\n"
+            "print(made, len(groups.automorphism_generators(catalog.small_group(27, 5))))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    built, generators = map(int, proc.stdout.split())
+    assert built <= generators < 20
+
+
 def test_table_csv_header(capsys):
     assert main(["table", "--max-order", "6"]) == 0
     out = capsys.readouterr().out
@@ -480,3 +500,31 @@ def test_console_entry_point_runs():
     proc = run_cli("table", "--max-order", "2")
     assert proc.returncode == 0
     assert proc.stdout.startswith("order,id,name")
+
+
+def test_table_cache_dir_that_is_a_file(tmp_path, capsys):
+    f = tmp_path / "F"
+    f.write_text("")
+    assert main(["table", "--max-order", "4", "--cache-dir", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and str(f) in err
+
+
+def test_table_cache_entry_that_is_a_directory(tmp_path, capsys):
+    entry = tmp_path / "4_2.catsq"
+    entry.mkdir()
+    assert main(["table", "--max-order", "4", "--cache-dir", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and str(entry) in err
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_convert_output_that_is_a_directory(tmp_path, capsys):
+    assert main(["inspect", "xsq", "8", "3", "2"]) == 0
+    f = tmp_path / "sq.catsq"
+    f.write_text(capsys.readouterr().out)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["convert", str(f), "-o", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out_dir) in err

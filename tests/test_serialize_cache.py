@@ -187,3 +187,21 @@ def test_cached_equals_computed(tmp_path):
     cold = group_data(9, 2, cache_dir=tmp_path)
     warm = group_data(9, 2, cache_dir=tmp_path)
     assert cold == warm == compute_group_data(9, 2)
+
+
+def test_unreadable_cache_entry_recomputed(tmp_path):
+    """An entry that is not UTF-8 is a format miss: group_data recomputes it
+    and rewrites the entry."""
+    path = tmp_path / "8_3.catsq"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(CacheFormatError, match="8_3.catsq"):
+        read_group_data(tmp_path, 8, 3, expected_ie=10)
+    data = group_data(8, 3, cache_dir=tmp_path)
+    assert data == compute_group_data(8, 3)
+    assert path.read_text() == emit_group_data(data)
+
+
+def test_directory_at_entry_path_is_a_miss(tmp_path):
+    (tmp_path / "8_3.catsq").mkdir()
+    with pytest.raises(CacheFormatError, match="8_3.catsq"):
+        read_group_data(tmp_path, 8, 3, expected_ie=10)
