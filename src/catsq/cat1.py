@@ -32,6 +32,7 @@ from .groups import (
     Homomorphism,
     Subgroup,
     _endomorphism_maps,
+    _memo,
     _np_table,
     automorphism_generators,
     all_homomorphisms,
@@ -157,16 +158,14 @@ def general_form(C: Cat1Group) -> Cat1GeneralForm:
 # -- enumeration and classification -------------------------------------------
 
 
+@_memo
 def _noncommuting_mask(G: GroupTable) -> np.ndarray:
     """The float32 0/1 mask of element pairs (a, b) with ab != ba; read-only."""
-    if "nc_mask" not in G._cache:
-        T = _np_table(G)
-        NC = (T != T.T).astype(np.float32)
-        NC.flags.writeable = False  # the cached array is shared with every caller
-        G._cache["nc_mask"] = NC
-    return G._cache["nc_mask"]
+    T = _np_table(G)
+    return (T != T.T).astype(np.float32)
 
 
+@_memo
 def _cat1_pairs(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     """Rows (tails, heads) of the idempotent array of every cat1 structure,
     in lexicographic order of (tail, head); read-only intp arrays.
@@ -180,20 +179,16 @@ def _cat1_pairs(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     ``np.nonzero`` lists the pairs in C order, which is lexicographic
     because the idempotent array is.
     """
-    if "cat1_pairs" not in G._cache:
-        I = _endomorphism_maps(G)[0]
-        # the counts stay below 2**24, so float32 products are exact
-        fixed = (I == np.arange(G.order)).astype(np.float32)
-        ker = (I == 0).astype(np.float32)
-        outside = fixed @ (1 - fixed).T
-        clash = ker @ _noncommuting_mask(G) @ ker.T
-        pairs = np.nonzero((outside == 0) & (outside.T == 0) & (clash == 0))
-        for a in pairs:
-            a.flags.writeable = False  # the cached arrays are shared with every caller
-        G._cache["cat1_pairs"] = pairs
-    return G._cache["cat1_pairs"]
+    I = _endomorphism_maps(G)[0]
+    # the counts stay below 2**24, so float32 products are exact
+    fixed = (I == np.arange(G.order)).astype(np.float32)
+    ker = (I == 0).astype(np.float32)
+    outside = fixed @ (1 - fixed).T
+    clash = ker @ _noncommuting_mask(G) @ ker.T
+    return np.nonzero((outside == 0) & (outside.T == 0) & (clash == 0))
 
 
+@_memo
 def all_cat1_groups(G: GroupTable) -> list[Cat1Group]:
     """Every cat1 structure (t, h) on G, ordered pairs, lexicographic order.
 
@@ -202,12 +197,10 @@ def all_cat1_groups(G: GroupTable) -> list[Cat1Group]:
     one range subgroup, its image.
     """
     require_dense(G)
-    if "cat1s" not in G._cache:
-        ies = idempotent_endomorphisms(G)
-        ranges = [image_of(f) for f in ies]
-        G._cache["cat1s"] = [Cat1Group(G, ies[i], ies[j], ranges[i])
-                             for i, j in zip(*(a.tolist() for a in _cat1_pairs(G)))]
-    return list(G._cache["cat1s"])
+    ies = idempotent_endomorphisms(G)
+    ranges = [image_of(f) for f in ies]
+    return [Cat1Group(G, ies[i], ies[j], ranges[i])
+            for i, j in zip(*(a.tolist() for a in _cat1_pairs(G)))]
 
 
 @dataclass(frozen=True)
@@ -232,18 +225,16 @@ class Cat1Classification:
         return tuple(self.structures[f[0]] for f in self.families)
 
 
+@_memo
 def _cat1_array(G: GroupTable) -> np.ndarray:
     """The k x 2n array of tail|head maps, one row per cat1 structure, in
     the order of :func:`all_cat1_groups`: one gather from the idempotent
     array.  Read-only."""
-    if "cat1_array" not in G._cache:
-        I = _endomorphism_maps(G)[0].astype(np.intp)
-        TH = I[np.stack(_cat1_pairs(G), axis=1)].reshape(-1, 2 * G.order)
-        TH.flags.writeable = False  # the cached array is shared with every caller
-        G._cache["cat1_array"] = TH
-    return G._cache["cat1_array"]
+    I = _endomorphism_maps(G)[0].astype(np.intp)
+    return I[np.stack(_cat1_pairs(G), axis=1)].reshape(-1, 2 * G.order)
 
 
+@_memo
 def cat1_structure_orbit_maps(G: GroupTable) -> np.ndarray:
     """Row r: the cat1 positions permuted by the r-th Aut(G) generator.
 
@@ -254,26 +245,23 @@ def cat1_structure_orbit_maps(G: GroupTable) -> np.ndarray:
     the matched rows must then equal the conjugates in full, so a map that
     is no automorphism cannot pass on its keys alone.  Read-only result.
     """
-    if "cat1_orbit_maps" not in G._cache:
-        n = G.order
-        TH = _cat1_array(G)
-        keys = np.array([0, *G.generators, *(n + g for g in G.generators)], dtype=np.intp)
-        by_keys = np.lexsort(TH[:, keys[::-1]].T)
-        gens = automorphism_generators(G)
-        sigmas = np.empty((len(gens), len(TH)), dtype=np.intp)
-        for r, a in enumerate(gens):
-            am = np.array(a.mapping, dtype=np.intp)
-            inv = np.argsort(am)
-            conj = am[TH[:, np.concatenate((inv, inv + n))]]
-            by_conj = np.lexsort(conj[:, keys[::-1]].T)
-            sigmas[r, by_conj] = by_keys
-            if not np.array_equal(conj, TH[sigmas[r]]):
-                raise GroupError(
-                    "conjugating a cat1 structure left the enumeration; "
-                    "the Aut action is broken")
-        sigmas.flags.writeable = False  # the cached array is shared with every caller
-        G._cache["cat1_orbit_maps"] = sigmas
-    return G._cache["cat1_orbit_maps"]
+    n = G.order
+    TH = _cat1_array(G)
+    keys = np.array([0, *G.generators, *(n + g for g in G.generators)], dtype=np.intp)
+    by_keys = np.lexsort(TH[:, keys[::-1]].T)
+    gens = automorphism_generators(G)
+    sigmas = np.empty((len(gens), len(TH)), dtype=np.intp)
+    for r, a in enumerate(gens):
+        am = np.array(a.mapping, dtype=np.intp)
+        inv = np.argsort(am)
+        conj = am[TH[:, np.concatenate((inv, inv + n))]]
+        by_conj = np.lexsort(conj[:, keys[::-1]].T)
+        sigmas[r, by_conj] = by_keys
+        if not np.array_equal(conj, TH[sigmas[r]]):
+            raise GroupError(
+                "conjugating a cat1 structure left the enumeration; "
+                "the Aut action is broken")
+    return sigmas
 
 
 def _orbit_families(n: int, perms) -> tuple[tuple[int, ...], ...]:
@@ -298,16 +286,14 @@ def _orbit_families(n: int, perms) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(f.tolist()) for f in np.split(order, cuts)) if n else ()
 
 
+@_memo
 def cat1_isomorphism_classes(G: GroupTable) -> Cat1Classification:
     """Aut(G)-orbits of cat1 structures, read off the orbit maps of the
     structure array and memoized; the cat2 pair scan takes its orbit
     representatives from the same families."""
     require_dense(G)
-    if "cat1_classes" not in G._cache:
-        k = len(_cat1_pairs(G)[0])
-        families = _orbit_families(k, cat1_structure_orbit_maps(G))
-        G._cache["cat1_classes"] = Cat1Classification(G, families, k)
-    return G._cache["cat1_classes"]
+    k = len(_cat1_pairs(G)[0])
+    return Cat1Classification(G, _orbit_families(k, cat1_structure_orbit_maps(G)), k)
 
 
 # -- the equivalence with crossed modules --------------------------------------

@@ -30,6 +30,7 @@ from .groups import (
     GroupTable,
     Homomorphism,
     Subgroup,
+    _memo,
     all_homomorphisms,
     compose,
     image_of,
@@ -158,6 +159,7 @@ def diagonal_pre_cat1(C: PreCat2Group) -> tuple[PreCat1Group, bool, Optional[tup
 # -- enumeration ---------------------------------------------------------------
 
 
+@_memo
 def _cat2_codes(G: GroupTable) -> np.ndarray:
     """The sorted codes i*k + j of the index pairs (i <= j) of commuting cat1
     structures, k being the cat1 count; the pair scan.
@@ -169,39 +171,35 @@ def _cat2_codes(G: GroupTable) -> np.ndarray:
     transport), one level at a time: each structure first reached as
     sigma(x) takes the partners of x, moved by sigma, in one gather per level.
     """
-    if "cat2codes" not in G._cache:
-        n = G.order
-        TH = _cat1_array(G)
-        k = len(TH)
-        T, H = TH[:, :n], TH[:, n:]
-        sigmas = cat1_structure_orbit_maps(G)
-        level = np.array([f[0] for f in cat1_isomorphism_classes(G).families])
-        partners = []
-        for t, h in zip(T[level], H[level]):
-            # row j compares (representative) o (structure j) with the reverse
-            partners.append(np.flatnonzero(
-                (t[T] == T[:, t]).all(axis=1) & (h[H] == H[:, h]).all(axis=1)
-                & (t[H] == H[:, t]).all(axis=1) & (h[T] == T[:, h]).all(axis=1)))
-        deg = np.array([len(p) for p in partners])
-        I, J = [np.repeat(level, deg)], [np.concatenate(partners)]
-        seen = np.zeros(k, dtype=bool)
+    n = G.order
+    TH = _cat1_array(G)
+    k = len(TH)
+    T, H = TH[:, :n], TH[:, n:]
+    sigmas = cat1_structure_orbit_maps(G)
+    level = np.array([f[0] for f in cat1_isomorphism_classes(G).families])
+    partners = []
+    for t, h in zip(T[level], H[level]):
+        # row j compares (representative) o (structure j) with the reverse
+        partners.append(np.flatnonzero(
+            (t[T] == T[:, t]).all(axis=1) & (h[H] == H[:, h]).all(axis=1)
+            & (t[H] == H[:, t]).all(axis=1) & (h[T] == T[:, h]).all(axis=1)))
+    deg = np.array([len(p) for p in partners])
+    I, J = [np.repeat(level, deg)], [np.concatenate(partners)]
+    seen = np.zeros(k, dtype=bool)
+    seen[level] = True
+    while level.size:
+        img, first = np.unique(sigmas[:, level], return_index=True)
+        fresh = ~seen[img]
+        level, (via, src) = img[fresh], np.divmod(first[fresh], len(level))
         seen[level] = True
-        while level.size:
-            img, first = np.unique(sigmas[:, level], return_index=True)
-            fresh = ~seen[img]
-            level, (via, src) = img[fresh], np.divmod(first[fresh], len(level))
-            seen[level] = True
-            # the partner lists of the sources, back to back, then moved along
-            starts = (np.cumsum(deg) - deg)[src]
-            deg = deg[src]
-            back = J[-1][np.repeat(starts - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())]
-            I.append(np.repeat(level, deg))
-            J.append(sigmas[np.repeat(via, deg), back])
-        i, j = np.concatenate(I), np.concatenate(J)
-        codes = np.sort((i * k + j)[i <= j])
-        codes.flags.writeable = False  # the cached array is shared with every caller
-        G._cache["cat2codes"] = codes
-    return G._cache["cat2codes"]
+        # the partner lists of the sources, back to back, then moved along
+        starts = (np.cumsum(deg) - deg)[src]
+        deg = deg[src]
+        back = J[-1][np.repeat(starts - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())]
+        I.append(np.repeat(level, deg))
+        J.append(sigmas[np.repeat(via, deg), back])
+    i, j = np.concatenate(I), np.concatenate(J)
+    return np.sort((i * k + j)[i <= j])
 
 
 def cat2_pair_indices(G: GroupTable) -> list[tuple[int, int]]:
@@ -245,6 +243,7 @@ def _least_pairs(cls: Cat2Classification) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(_cat2_codes(cls.group)[[f[0] for f in cls.families]], len(TH))
 
 
+@_memo
 def cat2_isomorphism_classes(G: GroupTable) -> Cat2Classification:
     """Orbits of Aut(G) x orientation-swap on the cat2 enumeration; memoized.
 
@@ -254,21 +253,18 @@ def cat2_isomorphism_classes(G: GroupTable) -> Cat2Classification:
     positions, and :func:`_orbit_families` reads off the families.
     """
     require_dense(G)
-    if "cat2_classes" not in G._cache:
-        codes = _cat2_codes(G)
-        k = len(_cat1_array(G))
-        I, J = np.divmod(codes, k)
-        perms = []
-        for sigma in cat1_structure_orbit_maps(G):
-            a, b = sigma[I], sigma[J]
-            moved = np.minimum(a, b) * k + np.maximum(a, b)
-            pos = np.searchsorted(codes, moved)
-            if not np.array_equal(codes[np.minimum(pos, len(codes) - 1)], moved):
-                raise GroupError("Aut(G) moved a cat2 structure outside the enumeration")
-            perms.append(pos)
-        families = _orbit_families(len(codes), perms)
-        G._cache["cat2_classes"] = Cat2Classification(G, families, len(codes))
-    return G._cache["cat2_classes"]
+    codes = _cat2_codes(G)
+    k = len(_cat1_array(G))
+    I, J = np.divmod(codes, k)
+    perms = []
+    for sigma in cat1_structure_orbit_maps(G):
+        a, b = sigma[I], sigma[J]
+        moved = np.minimum(a, b) * k + np.maximum(a, b)
+        pos = np.searchsorted(codes, moved)
+        if not np.array_equal(codes[np.minimum(pos, len(codes) - 1)], moved):
+            raise GroupError("Aut(G) moved a cat2 structure outside the enumeration")
+        perms.append(pos)
+    return Cat2Classification(G, _orbit_families(len(codes), perms), len(codes))
 
 
 def non_cat1_diagonal_count(G: GroupTable) -> int:

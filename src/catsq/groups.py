@@ -19,10 +19,15 @@ reports and certifying factories check axioms.  :class:`Homomorphism` and
 :class:`GroupAction` check lengths, permutations and the identity; their
 properties are the report lines :func:`catsq.xmod.is_homomorphism` and
 :func:`catsq.xmod.is_action`.
+
+Every per-group stage in the package is memoized on its group by one
+decorator, :func:`_memo`, as GAP stores an attribute: a stored array is made
+read-only, and a stored list is handed out as a fresh copy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -42,6 +47,29 @@ class TooLargeError(GroupError):
     """A construction exceeded the configured materialization cap."""
 
 
+def _memo(fn):
+    """Memoize ``fn`` in the ``_cache`` of its first argument, a group.
+
+    The key is ``fn.__name__``, or ``(fn.__name__, *rest)`` when there are
+    further arguments.  The stored value is shared: an ndarray, alone or
+    directly inside a returned tuple, is made read-only once, and a list is
+    handed out as a fresh copy on every call.
+    """
+    name, missing = fn.__name__, object()
+
+    @functools.wraps(fn)
+    def memoized(G, *rest):
+        key = (name, *rest) if rest else name
+        value = G._cache.get(key, missing)
+        if value is missing:
+            value = G._cache[key] = fn(G, *rest)
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+        return list(value) if isinstance(value, list) else value
+    return memoized
+
+
 # ---------------------------------------------------------------------------
 # permutations
 
@@ -58,7 +86,7 @@ def perm_from_cycles(cycles: Sequence[Sequence[int]], degree: int = 0) -> Perm:
     for cyc in cycles:
         if len(set(cyc)) != len(cyc):
             raise GroupError(f"cycle {cyc} repeats a point")
-        for a, b in zip(cyc, cyc[1:] + type(cyc)((cyc[0],))):
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             if images[a - 1] != a - 1:
                 raise GroupError(f"cycles are not disjoint at point {a}")
             images[a - 1] = b - 1
@@ -129,41 +157,28 @@ class GroupTable:
             n += 1
         return n
 
+    @_memo
     def element_orders(self) -> tuple[int, ...]:
-        if "elorders" not in self._cache:
-            self._cache["elorders"] = tuple(self.element_order(x) for x in self.elements())
-        return self._cache["elorders"]
+        return tuple(self.element_order(x) for x in self.elements())
 
+    @_memo
     def is_abelian(self) -> bool:
-        if "abelian" not in self._cache:
-            gens = self.generators or tuple(self.elements())
-            self._cache["abelian"] = all(
-                self.mul(g, x) == self.mul(x, g) for g in gens for x in self.elements()
-            )
-        return self._cache["abelian"]
+        gens = self.generators or tuple(self.elements())
+        return all(self.mul(g, x) == self.mul(x, g) for g in gens for x in self.elements())
 
+    @_memo
     def center(self) -> tuple[int, ...]:
-        if "center" not in self._cache:
-            gens = self.generators or tuple(self.elements())
-            self._cache["center"] = tuple(
-                x for x in self.elements()
-                if all(self.mul(g, x) == self.mul(x, g) for g in gens)
-            )
-        return self._cache["center"]
+        gens = self.generators or tuple(self.elements())
+        return tuple(x for x in self.elements()
+                     if all(self.mul(g, x) == self.mul(x, g) for g in gens))
 
+    @_memo
     def fingerprint(self) -> tuple:
         """Cheap isomorphism invariant: order stats, abelianness, centre size."""
-        if "fingerprint" not in self._cache:
-            hist: dict[int, int] = {}
-            for o in self.element_orders():
-                hist[o] = hist.get(o, 0) + 1
-            self._cache["fingerprint"] = (
-                self.order,
-                tuple(sorted(hist.items())),
-                self.is_abelian(),
-                len(self.center()),
-            )
-        return self._cache["fingerprint"]
+        hist: dict[int, int] = {}
+        for o in self.element_orders():
+            hist[o] = hist.get(o, 0) + 1
+        return (self.order, tuple(sorted(hist.items())), self.is_abelian(), len(self.center()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.label!r} order {self.order}>"
@@ -211,6 +226,8 @@ def _check_table(table: tuple[tuple[int, ...], ...]) -> None:
     generators reach every element by products; it costs |gens| n^2 lookups.
     """
     n = len(table)
+    if not n:
+        raise GroupError("a group table needs at least the identity")
     rng = range(n)
     for i, row in enumerate(table):
         if len(row) != n:
@@ -435,11 +452,8 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    def member_set(self) -> frozenset:
-        return frozenset(self.members)
-
     def __contains__(self, x: int) -> bool:
-        return x in self.member_set()
+        return x in self.members
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Subgroup of {self.parent.label!r} order {self.order}>"
@@ -500,20 +514,19 @@ def group_of_subgroup(S: Subgroup) -> tuple[DenseGroup, tuple[int, ...]]:
     """Standalone dense group for a subgroup, plus the member positions.
 
     Returns ``(H, members)`` with ``H`` indexed by position in the sorted
-    member list, so position 0 is the parent identity.  Cached per parent.
+    member list, so position 0 is the parent identity.  Memoized per parent.
     """
-    key = ("subgrp", S.members)
-    cache = S.parent._cache
-    if key not in cache:
-        G = S.parent
-        pos = {m: i for i, m in enumerate(S.members)}
-        try:
-            table = [[pos[G.mul(a, b)] for b in S.members] for a in S.members]
-        except KeyError:
-            raise GroupError("member set is not closed under multiplication") from None
-        H = DenseGroup(table, f"{G.label}|{len(S.members)}", check=False)
-        cache[key] = (H, S.members)
-    return cache[key]
+    return _subgroup_group(S.parent, S.members)
+
+
+@_memo
+def _subgroup_group(G: GroupTable, members: tuple[int, ...]) -> tuple[DenseGroup, tuple[int, ...]]:
+    pos = {m: i for i, m in enumerate(members)}
+    try:
+        table = [[pos[G.mul(a, b)] for b in members] for a in members]
+    except KeyError:
+        raise GroupError("member set is not closed under multiplication") from None
+    return DenseGroup(table, f"{G.label}|{len(members)}", check=False), members
 
 
 def inclusion_hom(S: Subgroup) -> "Homomorphism":
@@ -521,25 +534,24 @@ def inclusion_hom(S: Subgroup) -> "Homomorphism":
     return Homomorphism(H, S.parent, members)
 
 
+@_memo
 def all_subgroups(G: GroupTable) -> tuple[Subgroup, ...]:
     """Every subgroup of ``G``, found by closure-extension search."""
-    if "subgroups" not in G._cache:
-        found = {(0,)}
-        frontier = [(0,)]
-        while frontier:
-            nxt = []
-            for mem in frontier:
-                inside = set(mem)
-                for x in G.elements():
-                    if x in inside:
-                        continue
-                    bigger = subgroup_generated(G, inside | {x}).members
-                    if bigger not in found:
-                        found.add(bigger)
-                        nxt.append(bigger)
-            frontier = nxt
-        G._cache["subgroups"] = tuple(Subgroup(G, mem) for mem in sorted(found, key=lambda m: (len(m), m)))
-    return G._cache["subgroups"]
+    found = {(0,)}
+    frontier = [(0,)]
+    while frontier:
+        nxt = []
+        for mem in frontier:
+            inside = set(mem)
+            for x in G.elements():
+                if x in inside:
+                    continue
+                bigger = subgroup_generated(G, inside | {x}).members
+                if bigger not in found:
+                    found.add(bigger)
+                    nxt.append(bigger)
+        frontier = nxt
+    return tuple(Subgroup(G, mem) for mem in sorted(found, key=lambda m: (len(m), m)))
 
 
 def normal_subgroups(G: GroupTable) -> tuple[Subgroup, ...]:
@@ -649,6 +661,7 @@ def hom_by_images(G: GroupTable, H: GroupTable,
 _BLOCK_ROWS = 1024
 
 
+@_memo
 def _cayley_tree(G: GroupTable) -> tuple[list[tuple[int, int, int]], list[tuple]]:
     """Breadth-first spanning tree of the right Cayley graph of ``G``.
 
@@ -657,23 +670,20 @@ def _cayley_tree(G: GroupTable) -> tuple[list[tuple[int, int, int]], list[tuple]
     ``(xs, xs * gens[e])``, where ``xs`` are the x whose edge (x, gens[e]) is
     not on the tree, as intp arrays.
     """
-    if "cayley" not in G._cache:
-        right = [[G.mul(x, g) for g in G.generators] for x in G.elements()]
-        tree = _spanning_tree(right, G.label)
-        right = np.array(right, dtype=np.intp)
-        off_tree = np.ones(right.shape, dtype=bool)
-        for _, parent, via in tree:
-            off_tree[parent, via] = False
-        edges = [(xs, right[xs, e]) for e, xs in enumerate(map(np.flatnonzero, off_tree.T))]
-        G._cache["cayley"] = (tree, edges)
-    return G._cache["cayley"]
+    right = [[G.mul(x, g) for g in G.generators] for x in G.elements()]
+    tree = _spanning_tree(right, G.label)
+    right = np.array(right, dtype=np.intp)
+    off_tree = np.ones(right.shape, dtype=bool)
+    for _, parent, via in tree:
+        off_tree[parent, via] = False
+    edges = [(xs, right[xs, e]) for e, xs in enumerate(map(np.flatnonzero, off_tree.T))]
+    return tree, edges
 
 
+@_memo
 def _np_table(H: GroupTable) -> np.ndarray:
-    """The multiplication table of a dense ``H`` as an intp array (memoized)."""
-    if "np_table" not in H._cache:
-        H._cache["np_table"] = np.array(require_dense(H).table, dtype=np.intp)
-    return H._cache["np_table"]
+    """The multiplication table of a dense ``H`` as a read-only intp array."""
+    return np.array(require_dense(H).table, dtype=np.intp)
 
 
 def _hom_blocks(G: GroupTable, H: GroupTable,
@@ -726,6 +736,7 @@ def all_homomorphisms(G: GroupTable, H: GroupTable) -> list[Homomorphism]:
     return [Homomorphism(G, H, m) for m in maps]
 
 
+@_memo
 def _endomorphism_maps(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     """One End(G) pass: (idempotent maps, bijective maps), read-only int32
     arrays with one map per row, in lexicographic order.
@@ -736,22 +747,17 @@ def _endomorphism_maps(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     the generators are equal, so rows are sorted on the columns
     ``0..max(G.generators)`` only (column 0 alone for the trivial group).
     """
-    if "end_maps" not in G._cache:
-        cands = _order_candidates(G, G, lambda og, oh: og % oh == 0)
-        idempotent, bijective = [], []
-        for M in _hom_blocks(G, G, cands):
-            M = M.astype(np.int32)  # halves the memory of the rows kept until the sort
-            idempotent.append(M[(np.take_along_axis(M, M, axis=1) == M).all(axis=1)])
-            bijective.append(M[(M == 0).sum(axis=1) == 1])
-        maps = []
-        for A in map(np.concatenate, (idempotent, bijective)):
-            A = A[np.lexsort(A[:, max(G.generators, default=0)::-1].T)]
-            A.flags.writeable = False  # the cached arrays are shared with every caller
-            maps.append(A)
-        G._cache["end_maps"] = tuple(maps)
-    return G._cache["end_maps"]
+    cands = _order_candidates(G, G, lambda og, oh: og % oh == 0)
+    idempotent, bijective = [], []
+    for M in _hom_blocks(G, G, cands):
+        M = M.astype(np.int32)  # halves the memory of the rows kept until the sort
+        idempotent.append(M[(np.take_along_axis(M, M, axis=1) == M).all(axis=1)])
+        bijective.append(M[(M == 0).sum(axis=1) == 1])
+    return tuple(A[np.lexsort(A[:, max(G.generators, default=0)::-1].T)]
+                 for A in map(np.concatenate, (idempotent, bijective)))
 
 
+@_memo
 def idempotent_endomorphisms(G: GroupTable) -> list[Homomorphism]:
     """All f: G -> G with f o f = f, in canonical (lexicographic) order.
 
@@ -760,22 +766,18 @@ def idempotent_endomorphisms(G: GroupTable) -> list[Homomorphism]:
     of :func:`_hom_blocks`.
     """
     require_dense(G)
-    if "idempotents" not in G._cache:
-        G._cache["idempotents"] = tuple(
-            Homomorphism(G, G, m) for m in _endomorphism_maps(G)[0].tolist())
-    return list(G._cache["idempotents"])
+    return [Homomorphism(G, G, m) for m in _endomorphism_maps(G)[0].tolist()]
 
 
+@_memo
 def automorphism_group(G: GroupTable) -> list[Homomorphism]:
     """All bijective endomorphisms, lexicographic on mapping arrays, from the
     End(G) pass as in :func:`idempotent_endomorphisms`."""
     require_dense(G)
-    if "automorphisms" not in G._cache:
-        G._cache["automorphisms"] = tuple(
-            Homomorphism(G, G, m) for m in _endomorphism_maps(G)[1].tolist())
-    return list(G._cache["automorphisms"])
+    return [Homomorphism(G, G, m) for m in _endomorphism_maps(G)[1].tolist()]
 
 
+@_memo
 def automorphism_group_as_table(G: GroupTable) -> tuple[DenseGroup, tuple[tuple[int, ...], ...]]:
     """Aut(G) as a dense group under composition, plus its element maps.
 
@@ -785,15 +787,12 @@ def automorphism_group_as_table(G: GroupTable) -> tuple[DenseGroup, tuple[tuple[
     :func:`automorphism_generators` g are composed; :func:`_table_from_right`
     fills the rest of the table from them.
     """
-    if "aut_table" not in G._cache:
-        maps = tuple(a.mapping for a in automorphism_group(G))
-        pos = {m: i for i, m in enumerate(maps)}
-        gens = [g.mapping for g in automorphism_generators(G)]
-        label = f"Aut({G.label})"
-        right = [[pos[_pcompose(a, g)] for g in gens] for a in maps]
-        A = DenseGroup(_table_from_right(right, label), label, check=False)
-        G._cache["aut_table"] = (A, maps)
-    return G._cache["aut_table"]
+    maps = tuple(a.mapping for a in automorphism_group(G))
+    pos = {m: i for i, m in enumerate(maps)}
+    gens = [g.mapping for g in automorphism_generators(G)]
+    label = f"Aut({G.label})"
+    right = [[pos[_pcompose(a, g)] for g in gens] for a in maps]
+    return DenseGroup(_table_from_right(right, label), label, check=False), maps
 
 
 def inner_automorphism_indices(G: GroupTable) -> tuple[int, ...]:
@@ -804,6 +803,7 @@ def inner_automorphism_indices(G: GroupTable) -> tuple[int, ...]:
     return tuple(sorted(inner))
 
 
+@_memo
 def automorphism_generators(G: GroupTable) -> list[Homomorphism]:
     """A small generating subset of the automorphism group (greedy closure).
 
@@ -815,32 +815,30 @@ def automorphism_generators(G: GroupTable) -> list[Homomorphism]:
     images of them.  The generators are rows of that array.
     """
     require_dense(G)
-    if "aut_gens" not in G._cache:
-        A = _endomorphism_maps(G)[1]
-        cols = A[:, [0, *G.generators]]  # column 0 keeps the sort keys non-empty
-        by_cols = np.lexsort(cols.T[::-1])
-        sorted_cols = cols[by_cols]
-        known = np.arange(len(A)) == 0  # the identity sorts first
-        gens: dict[int, np.ndarray] = {}  # position -> (x -> position of it o x)
-        while not known.all():
-            a = int(np.argmin(known))
-            images = A[a][cols]
-            by_images = np.lexsort(images.T[::-1])
-            if not np.array_equal(images[by_images], sorted_cols):
-                raise GroupError("composing automorphisms left Aut(G)")
-            gens[a] = np.empty(len(A), dtype=np.intp)
-            gens[a][by_images] = by_cols
-            frontier = np.array([a])
-            known[a] = True
-            while frontier.size:
-                # a hit mask, not np.unique, which imports numpy.ma on first use
-                hit = np.zeros(len(A), dtype=bool)
-                for g in gens.values():
-                    hit[g[frontier]] = True
-                frontier = np.flatnonzero(hit & ~known)
-                known[frontier] = True
-        G._cache["aut_gens"] = tuple(Homomorphism(G, G, A[a].tolist()) for a in gens)
-    return list(G._cache["aut_gens"])
+    A = _endomorphism_maps(G)[1]
+    cols = A[:, [0, *G.generators]]  # column 0 keeps the sort keys non-empty
+    by_cols = np.lexsort(cols.T[::-1])
+    sorted_cols = cols[by_cols]
+    known = np.arange(len(A)) == 0  # the identity sorts first
+    gens: dict[int, np.ndarray] = {}  # position -> (x -> position of it o x)
+    while not known.all():
+        a = int(np.argmin(known))
+        images = A[a][cols]
+        by_images = np.lexsort(images.T[::-1])
+        if not np.array_equal(images[by_images], sorted_cols):
+            raise GroupError("composing automorphisms left Aut(G)")
+        gens[a] = np.empty(len(A), dtype=np.intp)
+        gens[a][by_images] = by_cols
+        frontier = np.array([a])
+        known[a] = True
+        while frontier.size:
+            # a hit mask, not np.unique, which imports numpy.ma on first use
+            hit = np.zeros(len(A), dtype=bool)
+            for g in gens.values():
+                hit[g[frontier]] = True
+            frontier = np.flatnonzero(hit & ~known)
+            known[frontier] = True
+    return [Homomorphism(G, G, A[a].tolist()) for a in gens]
 
 
 # ---------------------------------------------------------------------------
@@ -892,38 +890,30 @@ def action_by_hom(f: Homomorphism, base: GroupAction) -> GroupAction:
     return GroupAction(f.source, base.space, tuple(base.perms[v] for v in f.mapping))
 
 
+@_memo
 def conjugation_action(G: GroupTable, S: Subgroup) -> GroupAction:
     """G acting by conjugation on a normal subgroup, as a standalone group."""
-    key = ("conjact", S.members)
-    if key not in G._cache:
-        bad = normality_witness(G, S)
-        if bad is not None:
-            raise GroupError(
-                f"subgroup is not normal: conjugating {bad[1]} by {bad[0]} leaves it")
-        H, members = group_of_subgroup(S)
-        pos = {m: i for i, m in enumerate(members)}
-        perms = tuple(
-            tuple(pos[G.conj(g, m)] for m in members) for g in G.elements()
-        )
-        G._cache[key] = GroupAction(G, H, perms)
-    return G._cache[key]
+    bad = normality_witness(G, S)
+    if bad is not None:
+        raise GroupError(
+            f"subgroup is not normal: conjugating {bad[1]} by {bad[0]} leaves it")
+    H, members = group_of_subgroup(S)
+    pos = {m: i for i, m in enumerate(members)}
+    perms = tuple(tuple(pos[G.conj(g, m)] for m in members) for g in G.elements())
+    return GroupAction(G, H, perms)
 
 
+@_memo
 def sub_conjugation_action(G: GroupTable, A: Subgroup, S: Subgroup) -> GroupAction:
     """Subgroup ``A`` of ``G`` conjugating a subgroup ``S`` it normalizes."""
-    key = ("subconjact", A.members, S.members)
-    if key not in G._cache:
-        Agrp, amem = group_of_subgroup(A)
-        Sgrp, smem = group_of_subgroup(S)
-        pos = {m: i for i, m in enumerate(smem)}
-        try:
-            perms = tuple(
-                tuple(pos[G.conj(a, m)] for m in smem) for a in amem
-            )
-        except KeyError:
-            raise GroupError("the first subgroup does not normalize the second") from None
-        G._cache[key] = GroupAction(Agrp, Sgrp, perms)
-    return G._cache[key]
+    Agrp, amem = group_of_subgroup(A)
+    Sgrp, smem = group_of_subgroup(S)
+    pos = {m: i for i, m in enumerate(smem)}
+    try:
+        perms = tuple(tuple(pos[G.conj(a, m)] for m in smem) for a in amem)
+    except KeyError:
+        raise GroupError("the first subgroup does not normalize the second") from None
+    return GroupAction(Agrp, Sgrp, perms)
 
 
 def semidirect_product(S: GroupTable, R: GroupTable, act: GroupAction,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from catsq import catalog
+from catsq import catalog, cat2
 from catsq.groups import GroupError, compose, hom_by_images, trivial_hom
 from catsq.tables import HEAVY_KEYS
 from catsq.cat1 import all_cat1_groups, cat1_group, identity_cat1, pre_cat1_by_endomorphisms
@@ -219,7 +219,7 @@ def test_diagonal_probe_matches_the_per_representative_loop():
         assert non_cat1_diagonal_count(G) == oracle_bad_diagonals(G), key
 
 
-def test_diagonal_probe_rejects_a_diagonal_that_is_no_pre_cat1():
+def test_diagonal_probe_rejects_a_diagonal_that_is_no_pre_cat1(monkeypatch):
     """A pair code whose diagonal fails t o h = h or h o t = t raises, naming
     the line and witness that :func:`pre_cat1_by_endomorphisms` names."""
     G = fresh_copy(catalog.small_group(8, 3))
@@ -235,8 +235,9 @@ def test_diagonal_probe_rejects_a_diagonal_that_is_no_pre_cat1():
     i, j, message = next((i, j, m) for i in range(len(cat1s)) for j in range(i, len(cat1s))
                          if (m := diagonal_error(cat1s[i], cat1s[j])))
     # the enumeration, corrupted to hold that one pair as its only class
-    G._cache["cat2codes"] = np.array([i * len(cat1s) + j])
-    G._cache["cat2_classes"] = Cat2Classification(G, ((0,),), 1)
+    monkeypatch.setattr(cat2, "_cat2_codes", lambda G: np.array([i * len(cat1s) + j]))
+    monkeypatch.setattr(cat2, "cat2_isomorphism_classes",
+                        lambda G: Cat2Classification(G, ((0,),), 1))
     with pytest.raises(GroupError, match="on the diagonal of cat2 class 1") as caught:
         non_cat1_diagonal_count(G)
     assert str(caught.value).endswith(message.split(": ", 1)[1])

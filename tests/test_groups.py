@@ -165,6 +165,22 @@ def test_perm_cycle_round_trip():
         perm_from_cycles([(1, 2), (2, 3)])
 
 
+def test_empty_cycle_is_the_identity():
+    # GAP's () is the identity permutation
+    assert perm_from_cycles([()]) == ()
+    assert perm_from_cycles([()], 3) == (0, 1, 2)
+    assert perm_from_cycles([[], [1, 2]]) == (1, 0)
+    assert group_from_permutation_generators([[()]], "x").order == 1
+    G = group_from_permutation_generators([[()], [(1, 2, 3)]], "C3")
+    assert G.order == 3
+    verify_group_axioms(G)
+
+
+def test_empty_table_is_rejected():
+    with pytest.raises(GroupError, match="a group table needs at least the identity"):
+        DenseGroup([], "e")
+
+
 def test_single_involution_gives_c2():
     G = group_from_permutation_generators([[(1, 2)]], "C2")
     assert G.order == 2

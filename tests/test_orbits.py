@@ -21,7 +21,8 @@ from catsq.cat1 import (
     cat1_structure_orbit_maps,
 )
 from catsq.cat2 import cat2_isomorphism_classes, cat2_pair_indices, commutation_witness
-from catsq.groups import GroupError, automorphism_generators
+from catsq.groups import (GroupError, automorphism_generators, automorphism_group,
+                          idempotent_endomorphisms)
 from test_groups import LIGHT_KEYS, fresh_copy
 
 
@@ -175,7 +176,8 @@ def test_pair_scan_without_aut_generators():
 def test_shared_memo_arrays_are_read_only():
     G = fresh_copy(catalog.small_group(8, 3))
     shared = (*groups._endomorphism_maps(G), *cat1._cat1_pairs(G), _cat1_array(G),
-              cat1_structure_orbit_maps(G))
+              cat1_structure_orbit_maps(G), cat2._cat2_codes(G), cat1._noncommuting_mask(G),
+              groups._np_table(G))
     for A in shared:
         before = A.copy()
         with pytest.raises(ValueError):
@@ -183,6 +185,20 @@ def test_shared_memo_arrays_are_read_only():
         with pytest.raises(ValueError):
             A[...] = 0
         assert np.array_equal(A, before)
+
+
+def test_shared_memo_lists_are_handed_out_as_copies():
+    G = fresh_copy(catalog.small_group(8, 3))
+    for stage in (automorphism_group, idempotent_endomorphisms, automorphism_generators,
+                  all_cat1_groups):
+        first = stage(G)
+        kept = list(first)
+        first.reverse()
+        first.append(None)
+        first[0] = None
+        again = stage(G)
+        assert again == kept, stage.__name__
+        assert again is not stage(G), stage.__name__
 
 
 def test_aut_moves_cat2_outside_the_enumeration(monkeypatch):

@@ -2,8 +2,8 @@
 imports a name it never uses, every private top-level function and private
 module-level assigned name is referenced somewhere in the package, only
 ``groups`` chooses between a dense and a structural realization, only
-``tables`` and ``cli`` import the result cache, and no dataclass constructor
-multiplies."""
+``tables`` and ``cli`` import the result cache, no dataclass constructor
+multiplies, and only the memo decorator touches a group's ``_cache``."""
 
 import ast
 from pathlib import Path
@@ -103,3 +103,42 @@ def test_post_init_checks_shapes_only():
              if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
              and call.func.attr in ("mul", "conj", "comm")]
     assert calls == []
+
+
+# Functions that may touch a group's ``_cache``: the one memo and the
+# constructor that creates it.
+CACHE_OWNERS = {"groups.py: _memo", "groups.py: GroupTable.__init__"}
+# group_from_permutation_generators records its element permutations under
+# "perms" (read by tests/test_table_fill.py); that is data, not a memo.
+PERMS_RECORD = "groups.py: group_from_permutation_generators"
+
+
+def _units(name, tree):
+    """(owner, node) for each top-level function and method of ``tree``,
+    and for every other top-level statement."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                owner = getattr(node, "name", "<class body>")
+                yield f"{name}: {top.name}.{owner}", node
+        else:
+            yield f"{name}: {getattr(top, 'name', '<module>')}", top
+
+
+def test_only_memo_touches_the_group_cache():
+    """Every per-group stage is memoized through ``groups._memo``; no other
+    function reads or writes ``._cache``, except the named ``perms`` record."""
+    touches, owners = [], set()
+    for name, tree in TREES.items():
+        for owner, unit in _units(name, tree):
+            perms = {id(n.value) for n in ast.walk(unit)
+                     if owner == PERMS_RECORD and isinstance(n, ast.Subscript)
+                     and isinstance(n.ctx, ast.Store) and isinstance(n.slice, ast.Constant)
+                     and n.slice.value == "perms"}
+            for n in ast.walk(unit):
+                if isinstance(n, ast.Attribute) and n.attr == "_cache":
+                    owners.add(owner)
+                    if owner not in CACHE_OWNERS and id(n) not in perms:
+                        touches.append(f"{owner} line {n.lineno}")
+    assert touches == []
+    assert owners == CACHE_OWNERS | {PERMS_RECORD}
