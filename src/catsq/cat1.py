@@ -6,16 +6,16 @@ h o t = t and [ker t, ker h] = 1 (the identities force im t = im h), each
 reported with a witness by :func:`is_cat1_group` after the lines that t and
 h are homomorphisms.  The endomorphism form is canonical; the embedding form
 (e; t, h : G -> R) is a view converted on input and output.  Enumeration
-pairs the rows of the sorted idempotent array of the End(G) pass with array
+pairs the rows of the sorted idempotent array E of the End(G) pass with array
 tests of both axioms at once, and lists ordered pairs in lexicographic order
-of their concatenated map arrays; the k x 2n tail|head array is one gather
-from the same rows.
-Classification conjugates the k x 2n array of all tail|head maps by each
-Aut(G) generator at once, which gives one permutation of the k positions per
-generator; :func:`_orbit_families` (min-label propagation with pointer
-jumping) turns such permutations into orbits, for the cat2 classes too.  The
-memoized classification holds positions and the total; the structure objects
-are built only when read.
+of their concatenated map arrays; the index pair (tails, heads) into E is the
+one array form of the structures, whose maps are E[tails] and E[heads].
+Classification conjugates E by each Aut(G) generator; the induced permutation
+of E moves the sorted pair codes, and :func:`_code_positions` finds them, one
+permutation of the k positions per generator.  :func:`_orbit_families`
+(min-label propagation with pointer jumping) turns such permutations into
+orbits, for the cat2 classes too.  The memoized classification holds
+positions and the total; the structure objects are built only when read.
 """
 
 from __future__ import annotations
@@ -225,42 +225,40 @@ class Cat1Classification:
         return tuple(self.structures[f[0]] for f in self.families)
 
 
-@_memo
-def _cat1_array(G: GroupTable) -> np.ndarray:
-    """The k x 2n array of tail|head maps, one row per cat1 structure, in
-    the order of :func:`all_cat1_groups`: one gather from the idempotent
-    array.  Read-only."""
-    I = _endomorphism_maps(G)[0].astype(np.intp)
-    return I[np.stack(_cat1_pairs(G), axis=1)].reshape(-1, 2 * G.order)
+def _code_positions(codes: np.ndarray, moved: np.ndarray, what: str) -> np.ndarray:
+    """The positions of ``moved`` in the sorted ``codes``; raises
+    :class:`GroupError` with the message ``what`` if one is not there."""
+    pos = np.searchsorted(codes, moved)
+    if not np.array_equal(codes[np.minimum(pos, len(codes) - 1)], moved):
+        raise GroupError(what)
+    return pos
 
 
 @_memo
 def cat1_structure_orbit_maps(G: GroupTable) -> np.ndarray:
     """Row r: the cat1 positions permuted by the r-th Aut(G) generator.
 
-    The generator a sends (t, h) to (a t a^-1, a h a^-1); all structures are
-    conjugated at once by fancy indexing.  A structure is fixed by t and h
-    at the generators, so conjugates are matched to the enumeration by a
-    lexsort of those key columns and column 0 (never an empty key list);
-    the matched rows must then equal the conjugates in full, so a map that
-    is no automorphism cannot pass on its keys alone.  Read-only result.
+    The generator a sends (t, h) to (a t a^-1, a h a^-1), so it acts through
+    the idempotents: the m rows of E are conjugated at once, matched to E by
+    one lexsort and compared in full, so a map that is no automorphism
+    cannot pass on some columns alone.  The induced permutation s of E sends
+    the pair code i*m + j of each structure to s[i]*m + s[j], which
+    :func:`_code_positions` finds.  Read-only result.
     """
-    n = G.order
-    TH = _cat1_array(G)
-    keys = np.array([0, *G.generators, *(n + g for g in G.generators)], dtype=np.intp)
-    by_keys = np.lexsort(TH[:, keys[::-1]].T)
+    E = _endomorphism_maps(G)[0]
+    m = len(E)
+    tails, heads = _cat1_pairs(G)
+    codes = tails * m + heads
     gens = automorphism_generators(G)
-    sigmas = np.empty((len(gens), len(TH)), dtype=np.intp)
+    sigmas = np.empty((len(gens), len(tails)), dtype=np.intp)
+    broken = "conjugating a cat1 structure left the enumeration; the Aut action is broken"
     for r, a in enumerate(gens):
         am = np.array(a.mapping, dtype=np.intp)
-        inv = np.argsort(am)
-        conj = am[TH[:, np.concatenate((inv, inv + n))]]
-        by_conj = np.lexsort(conj[:, keys[::-1]].T)
-        sigmas[r, by_conj] = by_keys
-        if not np.array_equal(conj, TH[sigmas[r]]):
-            raise GroupError(
-                "conjugating a cat1 structure left the enumeration; "
-                "the Aut action is broken")
+        conj = am[E[:, np.argsort(am)]]
+        s = np.argsort(np.lexsort(conj.T[::-1]))  # row i of conj is row s[i] of E
+        if not np.array_equal(conj, E[s]):
+            raise GroupError(broken)
+        sigmas[r] = _code_positions(codes, s[tails] * m + s[heads], broken)
     return sigmas
 
 
@@ -288,9 +286,9 @@ def _orbit_families(n: int, perms) -> tuple[tuple[int, ...], ...]:
 
 @_memo
 def cat1_isomorphism_classes(G: GroupTable) -> Cat1Classification:
-    """Aut(G)-orbits of cat1 structures, read off the orbit maps of the
-    structure array and memoized; the cat2 pair scan takes its orbit
-    representatives from the same families."""
+    """Aut(G)-orbits of cat1 structures, read off the orbit maps and
+    memoized; the cat2 pair scan takes its orbit representatives from the
+    same families."""
     require_dense(G)
     k = len(_cat1_pairs(G)[0])
     return Cat1Classification(G, _orbit_families(k, cat1_structure_orbit_maps(G)), k)

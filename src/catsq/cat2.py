@@ -30,6 +30,7 @@ from .groups import (
     GroupTable,
     Homomorphism,
     Subgroup,
+    _endomorphism_maps,
     _memo,
     all_homomorphisms,
     compose,
@@ -41,7 +42,8 @@ from .groups import (
 from .cat1 import (
     Cat1Group,
     PreCat1Group,
-    _cat1_array,
+    _cat1_pairs,
+    _code_positions,
     _intertwines,
     _kernel_check,
     _noncommuting_mask,
@@ -162,7 +164,7 @@ def diagonal_pre_cat1(C: PreCat2Group) -> tuple[PreCat1Group, bool, Optional[tup
 @_memo
 def _cat2_codes(G: GroupTable) -> np.ndarray:
     """The sorted codes i*k + j of the index pairs (i <= j) of commuting cat1
-    structures, k being the cat1 count; the pair scan.
+    structures, k being the cat1 count; the pair scan on E[tails], E[heads].
 
     Commutation is invariant under Aut(G), so only the least structure of
     each cat1 orbit is tested against all k structures.  The partner lists
@@ -171,10 +173,10 @@ def _cat2_codes(G: GroupTable) -> np.ndarray:
     transport), one level at a time: each structure first reached as
     sigma(x) takes the partners of x, moved by sigma, in one gather per level.
     """
-    n = G.order
-    TH = _cat1_array(G)
-    k = len(TH)
-    T, H = TH[:, :n], TH[:, n:]
+    E = _endomorphism_maps(G)[0]
+    tails, heads = _cat1_pairs(G)
+    k = len(tails)
+    T, H = E[tails], E[heads]
     sigmas = cat1_structure_orbit_maps(G)
     level = np.array([f[0] for f in cat1_isomorphism_classes(G).families])
     partners = []
@@ -205,7 +207,7 @@ def _cat2_codes(G: GroupTable) -> np.ndarray:
 def cat2_pair_indices(G: GroupTable) -> list[tuple[int, int]]:
     """Index pairs (i <= j) of commuting cat1 structures, canonical order:
     the pair codes of :func:`_cat2_codes`, decoded."""
-    k = len(_cat1_array(G))
+    k = len(_cat1_pairs(G)[0])
     return list(zip(*(a.tolist() for a in np.divmod(_cat2_codes(G), k))))
 
 
@@ -239,8 +241,8 @@ class Cat2Classification:
 
 def _least_pairs(cls: Cat2Classification) -> tuple[np.ndarray, np.ndarray]:
     """The cat1 positions (i, j) of the least member of each family."""
-    TH = _cat1_array(cls.group)
-    return np.divmod(_cat2_codes(cls.group)[[f[0] for f in cls.families]], len(TH))
+    k = len(_cat1_pairs(cls.group)[0])
+    return np.divmod(_cat2_codes(cls.group)[[f[0] for f in cls.families]], k)
 
 
 @_memo
@@ -249,42 +251,40 @@ def cat2_isomorphism_classes(G: GroupTable) -> Cat2Classification:
 
     Stored pairs are already swap-canonical, so each generator of Aut(G)
     maps the sorted pair codes i*k + j to the codes of the conjugated and
-    re-sorted pairs; one ``searchsorted`` turns them into a permutation of
-    positions, and :func:`_orbit_families` reads off the families.
+    re-sorted pairs; :func:`_code_positions` turns them into a permutation
+    of positions, and :func:`_orbit_families` reads off the families.
     """
     require_dense(G)
     codes = _cat2_codes(G)
-    k = len(_cat1_array(G))
+    k = len(_cat1_pairs(G)[0])
     I, J = np.divmod(codes, k)
     perms = []
     for sigma in cat1_structure_orbit_maps(G):
         a, b = sigma[I], sigma[J]
-        moved = np.minimum(a, b) * k + np.maximum(a, b)
-        pos = np.searchsorted(codes, moved)
-        if not np.array_equal(codes[np.minimum(pos, len(codes) - 1)], moved):
-            raise GroupError("Aut(G) moved a cat2 structure outside the enumeration")
-        perms.append(pos)
+        perms.append(_code_positions(
+            codes, np.minimum(a, b) * k + np.maximum(a, b),
+            "Aut(G) moved a cat2 structure outside the enumeration"))
     return Cat2Classification(G, _orbit_families(len(codes), perms), len(codes))
 
 
 def non_cat1_diagonal_count(G: GroupTable) -> int:
     """Number of cat2 isomorphism classes whose diagonal is not a cat1-group.
 
-    One array pass over the class representatives: their tail|head rows are
-    gathered by pair code, giving t = t1 o t2 and h = h1 o h2 for all of them
-    at once.  Every diagonal must be a pre-cat1 structure (t o h = h and
-    h o t = t), or :class:`GroupError` names the first failing
-    representative.  The diagonal fails [ker t, ker h] = 1 exactly when
+    One array pass over the class representatives: their tail and head rows
+    are gathered from the idempotent array by pair code, giving t = t1 o t2
+    and h = h1 o h2 for all of them at once.  Every diagonal must be a
+    pre-cat1 structure (t o h = h and h o t = t), or :class:`GroupError`
+    names the first failing representative.  The diagonal fails [ker t, ker h] = 1 exactly when
     ker t x ker h meets the non-commuting mask NC, counted by the diagonal
     of ``ker_t @ NC @ ker_h.T`` (exact in float32).  The single-structure
     form is :func:`diagonal_pre_cat1`.
     """
-    n = G.order
-    TH = _cat1_array(G)
+    E = _endomorphism_maps(G)[0]
+    tails, heads = _cat1_pairs(G)
     i, j = _least_pairs(cat2_isomorphism_classes(G))
     rows = np.arange(len(i))[:, None]
-    t = TH[i[:, None], TH[j, :n]]  # t1(t2(x)) at column x
-    h = TH[i[:, None], n + TH[j, n:]]
+    t = E[tails[i][:, None], E[tails[j]]]  # t1(t2(x)) at column x
+    h = E[heads[i][:, None], E[heads[j]]]
     wrong = np.stack((t[rows, h] != h, h[rows, t] != t), axis=1)
     if wrong.any():
         r, line, x = np.argwhere(wrong)[0].tolist()  # first class, line, element

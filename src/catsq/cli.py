@@ -118,7 +118,7 @@ def cmd_convert(args) -> int:
     return 0
 
 
-# kind -> (parser, axiom report); `catsq check` parses with validate=False
+# kind -> (parser, axiom report of the parsed data)
 CHECKERS = {
     "cat1": (parse_cat1, is_cat1_group),
     "cat2": (parse_cat2, is_cat2_group),
@@ -134,7 +134,7 @@ def cmd_check(args) -> int:
             print(f"error: cannot check files of kind {kind!r}", file=sys.stderr)
             return 2
         parse, report_of = CHECKERS[kind]
-        report = report_of(parse(text, validate=False))
+        report = report_of(parse(text))
     except (GroupError, OSError, UnicodeDecodeError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 2

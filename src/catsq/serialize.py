@@ -3,16 +3,15 @@
 Files are LF-terminated ASCII: a header line ``catsq <version> <kind>``,
 keyword-introduced sections with whitespace-separated decimal integers, and a
 closing ``end`` line that only blank lines may follow.  Emission is canonical
-(single spaces, no trailing whitespace), so ``emit(parse(text)) == text`` byte
-for byte.  One parser per kind.  Malformed text raises a ``GroupError``
-naming the bad line or token.
+(single spaces; no trailing whitespace but that of ``gens `` for a group
+without generators), so ``emit(parse(text)) == text`` byte for byte.  One
+parser per kind.  Malformed text raises a ``GroupError`` naming the bad line
+or token.
 
 Parsing checks the syntax, each group table (Light's test), the ranges of
-map and action entries and the shapes of the values built from them; the
-axioms, homomorphisms and actions included, are report lines.
-``validate=True`` passes the data through the certifying factory of its
-kind, which raises naming the first failing line and its witness;
-``validate=False`` returns the unchecked data for a report.
+map and action entries and the shapes of the values built from them, and
+returns the data; the axioms, homomorphisms and actions included, are report
+lines, which the certifying factories require.
 """
 
 from __future__ import annotations
@@ -21,9 +20,9 @@ from typing import Optional
 
 from .groups import (DenseGroup, GroupAction, GroupError, GroupTable, Homomorphism, image_of,
                      require_dense)
-from .cat1 import PreCat1Group, cat1_group
-from .cat2 import PreCat2Group, cat2_group
-from .xsq import CrossedSquare, crossed_square
+from .cat1 import PreCat1Group
+from .cat2 import PreCat2Group
+from .xsq import CrossedSquare
 
 FORMAT_VERSION = 1
 
@@ -40,18 +39,17 @@ def _ints(words) -> list[int]:
 
 
 def _map(r: "_Reader", name: str, G: GroupTable, H: GroupTable) -> Homomorphism:
-    """The ``name`` line as a map G -> H; each value must be an element of H.
-
-    The constructor checks the range; only a rejected map is scanned again,
-    so that an entry outside H is reported under the map's name."""
+    """The ``name`` line as a map G -> H.  The constructor checks shape and
+    range; a rejected map is scanned again to name an entry outside H, and
+    any other shape error is prefixed with ``map <name>:``."""
     m = _ints(r.expect(name))
     try:
         return Homomorphism(G, H, m)
-    except GroupError:
+    except GroupError as exc:
         if m and not 0 <= min(m) <= max(m) < H.order:
             bad = next(v for v in m if not 0 <= v < H.order)
             raise FormatError(f"map {name} has entry {bad} outside 0..{H.order - 1}") from None
-        raise
+        raise FormatError(f"map {name}: {exc}") from None
 
 
 def _section(r: "_Reader", keyword: str, count: int, n: int) -> tuple[tuple[int, ...], ...]:
@@ -195,31 +193,34 @@ def _pre_cat1(t: Homomorphism, h: Homomorphism) -> PreCat1Group:
     return PreCat1Group(t.source, t, h, image_of(t))
 
 
-def parse_cat1(text: str, validate: bool = True) -> PreCat1Group:
+def parse_cat1(text: str) -> PreCat1Group:
     r = _open(text, "cat1")
     G = parse_group(r)
     t, h = (_map(r, k, G, G) for k in ("t", "h"))
     r.end()
-    return cat1_group(t, h) if validate else _pre_cat1(t, h)
+    return _pre_cat1(t, h)
 
 
-def parse_cat2(text: str, validate: bool = True) -> PreCat2Group:
+def parse_cat2(text: str) -> PreCat2Group:
     r = _open(text, "cat2")
     G = parse_group(r)
     maps = [_map(r, k, G, G) for k in ("t1", "h1", "t2", "h2")]
     r.end()
-    c1, c2 = _pre_cat1(*maps[:2]), _pre_cat1(*maps[2:])
-    return cat2_group(c1, c2) if validate else PreCat2Group(G, c1, c2)
+    return PreCat2Group(G, _pre_cat1(*maps[:2]), _pre_cat1(*maps[2:]))
 
 
-def parse_xsq(text: str, validate: bool = True) -> CrossedSquare:
+def parse_xsq(text: str) -> CrossedSquare:
     r = _open(text, "xsq")
     L, M, N, P = (parse_group(r) for _ in range(4))
     kappa, lam = _map(r, "kappa", L, M), _map(r, "lambda", L, N)
     mu, nu = _map(r, "mu", M, P), _map(r, "nu", N, P)
-    acts = [GroupAction(P, space, _section(r, name, P.order, space.order))
-            for name, space in (("actl", L), ("actm", M), ("actn", N))]
+    acts = []
+    for name, space in (("actl", L), ("actm", M), ("actn", N)):
+        rows = _section(r, name, P.order, space.order)
+        try:
+            acts.append(GroupAction(P, space, rows))
+        except GroupError as exc:
+            raise FormatError(f"{name}: {exc}") from None
     pairing = _section(r, "pairing", M.order, L.order)
     r.end()
-    build = crossed_square if validate else CrossedSquare
-    return build(L, M, N, P, kappa, lam, mu, nu, *acts, pairing)
+    return CrossedSquare(L, M, N, P, kappa, lam, mu, nu, *acts, pairing)

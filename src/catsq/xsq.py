@@ -14,11 +14,11 @@ axioms.  :class:`CrossedSquare` checks that its maps, actions and pairing
 fit its corners.  :func:`is_crossed_square` reports the seven map and action
 lines (kappa, lambda, mu, nu, actl, actm, actn), then the axioms.  Data is
 validated where it enters: :func:`crossed_square` (and every construction
-and parser built on it) requires every line and returns a
-:class:`ValidCrossedSquare`.  The two equivalence functors rely on the
-theorem XSq ~ Cat2 instead of checking their output:
-:func:`crossed_square_of_cat2` checks an input that is not a
-:class:`Cat2Group` and returns a certified square, and
+built on it) requires every line and returns a :class:`ValidCrossedSquare`.
+The two equivalence functors rely on the theorem XSq ~ Cat2 instead of
+checking their output: :func:`crossed_square_of_cat2` certifies an input
+that is not a :class:`Cat2Group` by :func:`cat2_group` and returns a
+certified square, and
 :func:`cat2_of_crossed_square` checks an input that is not certified and
 then builds the cat2-group directly.
 """
@@ -54,7 +54,7 @@ from .groups import (
 )
 from .xmod import CrossedModule, ValidityReport, _line, _map_lines, _require, _xmod_axioms
 from .cat1 import Cat1Group
-from .cat2 import Cat2Group, PreCat2Group, is_cat2_group
+from .cat2 import Cat2Group, PreCat2Group, cat2_group
 
 
 @dataclass(frozen=True)
@@ -315,13 +315,12 @@ def transpose_xsq(X: CrossedSquare) -> ValidCrossedSquare:
 def crossed_square_of_cat2(C: PreCat2Group) -> ValidCrossedSquare:
     """Kernel/image corner square with restricted heads and commutator pairing.
 
-    A :class:`Cat2Group` input is trusted; any other input is checked first
-    and rejected with the failing line.  The result is a crossed square by
-    the equivalence XSq ~ Cat2, so it is certified without running the
-    checker.
+    A :class:`Cat2Group` input is trusted; any other input is certified by
+    :func:`cat2_group` first.  The result is a crossed square by the
+    equivalence XSq ~ Cat2, so it is certified without running the checker.
     """
     if not isinstance(C, Cat2Group):
-        _require(is_cat2_group(C).checks, "not a cat2-group")
+        C = cat2_group(C.c1, C.c2)
     G = C.group
     kt1 = kernel_of(C.c1.tail)
     kt2 = kernel_of(C.c2.tail)

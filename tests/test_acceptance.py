@@ -34,6 +34,7 @@ import pytest
 
 from catsq import catalog
 from catsq.groups import (
+    _endomorphism_maps,
     all_homomorphisms,
     are_isomorphic,
     automorphism_generators,
@@ -46,7 +47,7 @@ from catsq.groups import (
     trivial_hom,
 )
 from catsq.cat1 import (
-    _cat1_array,
+    _cat1_pairs,
     all_cat1_groups,
     cat1_group,
     cat1_isomorphism_classes,
@@ -549,8 +550,10 @@ def test_criterion_7_oracle_equivalence_fast():
         cat1s = all_cat1_groups(G)
         if naive1 != [c.key() for c in cat1s]:
             problems.append(f"cat1 naive loop differs on {order}/{gid}")
-        if _cat1_array(G).tolist() != [list(c.tail.mapping + c.head.mapping) for c in cat1s]:
-            problems.append(f"cat1 array differs from the structures on {order}/{gid}")
+        E, (tails, heads) = _endomorphism_maps(G)[0], _cat1_pairs(G)
+        if (E[tails].tolist() != [list(c.tail.mapping) for c in cat1s]
+                or E[heads].tolist() != [list(c.head.mapping) for c in cat1s]):
+            problems.append(f"cat1 index pairs differ from the structures on {order}/{gid}")
         if order > 16:
             continue
         naive2 = [(i, j) for i in range(len(cat1s)) for j in range(i, len(cat1s))

@@ -291,6 +291,16 @@ MALFORMED = {
                      "actl row 1 has entry 7"),
     "pairing entry": (_SQUARE.replace("\npairing 1\n0\n", "\npairing 1\n5\n"),
                       "pairing row 0 has entry 5"),
+    "map length": (_C2 + "gens 1\n" + _C2_MAPS.replace("t2 0 1", "t2 0"),
+                   "map t2: mapping length must equal the source order"),
+    "map identity": (_C2 + "gens 1\n" + _C2_MAPS.replace("t1 0 1", "t1 1 0"),
+                     "map t1: a homomorphism must send identity to identity"),
+    "xsq map length": (_SQUARE.replace("\nkappa 0 0\n", "\nkappa 0\n"),
+                       "map kappa: mapping length must equal the source order"),
+    "action identity": (_SQUARE.replace("\nactl 2\n0 1\n0 1\n", "\nactl 2\n1 0\n0 1\n"),
+                        "actl: the identity must act trivially"),
+    "action permutation": (_SQUARE.replace("\nactl 2\n0 1\n0 1\n", "\nactl 2\n0 1\n1 1\n"),
+                           "actl: actor images must be permutations of the space: row 1 misses 0"),
 }
 
 
@@ -310,7 +320,8 @@ def test_malformed_file_no_traceback(tmp_path, name):
 
 
 @pytest.mark.parametrize("name", ["map image", "negative generator", "empty table",
-                                  "action image", "pairing entry"])
+                                  "action image", "pairing entry", "map length", "map identity",
+                                  "xsq map length", "action identity", "action permutation"])
 def test_malformed_values_rejected(tmp_path, capsys, name):
     text, token = MALFORMED[name]
     f = tmp_path / "bad.catsq"

@@ -14,7 +14,6 @@ import pytest
 
 from catsq import catalog, cat1, cat2, groups
 from catsq.cat1 import (
-    _cat1_array,
     _orbit_families,
     all_cat1_groups,
     cat1_isomorphism_classes,
@@ -148,16 +147,28 @@ def test_conjugation_outside_the_enumeration(monkeypatch):
 
 def test_orbit_maps_compare_whole_rows(monkeypatch):
     F = fresh_copy(catalog.small_group(8, 3))
-    n, TH = F.order, _cat1_array(F)
-    # the transposition (4 7) is no automorphism of D8, but conjugating by it
-    # agrees with conjugating by the identity on the key columns (column 0,
-    # and t and h at the generators) of every cat1 structure, and not on all
+    E, gens = groups._endomorphism_maps(F)[0], list(F.generators)
+    # the transposition (4 7) is no automorphism of D8, but conjugating the
+    # idempotents by it agrees with conjugating by the identity at the
+    # generators, where endomorphisms are determined, and not on whole rows
     swap = np.array([0, 1, 2, 3, 7, 5, 6, 4])
-    conj = swap[TH[:, np.concatenate((swap, swap + n))]]  # swap is its own inverse
-    keys = [0, *F.generators, *(n + g for g in F.generators)]
-    assert np.array_equal(conj[:, keys], TH[:, keys]) and not np.array_equal(conj, TH)
+    conj = swap[E[:, swap]]  # swap is its own inverse
+    assert np.array_equal(conj[:, gens], E[:, gens]) and not np.array_equal(conj, E)
     bogus = SimpleNamespace(mapping=tuple(swap.tolist()))
     monkeypatch.setattr(cat1, "automorphism_generators", lambda G: [bogus])
+    with pytest.raises(GroupError, match="conjugating a cat1 structure left the enumeration"):
+        cat1_structure_orbit_maps(F)
+
+
+def test_orbit_maps_find_every_moved_code(monkeypatch):
+    G = catalog.small_group(8, 3)
+    F = fresh_copy(G)
+    tails, heads = cat1._cat1_pairs(F)
+    # drop one member of a class of two or more, so that an automorphism
+    # moves another member to a pair that is no longer enumerated
+    family = next(f for f in cat1_isomorphism_classes(G).families if len(f) > 1)
+    kept = np.arange(len(tails)) != family[-1]
+    monkeypatch.setattr(cat1, "_cat1_pairs", lambda _: (tails[kept], heads[kept]))
     with pytest.raises(GroupError, match="conjugating a cat1 structure left the enumeration"):
         cat1_structure_orbit_maps(F)
 
@@ -175,9 +186,8 @@ def test_pair_scan_without_aut_generators():
 
 def test_shared_memo_arrays_are_read_only():
     G = fresh_copy(catalog.small_group(8, 3))
-    shared = (*groups._endomorphism_maps(G), *cat1._cat1_pairs(G), _cat1_array(G),
-              cat1_structure_orbit_maps(G), cat2._cat2_codes(G), cat1._noncommuting_mask(G),
-              groups._np_table(G))
+    shared = (*groups._endomorphism_maps(G), *cat1._cat1_pairs(G), cat1_structure_orbit_maps(G),
+              cat2._cat2_codes(G), cat1._noncommuting_mask(G), groups._np_table(G))
     for A in shared:
         before = A.copy()
         with pytest.raises(ValueError):

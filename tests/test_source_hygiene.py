@@ -3,7 +3,8 @@ imports a name it never uses, every private top-level function and private
 module-level assigned name is referenced somewhere in the package, only
 ``groups`` chooses between a dense and a structural realization, only
 ``tables`` and ``cli`` import the result cache, no dataclass constructor
-multiplies, and only the memo decorator touches a group's ``_cache``."""
+multiplies, only the memo decorator touches a group's ``_cache``, and only
+the code lookup ``cat1._code_positions`` calls ``searchsorted``."""
 
 import ast
 from pathlib import Path
@@ -142,3 +143,14 @@ def test_only_memo_touches_the_group_cache():
                         touches.append(f"{owner} line {n.lineno}")
     assert touches == []
     assert owners == CACHE_OWNERS | {PERMS_RECORD}
+
+
+def test_only_code_positions_searches_sorted_codes():
+    """Both classifiers find moved pair codes through ``cat1._code_positions``,
+    which checks that every code was found; no other function calls
+    ``searchsorted``, as a method or a name."""
+    callers = [owner for name, tree in TREES.items() for owner, unit in _units(name, tree)
+               for n in ast.walk(unit)
+               if isinstance(n, ast.Call) and "searchsorted" in (getattr(n.func, "attr", None),
+                                                               getattr(n.func, "id", None))]
+    assert callers == ["cat1.py: _code_positions"]

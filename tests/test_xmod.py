@@ -196,10 +196,12 @@ def test_certifying_factories_name_the_failing_map_line():
     square = trivial_action_crossed_square(c5, c1, c1, c2, trivial_action(c2, c1),
                                            trivial_action(c2, c1))
     A = all_cat2_groups(s3)[0]
+    # the parser checks shapes only; the factory certifies what it read
+    parsed = parse_cat1("catsq 1 cat1\ngroup key 6 1\nt 0 1 1 0 0 0\nh 0 1 2 3 4 5\nend\n")
     cases = [
         (lambda: cat1_group(bad, ident),
          f"not a cat1-group: t is a homomorphism fails with witness {w}"),
-        (lambda: parse_cat1("catsq 1 cat1\ngroup key 6 1\nt 0 1 1 0 0 0\nh 0 1 2 3 4 5\nend\n"),
+        (lambda: cat1_group(parsed.tail, parsed.head),
          f"not a cat1-group: t is a homomorphism fails with witness {w}"),
         (lambda: cat1_group(ident, bad),
          f"not a cat1-group: h is a homomorphism fails with witness {w}"),
