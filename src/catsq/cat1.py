@@ -11,10 +11,10 @@ tests of both axioms at once, and lists ordered pairs in lexicographic order
 of their concatenated map arrays; the index pair (tails, heads) into E is the
 one array form of the structures, whose maps are E[tails] and E[heads].
 Classification conjugates E by each Aut(G) generator; the induced permutation
-of E moves the sorted pair codes, and :func:`_code_positions` finds them, one
-permutation of the k positions per generator.  :func:`_orbit_families`
-(min-label propagation with pointer jumping) turns such permutations into
-orbits, for the cat2 classes too.  The memoized classification holds
+of E moves the sorted pair codes, and :func:`_code_positions` finds them by
+one argsort, one permutation of the k positions per generator.
+:func:`_orbit_families` (min-label propagation with pointer jumping) turns
+such permutations into orbits, for the cat2 classes too.  The memoized classification holds
 positions and the total; the structure objects are built only when read.
 """
 
@@ -226,11 +226,14 @@ class Cat1Classification:
 
 
 def _code_positions(codes: np.ndarray, moved: np.ndarray, what: str) -> np.ndarray:
-    """The positions of ``moved`` in the sorted ``codes``; raises
-    :class:`GroupError` with the message ``what`` if one is not there."""
-    pos = np.searchsorted(codes, moved)
-    if not np.array_equal(codes[np.minimum(pos, len(codes) - 1)], moved):
+    """The positions of ``moved`` in the sorted, distinct ``codes``, by one
+    argsort; raises :class:`GroupError` with the message ``what`` unless
+    ``moved`` is a permutation of ``codes``."""
+    order = np.argsort(moved)
+    if not np.array_equal(moved[order], codes):
         raise GroupError(what)
+    pos = np.empty(len(codes), dtype=np.intp)
+    pos[order] = np.arange(len(codes))
     return pos
 
 

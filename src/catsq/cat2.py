@@ -7,14 +7,15 @@ enumeration emits each pair once, lexicographically smaller structure first.
 commutation identities; :func:`cat2_group` checks commutation, and the cat1
 lines only of a structure that is not already a :class:`Cat1Group`.
 The pair scan tests one cat1 structure per Aut(G) orbit against all
-structures with numpy row compositions and carries the partner lists along
-all orbits at once, one breadth-first level at a time.  Isomorphism
-classification computes orbits under Aut(G) combined with the orientation
-swap: each Aut(G) generator permutes the sorted pair codes, and the families
-come from the same array orbit routine as the cat1 classes (min-label
-propagation with pointer jumping).  The classification holds positions and
-builds its representatives only when they are read; the diagonal probe of
-:func:`non_cat1_diagonal_count` tests all representatives in one array pass.
+structures, comparing composed endomorphisms on the generator columns only,
+and carries the partner lists along all orbits at once, one breadth-first
+level at a time.  Isomorphism classification computes orbits under Aut(G)
+combined with the orientation swap: each Aut(G) generator permutes the
+sorted pair codes, and the families come from the same array orbit routine
+as the cat1 classes (min-label propagation with pointer jumping).  The
+classification holds positions and builds its representatives only when they
+are read; the diagonal probe of :func:`non_cat1_diagonal_count` tests all
+representatives in one array pass.
 """
 
 from __future__ import annotations
@@ -167,24 +168,31 @@ def _cat2_codes(G: GroupTable) -> np.ndarray:
     structures, k being the cat1 count; the pair scan on E[tails], E[heads].
 
     Commutation is invariant under Aut(G), so only the least structure of
-    each cat1 orbit is tested against all k structures.  The partner lists
-    are then carried breadth-first along all orbits at once by the generator
-    permutations of :func:`cat1_structure_orbit_maps` (orbit-stabilizer
-    transport), one level at a time: each structure first reached as
-    sigma(x) takes the partners of x, moved by sigma, in one gather per level.
+    each cat1 orbit is tested against all k structures.  Each identity, such
+    as t o T[j] = T[j] o t, is compared on the columns ``G.generators`` only:
+    the rows of E are endomorphisms certified by the End(G) pass, so both
+    sides are, and ``groups._cayley_tree`` has proved that ``G.generators``
+    generate G.  The partner lists are then carried breadth-first along all
+    orbits at once by the generator permutations of
+    :func:`cat1_structure_orbit_maps` (orbit-stabilizer transport), one level
+    at a time: each structure first reached as sigma(x) takes the partners
+    of x, moved by sigma, in one gather per level.
     """
     E = _endomorphism_maps(G)[0]
     tails, heads = _cat1_pairs(G)
     k = len(tails)
     T, H = E[tails], E[heads]
+    gens = list(G.generators)
+    Tg, Hg = T[:, gens], H[:, gens]
     sigmas = cat1_structure_orbit_maps(G)
     level = np.array([f[0] for f in cat1_isomorphism_classes(G).families])
     partners = []
     for t, h in zip(T[level], H[level]):
         # row j compares (representative) o (structure j) with the reverse
+        tg, hg = t[gens], h[gens]
         partners.append(np.flatnonzero(
-            (t[T] == T[:, t]).all(axis=1) & (h[H] == H[:, h]).all(axis=1)
-            & (t[H] == H[:, t]).all(axis=1) & (h[T] == T[:, h]).all(axis=1)))
+            (t[Tg] == T[:, tg]).all(axis=1) & (h[Hg] == H[:, hg]).all(axis=1)
+            & (t[Hg] == H[:, tg]).all(axis=1) & (h[Tg] == T[:, hg]).all(axis=1)))
     deg = np.array([len(p) for p in partners])
     I, J = [np.repeat(level, deg)], [np.concatenate(partners)]
     seen = np.zeros(k, dtype=bool)

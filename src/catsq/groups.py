@@ -744,14 +744,18 @@ def _endomorphism_maps(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     Each block of :func:`_hom_blocks` is filtered as it comes, so End(G) is
     never held whole; an endomorphism is bijective exactly when its kernel
     is trivial.  The identity map is in both.  Homomorphisms that agree on
-    the generators are equal, so rows are sorted on the columns
-    ``0..max(G.generators)`` only (column 0 alone for the trivial group).
+    the generators are equal (:func:`_cayley_tree` has proved that
+    ``G.generators`` generate G), so rows are sorted on the columns
+    ``0..max(G.generators)`` only (column 0 alone for the trivial group),
+    and M o M = M (both sides are endomorphisms) on the generator columns.
     """
     cands = _order_candidates(G, G, lambda og, oh: og % oh == 0)
+    gens = list(G.generators)
     idempotent, bijective = [], []
     for M in _hom_blocks(G, G, cands):
         M = M.astype(np.int32)  # halves the memory of the rows kept until the sort
-        idempotent.append(M[(np.take_along_axis(M, M, axis=1) == M).all(axis=1)])
+        Mg = M[:, gens]
+        idempotent.append(M[(np.take_along_axis(M, Mg, axis=1) == Mg).all(axis=1)])
         bijective.append(M[(M == 0).sum(axis=1) == 1])
     return tuple(A[np.lexsort(A[:, max(G.generators, default=0)::-1].T)]
                  for A in map(np.concatenate, (idempotent, bijective)))

@@ -4,11 +4,12 @@ Each test prints one ``criterion N (...): PASS/FAIL`` line (visible with
 ``pytest -s``).  Criteria 2 is the full-tier table check and runs under the
 ``heavy`` marker, as do the 16/14 portions of criteria 6 and 7 (the heavy
 part of criterion 7 also checks the 27/5 pair scan against the naive loop,
-the End(G) kernel and Aut(G) generators of both heavy groups against the
-per-tuple closure of ``tests/test_groups.py``, their cat1 orbit maps and
-cat1 and cat2 families against the union-find oracle of
-``tests/test_orbits.py``, and the 16/14 diagonal probe against the
-per-representative loop of ``tests/test_cat2.py``).
+the partner lists of both heavy groups' cat1 representatives against the
+whole-row test of ``tests/test_cat2.py``, the End(G) kernel and Aut(G)
+generators of both heavy groups against the per-tuple closure of
+``tests/test_groups.py``, their cat1 orbit maps and cat1 and cat2 families
+against the union-find oracle of ``tests/test_orbits.py``, and the 16/14
+diagonal probe against the per-representative loop of ``tests/test_cat2.py``).
 
 The embedded reference data is asserted verbatim except at a few entries that
 are provably wrong.  Those are named in ``TABLE_ERRATA`` and
@@ -73,7 +74,7 @@ from catsq.xsq import (
     crossed_square_of_cat2,
     is_crossed_square,
 )
-from test_cat2 import oracle_bad_diagonals
+from test_cat2 import oracle_bad_diagonals, oracle_representative_partners, representative_partners
 from test_groups import end_map_tuples, fresh_copy, oracle_aut_generators, oracle_end_maps
 from test_orbits import oracle_problems
 
@@ -583,6 +584,10 @@ def test_criterion_7_oracle_equivalence_16_14():
                   if commutation_witness(cat1s[i], cat1s[j]) is None]
         if naive2 != cat2_pair_indices(G):
             problems.append(f"cat2 naive loop differs on {key[0]}/{key[1]}")
+        # the generator-column partner lists against the whole-row test
+        if representative_partners(G) != oracle_representative_partners(G):
+            problems.append(f"pair-scan partners differ from the whole-row test "
+                            f"on {key[0]}/{key[1]}")
         # the batched End(G) kernel and Aut(G) closure against the
         # per-tuple closure, on a copy with an empty cache
         F = fresh_copy(G)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from catsq import catalog, cat2
-from catsq.groups import GroupError, compose, hom_by_images, trivial_hom
+from catsq.groups import GroupError, _endomorphism_maps, compose, hom_by_images, trivial_hom
 from catsq.tables import HEAVY_KEYS
-from catsq.cat1 import all_cat1_groups, cat1_group, identity_cat1, pre_cat1_by_endomorphisms
+from catsq.cat1 import (_cat1_pairs, all_cat1_groups, cat1_group, cat1_isomorphism_classes,
+                        identity_cat1, pre_cat1_by_endomorphisms)
 from catsq.cat2 import (
     Cat2Classification,
     PreCat2Group,
@@ -210,6 +211,37 @@ def oracle_bad_diagonals(G):
     probe replaced: one :func:`diagonal_pre_cat1` per class representative."""
     return sum(not diagonal_pre_cat1(rep)[1]
                for rep in cat2_isomorphism_classes(G).representatives)
+
+
+def oracle_representative_partners(G):
+    """Per cat1 class representative r, the structures j that commute with it,
+    by the whole-row test the pair scan ran before it compared the generator
+    columns only: r o j = j o r on every element, for each of the four
+    identities."""
+    E, (tails, heads) = _endomorphism_maps(G)[0], _cat1_pairs(G)
+    T, H = E[tails], E[heads]
+    partners = {}
+    for r in (f[0] for f in cat1_isomorphism_classes(G).families):
+        t, h = T[r], H[r]
+        partners[r] = np.flatnonzero(
+            (t[T] == T[:, t]).all(axis=1) & (h[H] == H[:, h]).all(axis=1)
+            & (t[H] == H[:, t]).all(axis=1) & (h[T] == T[:, h]).all(axis=1)).tolist()
+    return partners
+
+
+def representative_partners(G):
+    """Per cat1 class representative r, the j such that (r, j) or (j, r) is a
+    pair code of the scan."""
+    i, j = np.divmod(cat2._cat2_codes(G), len(_cat1_pairs(G)[0]))
+    return {r: sorted(set(j[i == r].tolist()) | set(i[j == r].tolist()))
+            for r in (f[0] for f in cat1_isomorphism_classes(G).families)}
+
+
+def test_pair_scan_partners_match_the_whole_row_oracle():
+    keys = [k for k in catalog.catalog_keys() if k not in HEAVY_KEYS] + [(27, 5)]
+    for key in keys:
+        G = catalog.small_group(*key)
+        assert representative_partners(G) == oracle_representative_partners(G), key
 
 
 def test_diagonal_probe_matches_the_per_representative_loop():

@@ -173,6 +173,14 @@ def test_orbit_maps_find_every_moved_code(monkeypatch):
         cat1_structure_orbit_maps(F)
 
 
+def test_code_positions_need_a_permutation_of_the_codes():
+    codes = np.array([2, 5, 7, 11])
+    assert cat1._code_positions(codes, np.array([7, 2, 11, 5]), "lost").tolist() == [2, 0, 3, 1]
+    # every moved code is enumerated, but 5 is reached twice and 11 never
+    with pytest.raises(GroupError, match="^lost$"):
+        cat1._code_positions(codes, np.array([7, 2, 5, 5]), "lost")
+
+
 def test_pair_scan_without_aut_generators():
     # Aut(C1) and Aut(C2) are trivial, so no partner row is transported
     for key in ((1, 1), (2, 1)):

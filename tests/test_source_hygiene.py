@@ -3,8 +3,9 @@ imports a name it never uses, every private top-level function and private
 module-level assigned name is referenced somewhere in the package, only
 ``groups`` chooses between a dense and a structural realization, only
 ``tables`` and ``cli`` import the result cache, no dataclass constructor
-multiplies, only the memo decorator touches a group's ``_cache``, and only
-the code lookup ``cat1._code_positions`` calls ``searchsorted``."""
+multiplies, only the memo decorator touches a group's ``_cache``, both
+classifiers find moved pair codes through the one lookup
+``cat1._code_positions``, and nothing calls ``searchsorted``."""
 
 import ast
 from pathlib import Path
@@ -145,12 +146,18 @@ def test_only_memo_touches_the_group_cache():
     assert owners == CACHE_OWNERS | {PERMS_RECORD}
 
 
+def _callers(word):
+    """The owners of every call of ``word``, as a method or a name."""
+    return [owner for name, tree in TREES.items() for owner, unit in _units(name, tree)
+            for n in ast.walk(unit)
+            if isinstance(n, ast.Call) and word in (getattr(n.func, "attr", None),
+                                                   getattr(n.func, "id", None))]
+
+
 def test_only_code_positions_searches_sorted_codes():
-    """Both classifiers find moved pair codes through ``cat1._code_positions``,
-    which checks that every code was found; no other function calls
-    ``searchsorted``, as a method or a name."""
-    callers = [owner for name, tree in TREES.items() for owner, unit in _units(name, tree)
-               for n in ast.walk(unit)
-               if isinstance(n, ast.Call) and "searchsorted" in (getattr(n.func, "attr", None),
-                                                               getattr(n.func, "id", None))]
-    assert callers == ["cat1.py: _code_positions"]
+    """Both classifiers, and nothing else, find moved pair codes through the
+    one lookup ``cat1._code_positions``, which checks that they are a
+    permutation of the sorted codes; nothing calls ``searchsorted``."""
+    assert _callers("searchsorted") == []
+    assert sorted(_callers("_code_positions")) == ["cat1.py: cat1_structure_orbit_maps",
+                                                   "cat2.py: cat2_isomorphism_classes"]
