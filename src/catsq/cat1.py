@@ -14,15 +14,16 @@ Classification conjugates E by each Aut(G) generator; the induced permutation
 of E moves the sorted pair codes, and :func:`_code_positions` finds them by
 one argsort, one permutation of the k positions per generator.
 :func:`_orbit_families` (min-label propagation with pointer jumping) turns
-such permutations into orbits, for the cat2 classes too.  The memoized classification holds
-positions and the total; the structure objects are built only when read.
+such permutations into orbits, for the cat2 classes too.  The objects at
+given positions are built on read by :func:`_cat1_structures`, the decoder
+of :func:`all_cat1_groups` and of the cat1 :class:`Classification`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from .groups import (
     all_homomorphisms,
     compose,
     group_of_subgroup,
-    idempotent_endomorphisms,
     image_of,
     inclusion_hom,
     kernel_of,
@@ -188,41 +188,40 @@ def _cat1_pairs(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero((outside == 0) & (outside.T == 0) & (clash == 0))
 
 
-@_memo
-def all_cat1_groups(G: GroupTable) -> list[Cat1Group]:
-    """Every cat1 structure (t, h) on G, ordered pairs, lexicographic order.
+def _cat1_structures(G: GroupTable, positions) -> list[Cat1Group]:
+    """The cat1 structures at ``positions`` (a numpy index) of the
+    enumeration: the idempotent rows of their index pairs of
+    :func:`_cat1_pairs`, each row built once, and the structures with one
+    tail share one range subgroup, its image."""
+    tails, heads = (a[positions].tolist() for a in _cat1_pairs(G))
+    E = _endomorphism_maps(G)[0]
+    homs = {i: Homomorphism(G, G, E[i].tolist()) for i in {*tails, *heads}}
+    ranges = {i: image_of(homs[i]) for i in set(tails)}
+    return [Cat1Group(G, homs[i], homs[j], ranges[i]) for i, j in zip(tails, heads)]
 
-    The structures are the index pairs of :func:`_cat1_pairs` over
-    :func:`idempotent_endomorphisms`; the structures with one tail share
-    one range subgroup, its image.
-    """
+
+def all_cat1_groups(G: GroupTable) -> list[Cat1Group]:
+    """Every cat1 structure (t, h) on G, ordered pairs, lexicographic order."""
     require_dense(G)
-    ies = idempotent_endomorphisms(G)
-    ranges = [image_of(f) for f in ies]
-    return [Cat1Group(G, ies[i], ies[j], ranges[i])
-            for i, j in zip(*(a.tolist() for a in _cat1_pairs(G)))]
+    return _cat1_structures(G, slice(None))
 
 
 @dataclass(frozen=True)
-class Cat1Classification:
-    """The Aut(G)-orbits of the cat1 structures on ``group``, as positions.
-
-    ``families`` and ``total`` come from the arrays; the structure objects
-    are built only when ``structures`` or ``representatives`` is read.
-    """
+class Classification:
+    """The Aut(G)-classes of one kind of structure on ``group``, as positions
+    in its enumeration.  ``decode(group, positions)`` is that kind's builder
+    of the structures at the given positions, so the representatives are
+    built only when read, and only they are built."""
 
     group: GroupTable
     families: tuple[tuple[int, ...], ...]  # 0-based positions per class
     total: int
+    decode: Callable[[GroupTable, list[int]], list]
 
     @cached_property
-    def structures(self) -> tuple[Cat1Group, ...]:
-        return tuple(all_cat1_groups(self.group))
-
-    @cached_property
-    def representatives(self) -> tuple[Cat1Group, ...]:
+    def representatives(self) -> tuple:
         """The least member of each family."""
-        return tuple(self.structures[f[0]] for f in self.families)
+        return tuple(self.decode(self.group, [f[0] for f in self.families]))
 
 
 def _code_positions(codes: np.ndarray, moved: np.ndarray, what: str) -> np.ndarray:
@@ -256,8 +255,7 @@ def cat1_structure_orbit_maps(G: GroupTable) -> np.ndarray:
     sigmas = np.empty((len(gens), len(tails)), dtype=np.intp)
     broken = "conjugating a cat1 structure left the enumeration; the Aut action is broken"
     for r, a in enumerate(gens):
-        am = np.array(a.mapping, dtype=np.intp)
-        conj = am[E[:, np.argsort(am)]]
+        conj = a[E[:, np.argsort(a)]]
         s = np.argsort(np.lexsort(conj.T[::-1]))  # row i of conj is row s[i] of E
         if not np.array_equal(conj, E[s]):
             raise GroupError(broken)
@@ -288,13 +286,14 @@ def _orbit_families(n: int, perms) -> tuple[tuple[int, ...], ...]:
 
 
 @_memo
-def cat1_isomorphism_classes(G: GroupTable) -> Cat1Classification:
+def cat1_isomorphism_classes(G: GroupTable) -> Classification:
     """Aut(G)-orbits of cat1 structures, read off the orbit maps and
     memoized; the cat2 pair scan takes its orbit representatives from the
     same families."""
     require_dense(G)
     k = len(_cat1_pairs(G)[0])
-    return Cat1Classification(G, _orbit_families(k, cat1_structure_orbit_maps(G)), k)
+    return Classification(G, _orbit_families(k, cat1_structure_orbit_maps(G)), k,
+                          _cat1_structures)
 
 
 # -- the equivalence with crossed modules --------------------------------------

@@ -12,10 +12,10 @@ and carries the partner lists along all orbits at once, one breadth-first
 level at a time.  Isomorphism classification computes orbits under Aut(G)
 combined with the orientation swap: each Aut(G) generator permutes the
 sorted pair codes, and the families come from the same array orbit routine
-as the cat1 classes (min-label propagation with pointer jumping).  The
-classification holds positions and builds its representatives only when they
-are read; the diagonal probe of :func:`non_cat1_diagonal_count` tests all
-representatives in one array pass.
+as the cat1 classes (min-label propagation with pointer jumping).
+:func:`_cat2_structures` decodes positions into structures for
+:func:`all_cat2_groups` and the representatives; the diagonal probe of
+:func:`non_cat1_diagonal_count` tests all representatives in one array pass.
 """
 
 from __future__ import annotations
@@ -42,14 +42,15 @@ from .groups import (
 )
 from .cat1 import (
     Cat1Group,
+    Classification,
     PreCat1Group,
     _cat1_pairs,
+    _cat1_structures,
     _code_positions,
     _intertwines,
     _kernel_check,
     _noncommuting_mask,
     _orbit_families,
-    all_cat1_groups,
     cat1_isomorphism_classes,
     cat1_structure_orbit_maps,
     is_cat1_group,
@@ -212,49 +213,38 @@ def _cat2_codes(G: GroupTable) -> np.ndarray:
     return np.sort((i * k + j)[i <= j])
 
 
+def _cat1_positions(G: GroupTable, positions) -> tuple[np.ndarray, np.ndarray]:
+    """The cat1 positions (i, j) of the cat2 structures at ``positions`` (a
+    numpy index) of the enumeration, decoded from their pair codes."""
+    return np.divmod(_cat2_codes(G)[positions], len(_cat1_pairs(G)[0]))
+
+
 def cat2_pair_indices(G: GroupTable) -> list[tuple[int, int]]:
     """Index pairs (i <= j) of commuting cat1 structures, canonical order:
     the pair codes of :func:`_cat2_codes`, decoded."""
-    k = len(_cat1_pairs(G)[0])
-    return list(zip(*(a.tolist() for a in np.divmod(_cat2_codes(G), k))))
+    return list(zip(*(a.tolist() for a in _cat1_positions(G, slice(None)))))
+
+
+def _cat2_structures(G: GroupTable, positions) -> list[Cat2Group]:
+    """The cat2 structures at ``positions`` of the enumeration, built from
+    only the cat1 structures that they pair."""
+    i, j = (a.tolist() for a in _cat1_positions(G, positions))
+    used = sorted({*i, *j})
+    cat1s = dict(zip(used, _cat1_structures(G, used)))
+    return [Cat2Group(G, cat1s[a], cat1s[b]) for a, b in zip(i, j)]
 
 
 def all_cat2_groups(G: GroupTable) -> list[Cat2Group]:
     """All unordered pairs {C1, C2} of cat1 structures passing commutation."""
     require_dense(G)
-    cat1s = all_cat1_groups(G)
-    return [Cat2Group(G, cat1s[i], cat1s[j]) for i, j in cat2_pair_indices(G)]
+    return _cat2_structures(G, slice(None))
 
 
 # -- classification ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cat2Classification:
-    """The classes of the cat2 structures on ``group``, as positions in the
-    enumeration of :func:`all_cat2_groups`; the representatives are built
-    only when read."""
-
-    group: GroupTable
-    families: tuple[tuple[int, ...], ...]  # 0-based positions per class
-    total: int
-
-    @cached_property
-    def representatives(self) -> tuple[Cat2Group, ...]:
-        """The least member of each family."""
-        cat1s = all_cat1_groups(self.group)
-        return tuple(Cat2Group(self.group, cat1s[i], cat1s[j])
-                     for i, j in zip(*(a.tolist() for a in _least_pairs(self))))
-
-
-def _least_pairs(cls: Cat2Classification) -> tuple[np.ndarray, np.ndarray]:
-    """The cat1 positions (i, j) of the least member of each family."""
-    k = len(_cat1_pairs(cls.group)[0])
-    return np.divmod(_cat2_codes(cls.group)[[f[0] for f in cls.families]], k)
-
-
 @_memo
-def cat2_isomorphism_classes(G: GroupTable) -> Cat2Classification:
+def cat2_isomorphism_classes(G: GroupTable) -> Classification:
     """Orbits of Aut(G) x orientation-swap on the cat2 enumeration; memoized.
 
     Stored pairs are already swap-canonical, so each generator of Aut(G)
@@ -272,7 +262,8 @@ def cat2_isomorphism_classes(G: GroupTable) -> Cat2Classification:
         perms.append(_code_positions(
             codes, np.minimum(a, b) * k + np.maximum(a, b),
             "Aut(G) moved a cat2 structure outside the enumeration"))
-    return Cat2Classification(G, _orbit_families(len(codes), perms), len(codes))
+    return Classification(G, _orbit_families(len(codes), perms), len(codes),
+                          _cat2_structures)
 
 
 def non_cat1_diagonal_count(G: GroupTable) -> int:
@@ -289,7 +280,7 @@ def non_cat1_diagonal_count(G: GroupTable) -> int:
     """
     E = _endomorphism_maps(G)[0]
     tails, heads = _cat1_pairs(G)
-    i, j = _least_pairs(cat2_isomorphism_classes(G))
+    i, j = _cat1_positions(G, [f[0] for f in cat2_isomorphism_classes(G).families])
     rows = np.arange(len(i))[:, None]
     t = E[tails[i][:, None], E[tails[j]]]  # t1(t2(x)) at column x
     h = E[heads[i][:, None], E[heads[j]]]

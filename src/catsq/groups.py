@@ -21,8 +21,8 @@ properties are the report lines :func:`catsq.xmod.is_homomorphism` and
 :func:`catsq.xmod.is_action`.
 
 Every per-group stage in the package is memoized on its group by one
-decorator, :func:`_memo`, as GAP stores an attribute: a stored array is made
-read-only, and a stored list is handed out as a fresh copy.
+decorator, :func:`_memo`, as GAP stores an attribute: a stored array is
+read-only, and object lists are built from the arrays on each call.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ def _memo(fn):
     """Memoize ``fn`` in the ``_cache`` of its first argument, a group.
 
     The key is ``fn.__name__``, or ``(fn.__name__, *rest)`` when there are
-    further arguments.  The stored value is shared: an ndarray, alone or
-    directly inside a returned tuple, is made read-only once, and a list is
-    handed out as a fresh copy on every call.
+    further arguments.  The stored value is shared, so an ndarray, alone or
+    directly inside a returned tuple, is made read-only once; no stage
+    returns a list.
     """
     name, missing = fn.__name__, object()
 
@@ -66,7 +66,7 @@ def _memo(fn):
             for a in value if isinstance(value, tuple) else (value,):
                 if isinstance(a, np.ndarray):
                     a.flags.writeable = False
-        return list(value) if isinstance(value, list) else value
+        return value
     return memoized
 
 
@@ -662,7 +662,7 @@ _BLOCK_ROWS = 1024
 
 
 @_memo
-def _cayley_tree(G: GroupTable) -> tuple[list[tuple[int, int, int]], list[tuple]]:
+def _cayley_tree(G: GroupTable) -> tuple[tuple[tuple[int, int, int], ...], tuple[tuple, ...]]:
     """Breadth-first spanning tree of the right Cayley graph of ``G``.
 
     Returns ``(tree, edges)``.  ``tree`` lists each ``x != 0`` after its
@@ -671,12 +671,12 @@ def _cayley_tree(G: GroupTable) -> tuple[list[tuple[int, int, int]], list[tuple]
     not on the tree, as intp arrays.
     """
     right = [[G.mul(x, g) for g in G.generators] for x in G.elements()]
-    tree = _spanning_tree(right, G.label)
+    tree = tuple(_spanning_tree(right, G.label))
     right = np.array(right, dtype=np.intp)
     off_tree = np.ones(right.shape, dtype=bool)
     for _, parent, via in tree:
         off_tree[parent, via] = False
-    edges = [(xs, right[xs, e]) for e, xs in enumerate(map(np.flatnonzero, off_tree.T))]
+    edges = tuple((xs, right[xs, e]) for e, xs in enumerate(map(np.flatnonzero, off_tree.T)))
     return tree, edges
 
 
@@ -761,9 +761,9 @@ def _endomorphism_maps(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
                  for A in map(np.concatenate, (idempotent, bijective)))
 
 
-@_memo
 def idempotent_endomorphisms(G: GroupTable) -> list[Homomorphism]:
-    """All f: G -> G with f o f = f, in canonical (lexicographic) order.
+    """All f: G -> G with f o f = f, in canonical (lexicographic) order, from
+    the idempotent array of :func:`_endomorphism_maps`.
 
     Every row of the End(G) pass respects each right Cayley edge: the tree
     edges of :func:`_cayley_tree` by construction, the others by the check
@@ -773,12 +773,16 @@ def idempotent_endomorphisms(G: GroupTable) -> list[Homomorphism]:
     return [Homomorphism(G, G, m) for m in _endomorphism_maps(G)[0].tolist()]
 
 
-@_memo
 def automorphism_group(G: GroupTable) -> list[Homomorphism]:
-    """All bijective endomorphisms, lexicographic on mapping arrays, from the
-    End(G) pass as in :func:`idempotent_endomorphisms`."""
+    """All bijective endomorphisms, lexicographic on mapping arrays, from
+    the automorphism array as in :func:`idempotent_endomorphisms`."""
     require_dense(G)
     return [Homomorphism(G, G, m) for m in _endomorphism_maps(G)[1].tolist()]
+
+
+def _automorphism_positions(G: GroupTable) -> dict[tuple[int, ...], int]:
+    """Each automorphism's map, keyed to its row in the automorphism array."""
+    return {m: i for i, m in enumerate(map(tuple, _endomorphism_maps(G)[1].tolist()))}
 
 
 @_memo
@@ -787,13 +791,17 @@ def automorphism_group_as_table(G: GroupTable) -> tuple[DenseGroup, tuple[tuple[
 
     Element k of the returned group is the k-th automorphism in canonical
     (lexicographic) order; the identity map sorts first, so index 0 is the
-    group identity.  Only the products a o g by the
-    :func:`automorphism_generators` g are composed; :func:`_table_from_right`
-    fills the rest of the table from them.
+    group identity.  Raises :class:`TooLargeError` above :data:`DENSE_CAP`
+    automorphisms, before any table is built.  Only the products a o g by
+    the :func:`automorphism_generators` g are composed;
+    :func:`_table_from_right` fills the rest of the table from them.
     """
-    maps = tuple(a.mapping for a in automorphism_group(G))
-    pos = {m: i for i, m in enumerate(maps)}
-    gens = [g.mapping for g in automorphism_generators(G)]
+    require_dense(G)
+    A = _endomorphism_maps(G)[1]
+    if len(A) > DENSE_CAP:
+        raise TooLargeError(f"Aut({G.label}) has order {len(A)}, above the dense cap {DENSE_CAP}")
+    pos = _automorphism_positions(G)
+    maps, gens = tuple(pos), automorphism_generators(G).tolist()
     label = f"Aut({G.label})"
     right = [[pos[_pcompose(a, g)] for g in gens] for a in maps]
     return DenseGroup(_table_from_right(right, label), label, check=False), maps
@@ -801,22 +809,22 @@ def automorphism_group_as_table(G: GroupTable) -> tuple[DenseGroup, tuple[tuple[
 
 def inner_automorphism_indices(G: GroupTable) -> tuple[int, ...]:
     """Positions of the conjugation maps inside :func:`automorphism_group`."""
-    auts = automorphism_group(G)
-    where = {a.mapping: i for i, a in enumerate(auts)}
+    require_dense(G)
+    where = _automorphism_positions(G)
     inner = {where[tuple(G.conj(g, x) for x in G.elements())] for g in G.elements()}
     return tuple(sorted(inner))
 
 
 @_memo
-def automorphism_generators(G: GroupTable) -> list[Homomorphism]:
-    """A small generating subset of the automorphism group (greedy closure).
+def automorphism_generators(G: GroupTable) -> np.ndarray:
+    """A small generating subset of the automorphism group (greedy closure),
+    as read-only rows of the automorphism array of :func:`_endomorphism_maps`.
 
     Walking the automorphisms in canonical order, each one outside the
     subgroup generated so far becomes a generator.  An automorphism is known
     by its generator images, and (g o x)(gen) = g(x(gen)), so the closure
-    needs only the generator columns of the automorphism array of
-    :func:`_endomorphism_maps`, sorted once; each new generator sorts its
-    images of them.  The generators are rows of that array.
+    needs only the generator columns of the automorphism array, sorted once;
+    each new generator sorts its images of them.
     """
     require_dense(G)
     A = _endomorphism_maps(G)[1]
@@ -842,7 +850,7 @@ def automorphism_generators(G: GroupTable) -> list[Homomorphism]:
                 hit[g[frontier]] = True
             frontier = np.flatnonzero(hit & ~known)
             known[frontier] = True
-    return [Homomorphism(G, G, A[a].tolist()) for a in gens]
+    return A[list(gens)]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ then builds the cat2-group directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .groups import (
     GroupAction,
@@ -176,11 +176,11 @@ def crossed_square(*args, **kwargs) -> ValidCrossedSquare:
     return X
 
 
-def _certified(X: CrossedSquare) -> ValidCrossedSquare:
-    """``X`` itself when certified, otherwise ``X`` checked by :func:`crossed_square`."""
-    if isinstance(X, ValidCrossedSquare):
-        return X
-    return crossed_square(*(getattr(X, f.name) for f in fields(X)))
+def _certify(X: CrossedSquare) -> None:
+    """Raise as :func:`crossed_square` does, unless ``X`` is certified or
+    passes every line of :func:`is_crossed_square` as it is given."""
+    if not isinstance(X, ValidCrossedSquare):
+        _require(is_crossed_square(X).checks, "not a crossed square")
 
 
 # -- standard constructions -----------------------------------------------------
@@ -271,10 +271,11 @@ def direct_product_xsq(X1: CrossedSquare, X2: CrossedSquare) -> ValidCrossedSqua
     """Componentwise product of two crossed squares.
 
     A factor that is not a :class:`ValidCrossedSquare` is checked first by
-    :func:`crossed_square`.  A product of crossed squares is one, so the
+    :func:`_certify`.  A product of crossed squares is one, so the
     product is certified without running the checker.
     """
-    X1, X2 = _certified(X1), _certified(X2)
+    _certify(X1)
+    _certify(X2)
     L = direct_product(X1.up_left, X2.up_left)
     M = direct_product(X1.up_right, X2.up_right)
     N = direct_product(X1.down_left, X2.down_left)
@@ -295,10 +296,10 @@ def transpose_xsq(X: CrossedSquare) -> ValidCrossedSquare:
     """Swap M and N; the new pairing is (n, m) -> (m |x| n)^-1.
 
     An input that is not a :class:`ValidCrossedSquare` is checked first by
-    :func:`crossed_square`.  The transpose of a crossed square is one, so
+    :func:`_certify`.  The transpose of a crossed square is one, so
     the result is certified without running the checker.
     """
-    X = _certified(X)
+    _certify(X)
     L = X.up_left
     pairing = tuple(
         tuple(L.inv(X.pairing[m][n]) for m in range(X.up_right.order))
@@ -350,13 +351,13 @@ def cat2_of_crossed_square(X: CrossedSquare) -> Cat2Group:
     """(L x| N) x| (M x| P) with the induced tail/head endomorphism pairs.
 
     A :class:`ValidCrossedSquare` input is trusted; any other square is
-    checked first by :func:`crossed_square`, which raises
+    checked first by :func:`_certify`, which raises
     :class:`GroupError` naming the failing line.  The result is a
     cat2-group by the equivalence XSq ~ Cat2, so its maps, the action of
     M x| P on L x| N and the cat1 and cat2 structures are built with the
     plain constructors and certified without running a checker.
     """
-    X = _certified(X)
+    _certify(X)
     L, M, N, P = X.up_left, X.up_right, X.down_left, X.down_right
     kap, lam, mu, nu = (X.kappa.mapping, X.lambda_.mapping,
                         X.mu.mapping, X.nu.mapping)

@@ -4,10 +4,9 @@ import pytest
 from catsq import catalog, cat2
 from catsq.groups import GroupError, _endomorphism_maps, compose, hom_by_images, trivial_hom
 from catsq.tables import HEAVY_KEYS
-from catsq.cat1 import (_cat1_pairs, all_cat1_groups, cat1_group, cat1_isomorphism_classes,
-                        identity_cat1, pre_cat1_by_endomorphisms)
+from catsq.cat1 import (Classification, _cat1_pairs, all_cat1_groups, cat1_group,
+                        cat1_isomorphism_classes, identity_cat1, pre_cat1_by_endomorphisms)
 from catsq.cat2 import (
-    Cat2Classification,
     PreCat2Group,
     all_cat2_group_morphisms,
     all_cat2_groups,
@@ -24,7 +23,7 @@ from catsq.cat2 import (
     pre_cat2_group,
     transpose_cat2,
 )
-from test_groups import fresh_copy
+from test_groups import LIGHT_KEYS, fresh_copy
 
 
 def session_16_3():
@@ -101,6 +100,19 @@ def test_naive_pair_loop_oracle():
                 if commutation_witness(cat1s[i], cat1s[j]) is None:
                     naive.append((i, j))
         assert naive == cat2_pair_indices(G), key
+
+
+def test_representatives_are_the_least_enumerated_members():
+    """Each classifier decodes only its representatives; by key they are the
+    least member of each family in the full enumeration of their kind."""
+    for key in [*LIGHT_KEYS, (27, 5)]:
+        G = catalog.small_group(*key)
+        for classify, enumeration in ((cat1_isomorphism_classes, all_cat1_groups),
+                                      (cat2_isomorphism_classes, all_cat2_groups)):
+            cls, every = classify(G), enumeration(G)
+            assert len(every) == cls.total, (key, classify.__name__)
+            assert ([rep.key() for rep in cls.representatives]
+                    == [every[min(f)].key() for f in cls.families]), (key, classify.__name__)
 
 
 def test_classification_counts_and_families():
@@ -269,7 +281,7 @@ def test_diagonal_probe_rejects_a_diagonal_that_is_no_pre_cat1(monkeypatch):
     # the enumeration, corrupted to hold that one pair as its only class
     monkeypatch.setattr(cat2, "_cat2_codes", lambda G: np.array([i * len(cat1s) + j]))
     monkeypatch.setattr(cat2, "cat2_isomorphism_classes",
-                        lambda G: Cat2Classification(G, ((0,),), 1))
+                        lambda G: Classification(G, ((0,),), 1, cat2._cat2_structures))
     with pytest.raises(GroupError, match="on the diagonal of cat2 class 1") as caught:
         non_cat1_diagonal_count(G)
     assert str(caught.value).endswith(message.split(": ", 1)[1])

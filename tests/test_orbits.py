@@ -7,7 +7,6 @@ as the oracles of the array code.
 """
 
 import random
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -63,8 +62,7 @@ def oracle_orbit_maps(G):
     cat1s = all_cat1_groups(G)
     index = {c.key(): p for p, c in enumerate(cat1s)}
     maps = []
-    for a in automorphism_generators(G):
-        am = a.mapping
+    for am in automorphism_generators(G).tolist():
         inv = [0] * len(am)
         for x, v in enumerate(am):
             inv[v] = x
@@ -139,8 +137,8 @@ def test_orbit_families_long_chains(monkeypatch):
 def test_conjugation_outside_the_enumeration(monkeypatch):
     F = fresh_copy(catalog.small_group(8, 3))
     # a bijection of D8 that fixes 0 but is not an automorphism
-    bogus = SimpleNamespace(mapping=(0, 2, 1) + tuple(range(3, 8)))
-    monkeypatch.setattr(cat1, "automorphism_generators", lambda G: [bogus])
+    bogus = np.array([(0, 2, 1) + tuple(range(3, 8))])
+    monkeypatch.setattr(cat1, "automorphism_generators", lambda G: bogus)
     with pytest.raises(GroupError, match="conjugating a cat1 structure left the enumeration"):
         cat1_structure_orbit_maps(F)
 
@@ -154,8 +152,7 @@ def test_orbit_maps_compare_whole_rows(monkeypatch):
     swap = np.array([0, 1, 2, 3, 7, 5, 6, 4])
     conj = swap[E[:, swap]]  # swap is its own inverse
     assert np.array_equal(conj[:, gens], E[:, gens]) and not np.array_equal(conj, E)
-    bogus = SimpleNamespace(mapping=tuple(swap.tolist()))
-    monkeypatch.setattr(cat1, "automorphism_generators", lambda G: [bogus])
+    monkeypatch.setattr(cat1, "automorphism_generators", lambda G: swap[None, :])
     with pytest.raises(GroupError, match="conjugating a cat1 structure left the enumeration"):
         cat1_structure_orbit_maps(F)
 
@@ -194,8 +191,9 @@ def test_pair_scan_without_aut_generators():
 
 def test_shared_memo_arrays_are_read_only():
     G = fresh_copy(catalog.small_group(8, 3))
-    shared = (*groups._endomorphism_maps(G), *cat1._cat1_pairs(G), cat1_structure_orbit_maps(G),
-              cat2._cat2_codes(G), cat1._noncommuting_mask(G), groups._np_table(G))
+    shared = (*groups._endomorphism_maps(G), automorphism_generators(G), *cat1._cat1_pairs(G),
+              cat1_structure_orbit_maps(G), cat2._cat2_codes(G), cat1._noncommuting_mask(G),
+              groups._np_table(G))
     for A in shared:
         before = A.copy()
         with pytest.raises(ValueError):
@@ -206,9 +204,10 @@ def test_shared_memo_arrays_are_read_only():
 
 
 def test_shared_memo_lists_are_handed_out_as_copies():
+    # no stage stores a list: each object list is built afresh from the arrays
     G = fresh_copy(catalog.small_group(8, 3))
-    for stage in (automorphism_group, idempotent_endomorphisms, automorphism_generators,
-                  all_cat1_groups):
+    for stage in (automorphism_group, idempotent_endomorphisms, all_cat1_groups,
+                  cat2.all_cat2_groups):
         first = stage(G)
         kept = list(first)
         first.reverse()

@@ -3,8 +3,8 @@ imports a name it never uses, every private top-level function and private
 module-level assigned name is referenced somewhere in the package, only
 ``groups`` chooses between a dense and a structural realization, only
 ``tables`` and ``cli`` import the result cache, no dataclass constructor
-multiplies, only the memo decorator touches a group's ``_cache``, both
-classifiers find moved pair codes through the one lookup
+multiplies, only the memo decorator touches a group's ``_cache``, no
+memoized stage is annotated to return a list, both classifiers find moved pair codes through the one lookup
 ``cat1._code_positions``, and nothing calls ``searchsorted``."""
 
 import ast
@@ -144,6 +144,19 @@ def test_only_memo_touches_the_group_cache():
                         touches.append(f"{owner} line {n.lineno}")
     assert touches == []
     assert owners == CACHE_OWNERS | {PERMS_RECORD}
+
+
+def test_no_memo_stage_returns_a_list():
+    """``_memo`` stores each stage in one form and makes its arrays
+    read-only; a stored list could be changed by any caller, so no memoized
+    function's return annotation names ``list``, at any depth."""
+    memoized = {f"{name}: {owner}": unit for name, tree in TREES.items()
+                for owner, unit in _units(name, tree)
+                if any(getattr(d, "id", None) == "_memo"
+                       for d in getattr(unit, "decorator_list", ()))}
+    lists = [owner for owner, unit in memoized.items()
+             if any(getattr(n, "id", None) == "list" for n in ast.walk(unit.returns))]
+    assert len(memoized) > 10 and lists == []
 
 
 def _callers(word):

@@ -4,8 +4,10 @@ import pytest
 
 from catsq import catalog, cli, xsq
 from catsq.groups import (
+    DENSE_CAP,
     GroupAction,
     GroupError,
+    TooLargeError,
     group_from_permutation_generators,
     hom_by_images,
     intersection,
@@ -26,7 +28,7 @@ from catsq.cat2 import (
     transpose_cat2,
 )
 from catsq.serialize import emit_xsq
-from catsq.xmod import is_action, is_homomorphism
+from catsq.xmod import automorphism_xmod, is_action, is_homomorphism
 from catsq.xsq import (
     CrossedSquare,
     ValidCrossedSquare,
@@ -133,6 +135,14 @@ def test_actor_squares():
     assert len(set(X.kappa.mapping)) == 6  # bijective edges
     X = actor_crossed_square(catalog.small_group(4, 2))
     assert X.corner_orders() == (4, 1, 1, 6)
+
+
+def test_aut_tables_above_the_dense_cap_are_refused():
+    # |Aut(C3^3)| = |GL(3, 3)| = 11,232: no dense table of it is built
+    G = catalog.small_group(27, 5)
+    for build in (actor_crossed_square, automorphism_xmod):
+        with pytest.raises(TooLargeError, match=f"order 11232, above the dense cap {DENSE_CAP}"):
+            build(G)
 
 
 def test_trivial_action_squares():
@@ -310,6 +320,21 @@ def test_raw_square_converts_like_its_certified_twin(d8):
     C, R = cat2_of_crossed_square(X), cat2_of_crossed_square(raw)
     assert C.group.table == R.group.table
     assert C.key() == R.key()
+
+
+def test_raw_square_is_checked_without_a_copy(d8, monkeypatch):
+    # the reverse functor checks a raw square as it is given: no second
+    # square object is constructed before the check
+    raw = CrossedSquare(**_fields(crossed_square_by_normal_subgroups(
+        whole_subgroup(d8), whole_subgroup(d8), whole_subgroup(d8), d8)))
+    built, post_init = [], CrossedSquare.__post_init__
+    monkeypatch.setattr(CrossedSquare, "__post_init__",
+                        lambda self: built.append(type(self)) or post_init(self))
+    checked = []
+    monkeypatch.setattr(xsq, "is_crossed_square",
+                        lambda Y: checked.append(Y) or is_crossed_square(Y))
+    cat2_of_crossed_square(raw)
+    assert built == [] and checked == [raw] and checked[0] is raw
 
 
 def test_crossed_square_of_pre_cat2_checks_the_kernel_axiom():
