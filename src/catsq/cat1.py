@@ -4,12 +4,14 @@ equivalence with crossed modules.
 A structure is a pair of endomorphisms (t, h) of one group with t o h = h,
 h o t = t and [ker t, ker h] = 1 (the identities force im t = im h), each
 reported with a witness by :func:`is_cat1_group` after the lines that t and
-h are homomorphisms.  The endomorphism form is canonical; the embedding form
-(e; t, h : G -> R) is a view converted on input and output.  Enumeration
-pairs the rows of the sorted idempotent array E of the End(G) pass with array
-tests of both axioms at once, and lists ordered pairs in lexicographic order
-of their concatenated map arrays; the index pair (tails, heads) into E is the
-one array form of the structures, whose maps are E[tails] and E[heads].
+h are homomorphisms; the report is memoized on the group and keyed on both
+maps, so a process checks each structure once.  The endomorphism form is
+canonical; the embedding form (e; t, h : G -> R) is a view converted on
+input and output.  Enumeration pairs the rows of the sorted idempotent array
+E of the End(G) pass with array tests of both axioms at once, and lists
+ordered pairs in lexicographic order of their concatenated map arrays; the
+index pair (tails, heads) into E is the one array form of the structures,
+whose maps are E[tails] and E[heads].
 Classification conjugates E by each Aut(G) generator; the induced permutation
 of E moves the sorted pair codes, and :func:`_code_positions` finds them by
 one argsort, one permutation of the k positions per generator.
@@ -86,19 +88,27 @@ def pre_cat1_by_endomorphisms(t: Homomorphism, h: Homomorphism) -> PreCat1Group:
     return PreCat1Group(G, t, h, image_of(t))
 
 
-def _kernel_check(C: PreCat1Group) -> AxiomCheck:
-    """[ker t, ker h] = 1, with the first noncommuting kernel pair on failure."""
-    G, kh = C.group, kernel_of(C.head).members
-    return _line("[ker t, ker h] = 1", ((a, b) for a in kernel_of(C.tail).members
+def _kernel_check(G: GroupTable, t: Homomorphism, h: Homomorphism) -> AxiomCheck:
+    """[ker t, ker h] = 1 in G, with the first noncommuting kernel pair on
+    failure."""
+    kh = kernel_of(h).members
+    return _line("[ker t, ker h] = 1", ((a, b) for a in kernel_of(t).members
                                         for b in kh if G.mul(a, b) != G.mul(b, a)))
 
 
 def is_cat1_group(C: PreCat1Group) -> ValidityReport:
     """Per-axiom report: the t and h lines, then t o h = h, h o t = t and
-    [ker t, ker h] = 1."""
-    lines = _map_lines([("t", C.tail), ("h", C.head)])
-    checks = _pre_cat1_checks(C.tail.mapping, C.head.mapping)
-    return ValidityReport(lines + checks + (_kernel_check(C),))
+    [ker t, ker h] = 1.  Memoized on ``C.group`` and keyed on both maps,
+    their source and target groups included, so a process checks each
+    structure once; the report is immutable and shared."""
+    return _cat1_report(C.group, C.tail, C.head)
+
+
+@_memo
+def _cat1_report(G: GroupTable, t: Homomorphism, h: Homomorphism) -> ValidityReport:
+    lines = _map_lines([("t", t), ("h", h)])
+    checks = _pre_cat1_checks(t.mapping, h.mapping)
+    return ValidityReport(lines + checks + (_kernel_check(G, t, h),))
 
 
 def cat1_group(t: Homomorphism, h: Homomorphism) -> Cat1Group:
@@ -106,7 +116,7 @@ def cat1_group(t: Homomorphism, h: Homomorphism) -> Cat1Group:
     failing line of :func:`is_cat1_group` and its witness."""
     _require(_map_lines([("t", t), ("h", h)]), "not a cat1-group")
     pre = pre_cat1_by_endomorphisms(t, h)
-    _require((_kernel_check(pre),), "not a cat1-group")
+    _require((_kernel_check(pre.group, t, h),), "not a cat1-group")
     return Cat1Group(pre.group, pre.tail, pre.head, pre.range_)
 
 

@@ -156,7 +156,7 @@ def diagonal_pre_cat1(C: PreCat2Group) -> tuple[PreCat1Group, bool, Optional[tup
     t = compose(C.c1.tail, C.c2.tail)
     h = compose(C.c1.head, C.c2.head)
     pre = pre_cat1_by_endomorphisms(t, h)
-    kernels = _kernel_check(pre)
+    kernels = _kernel_check(pre.group, t, h)
     return pre, kernels.ok, kernels.witness
 
 
@@ -228,10 +228,14 @@ def cat2_pair_indices(G: GroupTable) -> list[tuple[int, int]]:
 def _cat2_structures(G: GroupTable, positions) -> list[Cat2Group]:
     """The cat2 structures at ``positions`` of the enumeration, built from
     only the cat1 structures that they pair."""
-    i, j = (a.tolist() for a in _cat1_positions(G, positions))
-    used = sorted({*i, *j})
-    cat1s = dict(zip(used, _cat1_structures(G, used)))
-    return [Cat2Group(G, cat1s[a], cat1s[b]) for a, b in zip(i, j)]
+    i, j = _cat1_positions(G, positions)
+    used = np.zeros(len(_cat1_pairs(G)[0]), dtype=bool)
+    used[i] = True
+    used[j] = True
+    cat1s = _cat1_structures(G, np.flatnonzero(used))
+    rank = np.cumsum(used) - 1  # the index into cat1s of each used position
+    return [Cat2Group(G, cat1s[a], cat1s[b])
+            for a, b in zip(rank[i].tolist(), rank[j].tolist())]
 
 
 def all_cat2_groups(G: GroupTable) -> list[Cat2Group]:

@@ -437,7 +437,7 @@ def verify_group_axioms(G: GroupTable) -> None:
 # subgroups
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subgroup:
     parent: GroupTable
     members: tuple[int, ...]
@@ -902,24 +902,38 @@ def action_by_hom(f: Homomorphism, base: GroupAction) -> GroupAction:
     return GroupAction(f.source, base.space, tuple(base.perms[v] for v in f.mapping))
 
 
-@_memo
 def conjugation_action(G: GroupTable, S: Subgroup) -> GroupAction:
-    """G acting by conjugation on a normal subgroup, as a standalone group."""
-    bad = normality_witness(G, S)
+    """G acting by conjugation on a normal subgroup, as a standalone group;
+    memoized on G by the members of S."""
+    if S.parent is not G:
+        raise GroupError("the subgroup must live in the acting group")
+    return _conjugation_action(G, S.members)
+
+
+@_memo
+def _conjugation_action(G: GroupTable, members: tuple[int, ...]) -> GroupAction:
+    bad = normality_witness(G, Subgroup(G, members))
     if bad is not None:
         raise GroupError(
             f"subgroup is not normal: conjugating {bad[1]} by {bad[0]} leaves it")
-    H, members = group_of_subgroup(S)
+    H = _subgroup_group(G, members)[0]
     pos = {m: i for i, m in enumerate(members)}
     perms = tuple(tuple(pos[G.conj(g, m)] for m in members) for g in G.elements())
     return GroupAction(G, H, perms)
 
 
-@_memo
 def sub_conjugation_action(G: GroupTable, A: Subgroup, S: Subgroup) -> GroupAction:
-    """Subgroup ``A`` of ``G`` conjugating a subgroup ``S`` it normalizes."""
-    Agrp, amem = group_of_subgroup(A)
-    Sgrp, smem = group_of_subgroup(S)
+    """Subgroup ``A`` of ``G`` conjugating a subgroup ``S`` it normalizes;
+    memoized on G by the members of A and S."""
+    if A.parent is not G or S.parent is not G:
+        raise GroupError("both subgroups must live in G")
+    return _sub_conjugation_action(G, A.members, S.members)
+
+
+@_memo
+def _sub_conjugation_action(G: GroupTable, amem: tuple[int, ...],
+                            smem: tuple[int, ...]) -> GroupAction:
+    Agrp, Sgrp = _subgroup_group(G, amem)[0], _subgroup_group(G, smem)[0]
     pos = {m: i for i, m in enumerate(smem)}
     try:
         perms = tuple(tuple(pos[G.conj(a, m)] for m in smem) for a in amem)

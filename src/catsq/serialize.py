@@ -4,8 +4,10 @@ Files are LF-terminated ASCII: a header line ``catsq <version> <kind>``,
 keyword-introduced sections with whitespace-separated decimal integers, and a
 closing ``end`` line that only blank lines may follow.  Emission is canonical
 (single spaces; no trailing whitespace but that of ``gens `` for a group
-without generators), so ``emit(parse(text)) == text`` byte for byte.  One
-parser per kind.  Malformed text raises a ``GroupError`` naming the bad line
+without generators), so ``emit(parse(text)) == text`` byte for byte.  The
+lines of an inline group table are memoized on the group, so the corner
+groups that conversions on one group share are formatted once.  One parser
+per kind.  Malformed text raises a ``GroupError`` naming the bad line
 or token.
 
 Parsing checks the syntax, each group table (Light's test), the ranges of
@@ -18,8 +20,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .groups import (DenseGroup, GroupAction, GroupError, GroupTable, Homomorphism, image_of,
-                     require_dense)
+from .groups import (DenseGroup, GroupAction, GroupError, GroupTable, Homomorphism, _memo,
+                     image_of, require_dense)
 from .cat1 import PreCat1Group
 from .cat2 import PreCat2Group
 from .xsq import CrossedSquare
@@ -94,6 +96,9 @@ class _Reader:
 
 
 def emit_group(G: GroupTable, key: Optional[tuple[int, int]] = None) -> list[str]:
+    """The group lines of a file: ``group key`` for the catalog instance of
+    ``key``, else the inline table, whose lines are memoized on ``G``; a
+    fresh list on each call."""
     if key is not None:
         from .catalog import small_group
 
@@ -102,11 +107,15 @@ def emit_group(G: GroupTable, key: Optional[tuple[int, int]] = None) -> list[str
                 f"group is not the catalog instance for key {key}; "
                 "serialize it inline instead")
         return [f"group key {key[0]} {key[1]}"]
-    require_dense(G)
-    lines = [f"group table {G.order} {G.label}"]
-    lines.extend(" ".join(str(v) for v in row) for row in G.table)
-    lines.append("gens " + " ".join(str(g) for g in G.generators))
-    return lines
+    return list(_table_lines(require_dense(G)))
+
+
+@_memo
+def _table_lines(G: DenseGroup) -> tuple[str, ...]:
+    """The ``group table`` header, the table rows and the ``gens`` line."""
+    return (f"group table {G.order} {G.label}",
+            *(" ".join(str(v) for v in row) for row in G.table),
+            "gens " + " ".join(str(g) for g in G.generators))
 
 
 def parse_group(r: _Reader) -> GroupTable:

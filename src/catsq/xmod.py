@@ -9,7 +9,9 @@ check shapes; reports and certifying factories check axioms.  A report
 ``is_crossed_square``) is a :class:`ValidityReport` of :class:`AxiomCheck`
 lines, starting with one line per map and action from :func:`is_homomorphism`
 and :func:`is_action`.  A certifying factory raises through :func:`_require`
-with the name and witness of the first failing line.
+with the name and witness of the first failing line.  ``is_cat1_group`` is
+memoized on its group, keyed on both maps; the other reports are computed
+on each call.
 """
 
 from __future__ import annotations

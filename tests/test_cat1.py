@@ -3,15 +3,18 @@ import pytest
 from catsq import catalog
 from catsq.groups import (
     GroupError,
+    Homomorphism,
     all_homomorphisms,
     are_isomorphic,
     compose,
     hom_by_images,
+    image_of,
     normal_subgroups,
     subgroup_generated,
     trivial_hom,
 )
 from catsq.cat1 import (
+    PreCat1Group,
     all_cat1_groups,
     all_cat1_morphisms,
     cat1_group,
@@ -25,6 +28,7 @@ from catsq.cat1 import (
     xmod_of_cat1,
 )
 from catsq.xmod import conjugation_xmod, is_crossed_module
+from test_groups import LIGHT_KEYS, fresh_copy
 
 
 def proj_a(d8):
@@ -264,3 +268,85 @@ def test_pre_cat1_identities_force_equal_images():
                 else:
                     failed += 1
     assert passed > 0 and failed > 0
+
+
+# -- the memoized cat1 report ---------------------------------------------------
+
+
+def _on(H, C):
+    """The structure with the mappings of ``C`` on the group ``H``."""
+    t, h = (Homomorphism(H, H, f.mapping) for f in (C.tail, C.head))
+    return PreCat1Group(H, t, h, image_of(t))
+
+
+def test_memoized_cat1_report_equals_one_on_a_fresh_copy():
+    checked = 0
+    for key in LIGHT_KEYS:
+        if key[0] > 16:
+            continue
+        G = catalog.small_group(*key)
+        F = fresh_copy(G)
+        for C in all_cat1_groups(G):
+            report = is_cat1_group(C)
+            assert is_cat1_group(C) is report  # the second call is a memo hit
+            assert report.ok and report == is_cat1_group(_on(F, C)), key
+            checked += 1
+    assert checked == 1041
+
+
+def test_equal_mappings_on_different_groups_are_separate_entries():
+    # the same table twice: equal reports, one entry on each group
+    G1, G2 = (fresh_copy(catalog.small_group(8, 3)) for _ in range(2))
+    C1 = next(C for C in all_cat1_groups(G1) if C.range_.order == 2)
+    C2 = _on(G2, C1)
+    r1, r2 = is_cat1_group(C1), is_cat1_group(C2)
+    assert r1 == r2 and r1 is not r2
+    # a structure named on G1 whose maps live on G2 is a third entry
+    mixed = PreCat1Group(G1, C2.tail, C2.head, C2.range_)
+    assert is_cat1_group(mixed) is not r1
+    # equal mappings on C4 and on C2 x C2, checked on C4 first: some fail
+    # there, and all pass on C2 x C2
+    v4, c4 = (fresh_copy(catalog.small_group(4, gid)) for gid in (2, 1))
+    pairs = [(C, _on(c4, C)) for C in all_cat1_groups(v4)]
+    assert not all(is_cat1_group(D).ok for _, D in pairs)
+    assert all(is_cat1_group(C).ok for C, _ in pairs)
+
+
+def test_a_non_cat1_structure_raises_the_same_text_on_every_call():
+    from catsq.cat2 import cat2_group
+
+    q8 = fresh_copy(catalog.small_group(8, 4))
+    pre = pre_cat1_by_endomorphisms(trivial_hom(q8, q8), trivial_hom(q8, q8))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(GroupError) as caught:
+            cat2_group(pre, pre)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1] == (
+        "a generating structure is not a cat1-group: structure 1: "
+        "[ker t, ker h] = 1 fails with witness (1, 2)")
+
+
+def test_convert_checks_each_cat1_structure_once(monkeypatch):
+    """Every cat2 structure of a fresh copy of 16/3, through the convert
+    path: the kernel line runs once per distinct cat1 structure, not once
+    per structure of each request."""
+    from catsq import cat1
+    from catsq.cat2 import all_cat2_groups
+    from catsq.serialize import emit_cat2, parse_cat2
+    from catsq.xsq import crossed_square_of_cat2
+
+    key, small_group = (16, 3), catalog.small_group
+    G = fresh_copy(small_group(*key))
+    monkeypatch.setattr(catalog, "small_group",
+                        lambda *k: G if k == key else small_group(*k))
+    calls, kernel_check = [], cat1._kernel_check
+    monkeypatch.setattr(cat1, "_kernel_check",
+                        lambda *args: calls.append(args) or kernel_check(*args))
+    distinct = set()
+    for C in all_cat2_groups(G):
+        pre = parse_cat2(emit_cat2(C, key))
+        assert pre.group is G
+        crossed_square_of_cat2(pre)
+        distinct |= {(c.tail.mapping, c.head.mapping) for c in (pre.c1, pre.c2)}
+    assert len(calls) == len(distinct) == 25

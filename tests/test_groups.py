@@ -34,6 +34,7 @@ from catsq.groups import (
     perm_from_cycles,
     cycles_of_perm,
     semidirect_product,
+    sub_conjugation_action,
     subgroup_generated,
     trivial_action,
     trivial_hom,
@@ -471,6 +472,12 @@ def test_conjugation_action(d8, d20):
     refl = subgroup_generated(d8, [d8.generators[0]])
     with pytest.raises(GroupError, match="not normal"):
         conjugation_action(d8, refl)
+    # the memo is keyed on members, so a subgroup of another group is refused
+    with pytest.raises(GroupError, match="must live in the acting group"):
+        conjugation_action(d20, z)
+    with pytest.raises(GroupError, match="must live in G"):
+        sub_conjugation_action(d20, whole_subgroup(d20), z)
+    assert not hasattr(z, "__dict__")  # Subgroup has slots
 
 
 def test_isomorphism_between(d8):

@@ -21,6 +21,7 @@ from catsq.serialize import (
     detect_kind,
     emit_cat1,
     emit_cat2,
+    emit_group,
     emit_xsq,
     parse_cat1,
     parse_cat2,
@@ -64,6 +65,15 @@ def test_xsq_round_trip(d8):
     text = emit_xsq(X)
     back = parse_xsq(text)
     assert emit_xsq(back) == text
+
+
+def test_emit_group_returns_a_new_list_on_each_call(d8):
+    lines = emit_group(d8)
+    assert lines[0] == "group table 8 D8" and lines[-1].startswith("gens ")
+    again = emit_group(d8)
+    assert again == lines and again is not lines
+    lines.append("end")
+    assert emit_group(d8) == again
 
 
 def test_parse_rejects_garbage():

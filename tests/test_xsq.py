@@ -1,4 +1,6 @@
+import hashlib
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +29,7 @@ from catsq.cat2 import (
     pre_cat2_group,
     transpose_cat2,
 )
-from catsq.serialize import emit_xsq
+from catsq.serialize import emit_cat2, emit_xsq, parse_cat2, parse_xsq
 from catsq.xmod import automorphism_xmod, is_action, is_homomorphism
 from catsq.xsq import (
     CrossedSquare,
@@ -240,6 +242,31 @@ def test_conversion_sweep_small():
         G = catalog.small_group(*key)
         for C in all_cat2_groups(G):
             assert is_crossed_square(crossed_square_of_cat2(C)).ok
+
+
+CONVERT_GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "convert.txt"
+
+
+def test_convert_outputs_match_the_benchmark_golden():
+    """parse -> convert -> emit on every cat2 structure of the groups of
+    order <= 8, forward from its cat2 text and back from its crossed square
+    text: each output's 16-hex sha256 is its line of the benchmark golden."""
+    golden = {}
+    for line in CONVERT_GOLDEN.read_text().splitlines():
+        rid, _, value = line.rpartition(" ")
+        if rid[:4] in ("fwd ", "rev ") and int(rid[4:].split("/")[0]) <= 8:
+            golden[rid] = value
+    got = {}
+    for order, gid in catalog.catalog_keys():
+        if order > 8:
+            continue
+        for pos, C in enumerate(all_cat2_groups(catalog.small_group(order, gid))):
+            forward = emit_xsq(crossed_square_of_cat2(parse_cat2(emit_cat2(C, (order, gid)))))
+            reverse = emit_cat2(cat2_of_crossed_square(parse_xsq(emit_xsq(
+                crossed_square_of_cat2(C)))))
+            for kind, out in (("fwd", forward), ("rev", reverse)):
+                got[f"{kind} {order}/{gid}/{pos}"] = hashlib.sha256(out.encode()).hexdigest()[:16]
+    assert len(got) > 100 and got == golden
 
 
 def test_cat2_of_crossed_square_order_10000(xs1):
