@@ -15,10 +15,13 @@ whose maps are E[tails] and E[heads].
 Classification conjugates E by each Aut(G) generator; the induced permutation
 of E moves the sorted pair codes, and :func:`_code_positions` finds them by
 one argsort, one permutation of the k positions per generator.
-:func:`_orbit_families` (min-label propagation with pointer jumping) turns
-such permutations into orbits, for the cat2 classes too.  The objects at
-given positions are built on read by :func:`_cat1_structures`, the decoder
-of :func:`all_cat1_groups` and of the cat1 :class:`Classification`.
+:func:`_orbit_labels` (min-label propagation with pointer jumping) turns
+such permutations into one label array, each position's least orbit member,
+for the cat2 classes too; that array is the stored form of a
+:class:`Classification`, whose leaders and families are views built on read.
+The objects at given positions are built on read by
+:func:`_cat1_structures`, the decoder of :func:`all_cat1_groups` and of the
+cat1 :class:`Classification`.
 """
 
 from __future__ import annotations
@@ -216,22 +219,31 @@ def all_cat1_groups(G: GroupTable) -> list[Cat1Group]:
     return _cat1_structures(G, slice(None))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Classification:
-    """The Aut(G)-classes of one kind of structure on ``group``, as positions
-    in its enumeration.  ``decode(group, positions)`` is that kind's builder
-    of the structures at the given positions, so the representatives are
-    built only when read, and only they are built."""
+    """The Aut(G)-classes of one kind of structure on ``group``: labels[p] is
+    the least position in the class of position p, and ``leaders`` are those
+    least positions, ascending.  ``decode(group, positions)`` builds that
+    kind's structures, so only the representatives, at the leaders, are built."""
 
     group: GroupTable
-    families: tuple[tuple[int, ...], ...]  # 0-based positions per class
-    total: int
-    decode: Callable[[GroupTable, list[int]], list]
+    labels: np.ndarray  # read-only; len(labels) is the structure count
+    decode: Callable[[GroupTable, np.ndarray], list]
+
+    @cached_property
+    def leaders(self) -> np.ndarray:
+        return np.flatnonzero(self.labels == np.arange(len(self.labels)))
+
+    @cached_property
+    def families(self) -> tuple[tuple[int, ...], ...]:
+        """The positions of each class, ascending, in the order of ``leaders``."""
+        order = np.argsort(self.labels, kind="stable")
+        cuts = np.flatnonzero(np.diff(self.labels[order])) + 1
+        return tuple(tuple(f.tolist()) for f in np.split(order, cuts)) if len(order) else ()
 
     @cached_property
     def representatives(self) -> tuple:
-        """The least member of each family."""
-        return tuple(self.decode(self.group, [f[0] for f in self.families]))
+        return tuple(self.decode(self.group, self.leaders))
 
 
 def _code_positions(codes: np.ndarray, moved: np.ndarray, what: str) -> np.ndarray:
@@ -273,8 +285,8 @@ def cat1_structure_orbit_maps(G: GroupTable) -> np.ndarray:
     return sigmas
 
 
-def _orbit_families(n: int, perms) -> tuple[tuple[int, ...], ...]:
-    """Orbits of the permutations ``perms`` of 0..n-1, by least member.
+def _orbit_labels(n: int, perms) -> np.ndarray:
+    """The least member of each orbit of ``perms`` on 0..n-1, per member.
 
     Each position takes the least label of itself and its images p[x], and
     pointer jumping (label[label]) shortens the chains, until a full round
@@ -290,20 +302,18 @@ def _orbit_families(n: int, perms) -> tuple[tuple[int, ...], ...]:
         label = label[label]
         if np.array_equal(label, old):
             break
-    order = np.argsort(label, kind="stable")
-    cuts = np.flatnonzero(np.diff(label[order])) + 1
-    return tuple(tuple(f.tolist()) for f in np.split(order, cuts)) if n else ()
+    label.flags.writeable = False
+    return label
 
 
 @_memo
 def cat1_isomorphism_classes(G: GroupTable) -> Classification:
-    """Aut(G)-orbits of cat1 structures, read off the orbit maps and
+    """Aut(G)-orbits of cat1 structures, labelled from the orbit maps and
     memoized; the cat2 pair scan takes its orbit representatives from the
-    same families."""
+    leaders of the same labels."""
     require_dense(G)
     k = len(_cat1_pairs(G)[0])
-    return Classification(G, _orbit_families(k, cat1_structure_orbit_maps(G)), k,
-                          _cat1_structures)
+    return Classification(G, _orbit_labels(k, cat1_structure_orbit_maps(G)), _cat1_structures)
 
 
 # -- the equivalence with crossed modules --------------------------------------

@@ -11,11 +11,12 @@ structures, comparing composed endomorphisms on the generator columns only,
 and carries the partner lists along all orbits at once, one breadth-first
 level at a time.  Isomorphism classification computes orbits under Aut(G)
 combined with the orientation swap: each Aut(G) generator permutes the
-sorted pair codes, and the families come from the same array orbit routine
-as the cat1 classes (min-label propagation with pointer jumping).
+sorted pair codes, and the class labels come from the same array orbit
+routine as the cat1 classes (min-label propagation with pointer jumping).
 :func:`_cat2_structures` decodes positions into structures for
 :func:`all_cat2_groups` and the representatives; the diagonal probe of
-:func:`non_cat1_diagonal_count` tests all representatives in one array pass.
+:func:`non_cat1_diagonal_count` tests the structures at all class leaders in
+one array pass.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .cat1 import (
     _intertwines,
     _kernel_check,
     _noncommuting_mask,
-    _orbit_families,
+    _orbit_labels,
     cat1_isomorphism_classes,
     cat1_structure_orbit_maps,
     is_cat1_group,
@@ -186,7 +187,7 @@ def _cat2_codes(G: GroupTable) -> np.ndarray:
     gens = list(G.generators)
     Tg, Hg = T[:, gens], H[:, gens]
     sigmas = cat1_structure_orbit_maps(G)
-    level = np.array([f[0] for f in cat1_isomorphism_classes(G).families])
+    level = cat1_isomorphism_classes(G).leaders
     partners = []
     for t, h in zip(T[level], H[level]):
         # row j compares (representative) o (structure j) with the reverse
@@ -254,7 +255,8 @@ def cat2_isomorphism_classes(G: GroupTable) -> Classification:
     Stored pairs are already swap-canonical, so each generator of Aut(G)
     maps the sorted pair codes i*k + j to the codes of the conjugated and
     re-sorted pairs; :func:`_code_positions` turns them into a permutation
-    of positions, and :func:`_orbit_families` reads off the families.
+    of positions, and :func:`_orbit_labels` labels each position by the
+    least position of its class.
     """
     require_dense(G)
     codes = _cat2_codes(G)
@@ -266,14 +268,13 @@ def cat2_isomorphism_classes(G: GroupTable) -> Classification:
         perms.append(_code_positions(
             codes, np.minimum(a, b) * k + np.maximum(a, b),
             "Aut(G) moved a cat2 structure outside the enumeration"))
-    return Classification(G, _orbit_families(len(codes), perms), len(codes),
-                          _cat2_structures)
+    return Classification(G, _orbit_labels(len(codes), perms), _cat2_structures)
 
 
 def non_cat1_diagonal_count(G: GroupTable) -> int:
     """Number of cat2 isomorphism classes whose diagonal is not a cat1-group.
 
-    One array pass over the class representatives: their tail and head rows
+    One array pass over the class leaders: their tail and head rows
     are gathered from the idempotent array by pair code, giving t = t1 o t2
     and h = h1 o h2 for all of them at once.  Every diagonal must be a
     pre-cat1 structure (t o h = h and h o t = t), or :class:`GroupError`
@@ -284,7 +285,7 @@ def non_cat1_diagonal_count(G: GroupTable) -> int:
     """
     E = _endomorphism_maps(G)[0]
     tails, heads = _cat1_pairs(G)
-    i, j = _cat1_positions(G, [f[0] for f in cat2_isomorphism_classes(G).families])
+    i, j = _cat1_positions(G, cat2_isomorphism_classes(G).leaders)
     rows = np.arange(len(i))[:, None]
     t = E[tails[i][:, None], E[tails[j]]]  # t1(t2(x)) at column x
     h = E[heads[i][:, None], E[heads[j]]]

@@ -54,7 +54,7 @@ def cmd_inspect(args) -> int:
     key = (args.order, args.gid)
     classify = cat1_isomorphism_classes if args.kind == "cat1" else cat2_isomorphism_classes
     cls = classify(catalog.small_group(*key))
-    count = len(cls.families)
+    count = len(cls.leaders)
 
     if args.selector == "count":
         print(count)
@@ -179,8 +179,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     p.set_defaults(func=cmd_check)
 
     args = parser.parse_args(argv)
-    if args.command == "table" and args.max_order > 30:
-        print("error: the catalog stops at order 30", file=sys.stderr)
+    if args.command == "table" and not 1 <= args.max_order <= 30:
+        bound = "stops at order 30" if args.max_order > 30 else "starts at order 1"
+        print(f"error: the catalog {bound}", file=sys.stderr)
         return 2
     return args.func(args)
 

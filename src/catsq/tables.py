@@ -3,8 +3,9 @@
 Each catalog group gets a row of five counts (idempotent endomorphisms, cat1
 structures, cat1 classes, cat2 structures, cat2 classes) plus the number of
 cat2 classes whose diagonal fails to be a cat1-group, read off the End(G)
-arrays and the classifiers' families and totals without building a structure
-object; :func:`group_data` can keep each row in :mod:`catsq.cache`.
+arrays and the lengths of the classifiers' label and leader arrays without
+building a structure object or a family; :func:`group_data` can keep each
+row in :mod:`catsq.cache`.
 The reference table is embedded verbatim for the check flag; cyclic groups
 are covered by the closed forms (2^m structures for m distinct prime
 factors, all classes singletons).
@@ -156,13 +157,13 @@ class ClassificationRow:
 
 def compute_group_data(order: int, gid: int) -> GroupData:
     """The table row of one catalog group, read off the End(G) arrays and the
-    classifiers' families and totals; no structure object is built."""
+    classifiers' labels and leaders; no structure object or family is built."""
     G = catalog.small_group(order, gid)
     cls1 = cat1_isomorphism_classes(G)
     cls2 = cat2_isomorphism_classes(G)
     return GroupData(order, gid, len(_endomorphism_maps(G)[0]),
-                     cls1.total, len(cls1.families),
-                     cls2.total, len(cls2.families), non_cat1_diagonal_count(G))
+                     len(cls1.labels), len(cls1.leaders),
+                     len(cls2.labels), len(cls2.leaders), non_cat1_diagonal_count(G))
 
 
 def group_data(order: int, gid: int, cache_dir: Optional[Path] = None) -> GroupData:

@@ -78,7 +78,7 @@ def test_enumeration_counts():
                                 ((12, 3), 5, 2), ((1, 1), 1, 1), ((8, 1), 2, 2)):
         G = catalog.small_group(*key)
         cls = cat1_isomorphism_classes(G)
-        assert (cls.total, len(cls.families)) == (total, classes), key
+        assert (len(cls.labels), len(cls.leaders)) == (total, classes), key
 
 
 def test_enumeration_is_lexicographic():

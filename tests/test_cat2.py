@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -110,21 +113,56 @@ def test_representatives_are_the_least_enumerated_members():
         for classify, enumeration in ((cat1_isomorphism_classes, all_cat1_groups),
                                       (cat2_isomorphism_classes, all_cat2_groups)):
             cls, every = classify(G), enumeration(G)
-            assert len(every) == cls.total, (key, classify.__name__)
+            assert len(every) == len(cls.labels), (key, classify.__name__)
             assert ([rep.key() for rep in cls.representatives]
                     == [every[min(f)].key() for f in cls.families]), (key, classify.__name__)
+
+
+def test_classification_stores_least_class_members():
+    """Each classifier stores one read-only label array: every label is the
+    least position of its class, so it labels itself and lies at or below
+    its position, and the leaders are the first members of the families."""
+    for key in [*LIGHT_KEYS, (27, 5)]:
+        G = catalog.small_group(*key)
+        for classify in (cat1_isomorphism_classes, cat2_isomorphism_classes):
+            cls = classify(G)
+            labels = cls.labels
+            assert np.array_equal(labels[labels], labels), (key, classify.__name__)
+            assert (labels <= np.arange(len(labels))).all(), (key, classify.__name__)
+            assert (cls.leaders.tolist()
+                    == [f[0] for f in cls.families]), (key, classify.__name__)
+            with pytest.raises(ValueError):
+                labels[-1] = 0
+
+
+def test_table_row_builds_no_family():
+    """In a fresh interpreter, the table rows of the light groups and 27/5
+    leave both classifications without a families view: the counts are
+    the lengths of the label and leader arrays."""
+    code = ("from catsq import catalog, tables\n"
+            "from catsq.cat1 import cat1_isomorphism_classes\n"
+            "from catsq.cat2 import cat2_isomorphism_classes\n"
+            "tables.build_table(heavy=False)\n"
+            "tables.compute_group_data(27, 5)\n"
+            "keys = [k for k in catalog.catalog_keys() if k != (16, 14)]\n"
+            "print(sum('families' in f(catalog.small_group(*k)).__dict__\n"
+            "          for k in keys for f in (cat1_isomorphism_classes, cat2_isomorphism_classes)),\n"
+            "      2 * len(keys))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "182"]
 
 
 def test_classification_counts_and_families():
     G = catalog.small_group(8, 2)
     cls = cat2_isomorphism_classes(G)
-    assert cls.total == 47 and len(cls.families) == 14
+    assert len(cls.labels) == 47 and len(cls.families) == 14
     assert sorted(len(f) for f in cls.families) == [1, 1, 1] + [4] * 11
     assert sorted(p for f in cls.families for p in f) == list(range(47))
     # cyclic groups: all classes singletons with the three group quadruples
     c9 = catalog.small_group(9, 1)
     cls = cat2_isomorphism_classes(c9)
-    assert cls.total == 3 and len(cls.families) == 3
+    assert len(cls.labels) == 3 and len(cls.families) == 3
     assert all(len(f) == 1 for f in cls.families)
     quads = sorted(rep.size for rep in cls.representatives)
     assert quads == [(9, 1, 1, 1), (9, 1, 9, 1), (9, 9, 9, 9)]
@@ -281,7 +319,7 @@ def test_diagonal_probe_rejects_a_diagonal_that_is_no_pre_cat1(monkeypatch):
     # the enumeration, corrupted to hold that one pair as its only class
     monkeypatch.setattr(cat2, "_cat2_codes", lambda G: np.array([i * len(cat1s) + j]))
     monkeypatch.setattr(cat2, "cat2_isomorphism_classes",
-                        lambda G: Classification(G, ((0,),), 1, cat2._cat2_structures))
+                        lambda G: Classification(G, np.array([0]), cat2._cat2_structures))
     with pytest.raises(GroupError, match="on the diagonal of cat2 class 1") as caught:
         non_cat1_diagonal_count(G)
     assert str(caught.value).endswith(message.split(": ", 1)[1])

@@ -89,6 +89,15 @@ def test_table_rejects_large_order(capsys):
     assert main(["table", "--max-order", "31"]) == 2
 
 
+@pytest.mark.parametrize("order", ["0", "-3"])
+def test_table_rejects_order_below_one(capsys, order):
+    # below order 1 the table would be a bare header that --check passes
+    assert main(["table", "--max-order", order, "--check"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the catalog starts at order 1\n"
+
+
 def test_inspect_count(capsys):
     assert main(["inspect", "cat1", "12", "3", "count"]) == 0
     assert capsys.readouterr().out.strip() == "2"

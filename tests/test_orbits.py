@@ -2,8 +2,8 @@
 
 ``oracle_orbit_maps`` conjugates one cat1 structure at a time and
 ``oracle_families`` joins positions with union-find, as the classifiers did
-before :func:`catsq.cat1._orbit_families` replaced both; they are kept here
-as the oracles of the array code.
+before the array orbit routine, now :func:`catsq.cat1._orbit_labels`,
+replaced both; they are kept here as the oracles of the array code.
 """
 
 import random
@@ -13,7 +13,8 @@ import pytest
 
 from catsq import catalog, cat1, cat2, groups
 from catsq.cat1 import (
-    _orbit_families,
+    Classification,
+    _orbit_labels,
     all_cat1_groups,
     cat1_isomorphism_classes,
     cat1_structure_orbit_maps,
@@ -101,11 +102,21 @@ def test_orbit_maps_and_families_match_union_find_oracle():
     assert not problems
 
 
-def test_orbit_families_without_permutations():
-    assert _orbit_families(4, []) == ((0,), (1,), (2,), (3,))
-    assert _orbit_families(4, np.empty((0, 4), dtype=np.intp)) == _orbit_families(4, [])
-    assert _orbit_families(0, []) == ()
-    assert _orbit_families(0, np.empty((3, 0), dtype=np.intp)) == ()
+def _families(labels):
+    """The families view of ``labels``, through a Classification."""
+    return Classification(None, labels, None).families
+
+
+def test_orbit_labels_without_permutations():
+    for perms in ([], np.empty((0, 4), dtype=np.intp)):
+        labels = _orbit_labels(4, perms)
+        assert labels.tolist() == [0, 1, 2, 3]
+        assert _families(labels) == ((0,), (1,), (2,), (3,))
+    for perms in ([], np.empty((3, 0), dtype=np.intp)):
+        labels = _orbit_labels(0, perms)
+        assert labels.shape == (0,) and not labels.flags.writeable
+        assert _families(labels) == ()
+        assert Classification(None, labels, None).leaders.tolist() == []
 
 
 def _path_involutions(path, n):
@@ -127,7 +138,7 @@ def test_orbit_families_long_chains(monkeypatch):
     array_equal = np.array_equal
     monkeypatch.setattr(np, "array_equal",
                         lambda a, b: rounds.append(1) or array_equal(a, b))
-    got = _orbit_families(n, perms)
+    got = _families(_orbit_labels(n, perms))
     monkeypatch.undo()
     assert got == oracle_families(n, perms)
     assert got == ((0,), tuple(sorted(nodes[:120])), tuple(sorted(nodes[120:])))

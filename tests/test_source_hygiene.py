@@ -5,7 +5,8 @@ module-level assigned name is referenced somewhere in the package, only
 ``tables`` and ``cli`` import the result cache, no dataclass constructor
 multiplies, only the memo decorator touches a group's ``_cache``, no
 memoized stage is annotated to return a list, both classifiers find moved pair codes through the one lookup
-``cat1._code_positions``, and nothing calls ``searchsorted``."""
+``cat1._code_positions``, nothing calls ``searchsorted``, and only
+``cli.cmd_inspect`` reads a classification's ``families``."""
 
 import ast
 from pathlib import Path
@@ -174,3 +175,17 @@ def test_only_code_positions_searches_sorted_codes():
     assert _callers("searchsorted") == []
     assert sorted(_callers("_code_positions")) == ["cat1.py: cat1_structure_orbit_maps",
                                                    "cat2.py: cat2_isomorphism_classes"]
+
+
+def _readers(attr):
+    """The owners of every read of the attribute ``attr``."""
+    return [owner for name, tree in TREES.items() for owner, unit in _units(name, tree)
+            for n in ast.walk(unit) if isinstance(n, ast.Attribute) and n.attr == attr]
+
+
+def test_only_inspect_reads_families():
+    """A classification stores its label array; the families are a view
+    built on read, so only ``inspect ... families`` reads them, and the
+    structure count is ``len(labels)``, not a stored ``total``."""
+    assert _readers("families") == ["cli.py: cmd_inspect"]
+    assert _readers("total") == []
