@@ -5,13 +5,14 @@ A structure is a pair of endomorphisms (t, h) of one group with t o h = h,
 h o t = t and [ker t, ker h] = 1 (the identities force im t = im h), each
 reported with a witness by :func:`is_cat1_group` after the lines that t and
 h are homomorphisms; the report is memoized on the group and keyed on both
-maps, so a process checks each structure once.  The endomorphism form is
-canonical; the embedding form (e; t, h : G -> R) is a view converted on
-input and output.  Enumeration pairs the rows of the sorted idempotent array
-E of the End(G) pass with array tests of both axioms at once, and lists
-ordered pairs in lexicographic order of their concatenated map arrays; the
-index pair (tails, heads) into E is the one array form of the structures,
-whose maps are E[tails] and E[heads].
+maps, so a process checks each structure once, and the certifying factory
+:func:`cat1_group` raises with its first failing line.  The endomorphism
+form is canonical; the embedding form (e; t, h : G -> R) is a view converted
+on input and output, with R indexed as ``groups`` decides once.  Enumeration
+pairs the rows of the sorted idempotent array E of the End(G) pass with
+array tests of both axioms at once, and lists ordered pairs in lexicographic
+order of their concatenated map arrays; the index pair (tails, heads) into E
+is the one array form of the structures, whose maps are E[tails] and E[heads].
 Classification conjugates E by each Aut(G) generator; the induced permutation
 of E moves the sorted pair codes, and :func:`_code_positions` finds them by
 one argsort, one permutation of the k positions per generator.
@@ -40,10 +41,10 @@ from .groups import (
     _endomorphism_maps,
     _memo,
     _np_table,
+    _subgroup_group,
     automorphism_generators,
     all_homomorphisms,
     compose,
-    group_of_subgroup,
     image_of,
     inclusion_hom,
     kernel_of,
@@ -116,11 +117,13 @@ def _cat1_report(G: GroupTable, t: Homomorphism, h: Homomorphism) -> ValidityRep
 
 def cat1_group(t: Homomorphism, h: Homomorphism) -> Cat1Group:
     """Certified cat1-group; raises :class:`GroupError` naming the first
-    failing line of :func:`is_cat1_group` and its witness."""
-    _require(_map_lines([("t", t), ("h", h)]), "not a cat1-group")
-    pre = pre_cat1_by_endomorphisms(t, h)
-    _require((_kernel_check(pre.group, t, h),), "not a cat1-group")
-    return Cat1Group(pre.group, pre.tail, pre.head, pre.range_)
+    failing line of :func:`is_cat1_group` and its witness.  The report is
+    the memoized one, so certifying the same maps again checks nothing."""
+    G = t.source
+    if t.target is not G or h.source is not G or h.target is not G:
+        raise GroupError("tail and head must be endomorphisms of one group")
+    _require(_cat1_report(G, t, h).checks, "not a cat1-group")
+    return Cat1Group(G, t, h, image_of(t))
 
 
 def identity_cat1(G: GroupTable) -> Cat1Group:
@@ -160,8 +163,7 @@ def from_general_form(e: Homomorphism, t: Homomorphism, h: Homomorphism) -> Cat1
 
 def general_form(C: Cat1Group) -> Cat1GeneralForm:
     """The embedding-form view of a cat1-group (range as a standalone group)."""
-    R, members = group_of_subgroup(C.range_)
-    pos = {m: i for i, m in enumerate(members)}
+    R, pos = _subgroup_group(C.group, C.range_.members)
     e = inclusion_hom(C.range_)
     t = Homomorphism(C.group, R, tuple(pos[v] for v in C.tail.mapping))
     h = Homomorphism(C.group, R, tuple(pos[v] for v in C.head.mapping))

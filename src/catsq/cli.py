@@ -131,7 +131,7 @@ def cmd_check(args) -> int:
         text = Path(args.file).read_text()
         kind = detect_kind(text)
         if kind not in CHECKERS:
-            print(f"error: cannot check files of kind {kind!r}", file=sys.stderr)
+            print(f"invalid: cannot check files of kind {kind!r}", file=sys.stderr)
             return 2
         parse, report_of = CHECKERS[kind]
         report = report_of(parse(text))

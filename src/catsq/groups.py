@@ -30,7 +30,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -516,17 +517,19 @@ def group_of_subgroup(S: Subgroup) -> tuple[DenseGroup, tuple[int, ...]]:
     Returns ``(H, members)`` with ``H`` indexed by position in the sorted
     member list, so position 0 is the parent identity.  Memoized per parent.
     """
-    return _subgroup_group(S.parent, S.members)
+    return _subgroup_group(S.parent, S.members)[0], S.members
 
 
 @_memo
-def _subgroup_group(G: GroupTable, members: tuple[int, ...]) -> tuple[DenseGroup, tuple[int, ...]]:
+def _subgroup_group(G: GroupTable, members: tuple[int, ...]) -> tuple[DenseGroup, Mapping[int, int]]:
+    """The group of ``members`` and the read-only position of each member in
+    it, in member order: the one place that indexes a subgroup."""
     pos = {m: i for i, m in enumerate(members)}
     try:
         table = [[pos[G.mul(a, b)] for b in members] for a in members]
     except KeyError:
         raise GroupError("member set is not closed under multiplication") from None
-    return DenseGroup(table, f"{G.label}|{len(members)}", check=False), members
+    return DenseGroup(table, f"{G.label}|{len(members)}", check=False), MappingProxyType(pos)
 
 
 def inclusion_hom(S: Subgroup) -> "Homomorphism":
@@ -632,11 +635,10 @@ def restrict_hom(f: Homomorphism, sub: Subgroup, target_sub: Subgroup) -> Homomo
     """
     if sub.parent is not f.source or target_sub.parent is not f.target:
         raise GroupError("restriction subgroups must live in f's source/target")
-    S, s_members = group_of_subgroup(sub)
-    T, t_members = group_of_subgroup(target_sub)
-    pos = {m: i for i, m in enumerate(t_members)}
+    S = _subgroup_group(f.source, sub.members)[0]
+    T, pos = _subgroup_group(f.target, target_sub.members)
     try:
-        mapping = tuple(pos[f.mapping[m]] for m in s_members)
+        mapping = tuple(pos[f.mapping[m]] for m in sub.members)
     except KeyError:
         raise GroupError("f does not map the subgroup into the stated target") from None
     return Homomorphism(S, T, mapping)
@@ -810,9 +812,14 @@ def automorphism_group_as_table(G: GroupTable) -> tuple[DenseGroup, tuple[tuple[
 def inner_automorphism_indices(G: GroupTable) -> tuple[int, ...]:
     """Positions of the conjugation maps inside :func:`automorphism_group`."""
     require_dense(G)
+    return tuple(sorted(set(_inner_automorphisms(G))))
+
+
+@_memo
+def _inner_automorphisms(G: GroupTable) -> tuple[int, ...]:
+    """Entry g: the row of conjugation by g in the automorphism array."""
     where = _automorphism_positions(G)
-    inner = {where[tuple(G.conj(g, x) for x in G.elements())] for g in G.elements()}
-    return tuple(sorted(inner))
+    return tuple(where[tuple(G.conj(g, x) for x in G.elements())] for g in G.elements())
 
 
 @_memo
@@ -916,8 +923,7 @@ def _conjugation_action(G: GroupTable, members: tuple[int, ...]) -> GroupAction:
     if bad is not None:
         raise GroupError(
             f"subgroup is not normal: conjugating {bad[1]} by {bad[0]} leaves it")
-    H = _subgroup_group(G, members)[0]
-    pos = {m: i for i, m in enumerate(members)}
+    H, pos = _subgroup_group(G, members)
     perms = tuple(tuple(pos[G.conj(g, m)] for m in members) for g in G.elements())
     return GroupAction(G, H, perms)
 
@@ -933,8 +939,8 @@ def sub_conjugation_action(G: GroupTable, A: Subgroup, S: Subgroup) -> GroupActi
 @_memo
 def _sub_conjugation_action(G: GroupTable, amem: tuple[int, ...],
                             smem: tuple[int, ...]) -> GroupAction:
-    Agrp, Sgrp = _subgroup_group(G, amem)[0], _subgroup_group(G, smem)[0]
-    pos = {m: i for i, m in enumerate(smem)}
+    Agrp = _subgroup_group(G, amem)[0]
+    Sgrp, pos = _subgroup_group(G, smem)
     try:
         perms = tuple(tuple(pos[G.conj(a, m)] for m in smem) for a in amem)
     except KeyError:

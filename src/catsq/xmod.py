@@ -10,8 +10,8 @@ check shapes; reports and certifying factories check axioms.  A report
 lines, starting with one line per map and action from :func:`is_homomorphism`
 and :func:`is_action`.  A certifying factory raises through :func:`_require`
 with the name and witness of the first failing line.  ``is_cat1_group`` is
-memoized on its group, keyed on both maps; the other reports are computed
-on each call.
+memoized on its group, keyed on both maps, and ``cat1_group`` raises from
+that memoized report; the other reports are computed on each call.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .groups import (
     GroupTable,
     Homomorphism,
     Subgroup,
+    _inner_automorphisms,
     automorphism_group_as_table,
     conjugation_action,
     direct_product,
@@ -173,12 +174,8 @@ def conjugation_xmod(N: Subgroup, R: GroupTable) -> CrossedModule:
 def automorphism_xmod(S: GroupTable) -> CrossedModule:
     """S -> Aut(S) sending s to conjugation by s, acting by application."""
     A, maps = automorphism_group_as_table(S)
-    pos = {m: i for i, m in enumerate(maps)}
-    boundary = Homomorphism(S, A, tuple(
-        pos[tuple(S.conj(s, x) for x in S.elements())] for s in S.elements()
-    ))
-    action = GroupAction(A, S, maps)
-    return crossed_module(S, A, boundary, action)
+    boundary = Homomorphism(S, A, _inner_automorphisms(S))
+    return crossed_module(S, A, boundary, GroupAction(A, S, maps))
 
 
 def zero_boundary_xmod(M: GroupTable, P: GroupTable, act: GroupAction) -> CrossedModule:

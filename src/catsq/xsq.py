@@ -33,12 +33,14 @@ from .groups import (
     GroupTable,
     Homomorphism,
     Subgroup,
+    _inner_automorphisms,
+    _subgroup_group,
     action_by_hom,
     automorphism_group_as_table,
     compose,
     conjugation_action,
     direct_product,
-    group_of_subgroup,
+    identity_hom,
     image_of,
     inclusion_hom,
     inner_automorphism_indices,
@@ -186,16 +188,6 @@ def _certify(X: CrossedSquare) -> None:
 # -- standard constructions -----------------------------------------------------
 
 
-def _sub_inclusion(small: Subgroup, big: Subgroup) -> Homomorphism:
-    S, smem = group_of_subgroup(small)
-    B, bmem = group_of_subgroup(big)
-    pos = {m: i for i, m in enumerate(bmem)}
-    try:
-        return Homomorphism(S, B, tuple(pos[m] for m in smem))
-    except KeyError:
-        raise GroupError("the first subgroup is not contained in the second") from None
-
-
 def crossed_square_by_normal_subgroups(L: Subgroup, M: Subgroup, N: Subgroup,
                                        P: GroupTable) -> CrossedSquare:
     """Inclusion square of two normal subgroups with commutator pairing."""
@@ -206,16 +198,14 @@ def crossed_square_by_normal_subgroups(L: Subgroup, M: Subgroup, N: Subgroup,
     act_m = conjugation_action(P, M)   # raises with witness when not normal
     act_n = conjugation_action(P, N)
     act_l = conjugation_action(P, L)
-    Lg, lmem = group_of_subgroup(L)
-    Mg, mmem = group_of_subgroup(M)
-    Ng, nmem = group_of_subgroup(N)
-    lpos = {m: i for i, m in enumerate(lmem)}
+    lpos = _subgroup_group(P, L.members)[1]
     pairing = tuple(
-        tuple(lpos[P.comm(m, n)] for n in nmem) for m in mmem
+        tuple(lpos[P.comm(m, n)] for n in N.members) for m in M.members
     )
+    ident = identity_hom(P)
     return crossed_square(
-        Lg, Mg, Ng, P,
-        _sub_inclusion(L, M), _sub_inclusion(L, N),
+        act_l.space, act_m.space, act_n.space, P,
+        restrict_hom(ident, L, M), restrict_hom(ident, L, N),
         inclusion_hom(M), inclusion_hom(N),
         act_l, act_m, act_n, pairing,
     )
@@ -225,12 +215,8 @@ def actor_crossed_square(M: GroupTable) -> CrossedSquare:
     """The square M -> Inn M (twice) -> Aut M with commutator pairing."""
     A, maps = automorphism_group_as_table(M)
     inner = Subgroup(A, inner_automorphism_indices(M))
-    Ig, imem = group_of_subgroup(inner)
-    ipos = {a: i for i, a in enumerate(imem)}
-    apos = {m: i for i, m in enumerate(maps)}
-    alpha = Homomorphism(M, Ig, tuple(
-        ipos[apos[tuple(M.conj(m, x) for x in M.elements())]] for m in M.elements()
-    ))
+    Ig, ipos = _subgroup_group(A, inner.members)
+    alpha = Homomorphism(M, Ig, tuple(ipos[a] for a in _inner_automorphisms(M)))
     iota = inclusion_hom(inner)
     act_l = GroupAction(A, M, maps)
     act_inn = conjugation_action(A, inner)
@@ -339,7 +325,7 @@ def crossed_square_of_cat2(C: PreCat2Group) -> ValidCrossedSquare:
     act_m = sub_conjugation_action(G, Psub, Msub)
     act_n = sub_conjugation_action(G, Psub, Nsub)
     # t1 fixes m and kills n, t2 the reverse, so [m, n] lies in ker t1 and ker t2
-    lpos = {m: i for i, m in enumerate(Lsub.members)}
+    lpos = _subgroup_group(G, Lsub.members)[1]
     pairing = tuple(
         tuple(lpos[G.comm(m, n)] for n in Nsub.members) for m in Msub.members
     )

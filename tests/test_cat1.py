@@ -8,6 +8,7 @@ from catsq.groups import (
     are_isomorphic,
     compose,
     hom_by_images,
+    idempotent_endomorphisms,
     image_of,
     normal_subgroups,
     subgroup_generated,
@@ -350,3 +351,26 @@ def test_convert_checks_each_cat1_structure_once(monkeypatch):
         crossed_square_of_cat2(pre)
         distinct |= {(c.tail.mapping, c.head.mapping) for c in (pre.c1, pre.c2)}
     assert len(calls) == len(distinct) == 25
+
+
+def test_cat1_group_reads_the_memoized_report(monkeypatch):
+    """``cat1_group`` raises with the first failing line of
+    :func:`is_cat1_group`, a pre-cat1 line included, and certifying the same
+    maps twice checks the kernel line once."""
+    from catsq import cat1
+
+    G = fresh_copy(catalog.small_group(8, 3))
+    t, h = next((a, b) for a in idempotent_endomorphisms(G)
+                for b in idempotent_endomorphisms(G) if set(a.mapping) != set(b.mapping))
+    first = is_cat1_group(PreCat1Group(G, t, h, image_of(t))).failures()[0]
+    assert first.name == "t o h = h"
+    with pytest.raises(GroupError) as caught:
+        cat1_group(t, h)
+    assert str(caught.value) == f"not a cat1-group: {first.name} fails with witness {first.witness}"
+
+    calls, kernel_check = [], cat1._kernel_check
+    monkeypatch.setattr(cat1, "_kernel_check",
+                        lambda *args: calls.append(args) or kernel_check(*args))
+    C = all_cat1_groups(G)[-1]
+    assert cat1_group(C.tail, C.head).key() == cat1_group(C.tail, C.head).key() == C.key()
+    assert len(calls) == 1

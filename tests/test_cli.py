@@ -286,6 +286,8 @@ _S3_GENS_1 = ("catsq 1 cat2\ngroup table 6 S3\n"
 # name -> (file text, token the error message must name)
 MALFORMED = {
     "version": ("catsq x cat1\ngroup key 8 3\nend\n", "'x'"),
+    "numeric kind": ("catsq 1 0\ngroup key 8 3\nend\n", "files of kind '0'"),
+    "cache kind": ("catsq 1 cache\ngroup key 8 3\nend\n", "files of kind 'cache'"),
     "key without id": ("catsq 1 cat2\ngroup key 8\nend\n", "group key"),
     "unknown key": ("catsq 1 cat2\ngroup key 8 99\nend\n", "(8,99)"),
     "table size": ("catsq 1 cat2\ngroup table x\nend\n", "'x'"),
@@ -313,25 +315,10 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("name", ["version", "key without id", "unknown key", "table size",
-                                  "actl count", "generator", "gens do not generate"])
-def test_malformed_file_no_traceback(tmp_path, name):
-    """The console entry ends a malformed file with exit status 2 and a
-    one-line message naming the bad token, never a traceback."""
-    text, token = MALFORMED[name]
-    f = tmp_path / "bad.catsq"
-    f.write_text(text)
-    for command, prefix in (("check", "invalid: "), ("convert", "error: ")):
-        proc = run_cli(command, str(f))
-        assert proc.returncode == 2, (command, proc.stderr)
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith(prefix) and token in proc.stderr, (command, proc.stderr)
-
-
-@pytest.mark.parametrize("name", ["map image", "negative generator", "empty table",
-                                  "action image", "pairing entry", "map length", "map identity",
-                                  "xsq map length", "action identity", "action permutation"])
-def test_malformed_values_rejected(tmp_path, capsys, name):
+def _rejected_in_process(tmp_path, capsys, name):
+    """``check`` and ``convert`` end the file ``MALFORMED[name]`` with exit
+    status 2 and one message naming the bad token; any exception other than
+    the ``GroupError`` they report escapes ``main`` and fails the caller."""
     text, token = MALFORMED[name]
     f = tmp_path / "bad.catsq"
     f.write_text(text)
@@ -339,6 +326,20 @@ def test_malformed_values_rejected(tmp_path, capsys, name):
         assert main([command, str(f)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(prefix) and token in err, (command, err)
+
+
+@pytest.mark.parametrize("name", ["version", "key without id", "unknown key", "table size",
+                                  "actl count", "generator", "gens do not generate"])
+def test_malformed_file_no_traceback(tmp_path, capsys, name):
+    _rejected_in_process(tmp_path, capsys, name)
+
+
+@pytest.mark.parametrize("name", ["map image", "negative generator", "empty table",
+                                  "action image", "pairing entry", "map length", "map identity",
+                                  "xsq map length", "action identity", "action permutation",
+                                  "numeric kind", "cache kind"])
+def test_malformed_values_rejected(tmp_path, capsys, name):
+    _rejected_in_process(tmp_path, capsys, name)
 
 
 def _cat2_text(key, t1, h1, t2, h2):
@@ -516,10 +517,20 @@ def test_cache_env_var(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "envcache" / "4_2.catsq").exists()
 
 
-def test_console_entry_point_runs():
+def test_console_entry_point_runs(tmp_path):
+    """The console entry prints a table, and ends a malformed file with exit
+    status 2 and a one-line message naming the bad token, never a traceback."""
     proc = run_cli("table", "--max-order", "2")
     assert proc.returncode == 0
     assert proc.stdout.startswith("order,id,name")
+    text, token = MALFORMED["version"]
+    f = tmp_path / "bad.catsq"
+    f.write_text(text)
+    for command, prefix in (("check", "invalid: "), ("convert", "error: ")):
+        proc = run_cli(command, str(f))
+        assert proc.returncode == 2, (command, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(prefix) and token in proc.stderr, (command, proc.stderr)
 
 
 def test_table_cache_dir_that_is_a_file(tmp_path, capsys):

@@ -23,6 +23,7 @@ from catsq.groups import (
     conjugation_action,
     direct_product,
     group_from_permutation_generators,
+    group_of_subgroup,
     hom_by_images,
     idempotent_endomorphisms,
     identity_hom,
@@ -431,6 +432,20 @@ def test_inner_automorphisms(d8):
     auts = automorphism_group(d8)
     assert len(auts) == 8
     assert set(inner) <= set(range(len(auts)))
+
+
+def test_subgroup_positions_are_one_read_only_memo():
+    """The positions of a subgroup's members are decided once, in member
+    order, and no caller can change them."""
+    G = catalog.small_group(8, 3)
+    S = next(S for S in all_subgroups(G) if S.members != tuple(range(S.order)))
+    H, pos = groups._subgroup_group(G, S.members)
+    assert list(pos) == list(S.members)
+    assert [pos[m] for m in S.members] == list(range(S.order))
+    with pytest.raises(TypeError):
+        pos[S.members[-1]] = 0
+    assert groups._subgroup_group(G, S.members)[1] is pos
+    assert group_of_subgroup(S) == (H, S.members)
 
 
 def test_semidirect_product():

@@ -23,9 +23,9 @@ from catsq.xsq import crossed_square_of_cat2
 KEYS = ((6, 1), (8, 3), (12, 3), (8, 5), (16, 11))
 SEED, COUNT = 20260, 2000
 TOKENS = ("-1", "0", "1000000007", "x", "1.5", "")
-# check reports a GroupError as invalid input, and a kind it cannot check
-# (a mutated header) as an error
-PREFIXES = {"check": ("invalid: ", "error: "), "convert": ("error: ",)}
+# check reports every rejection, a kind it cannot check included, as invalid
+# input; convert reports each as an error
+PREFIXES = {"check": ("invalid: ",), "convert": ("error: ",)}
 COMMANDS = {"check": cmd_check, "convert": cmd_convert}
 
 

@@ -4,7 +4,9 @@ module-level assigned name is referenced somewhere in the package, only
 ``groups`` chooses between a dense and a structural realization, only
 ``tables`` and ``cli`` import the result cache, no dataclass constructor
 multiplies, only the memo decorator touches a group's ``_cache``, no
-memoized stage is annotated to return a list, both classifiers find moved pair codes through the one lookup
+memoized stage is annotated to return a list or a dict, no module beyond
+``groups`` builds a position dict over ``enumerate``, both classifiers find
+moved pair codes through the one lookup
 ``cat1._code_positions``, nothing calls ``searchsorted``, and only
 ``cli.cmd_inspect`` reads a classification's ``families``."""
 
@@ -147,17 +149,41 @@ def test_only_memo_touches_the_group_cache():
     assert owners == CACHE_OWNERS | {PERMS_RECORD}
 
 
-def test_no_memo_stage_returns_a_list():
-    """``_memo`` stores each stage in one form and makes its arrays
-    read-only; a stored list could be changed by any caller, so no memoized
-    function's return annotation names ``list``, at any depth."""
+def _memo_stages_returning(word):
+    """The memoized functions whose return annotation names ``word``, at
+    any depth; raises unless more than ten functions are memoized."""
     memoized = {f"{name}: {owner}": unit for name, tree in TREES.items()
                 for owner, unit in _units(name, tree)
                 if any(getattr(d, "id", None) == "_memo"
                        for d in getattr(unit, "decorator_list", ()))}
-    lists = [owner for owner, unit in memoized.items()
-             if any(getattr(n, "id", None) == "list" for n in ast.walk(unit.returns))]
-    assert len(memoized) > 10 and lists == []
+    assert len(memoized) > 10
+    return [owner for owner, unit in memoized.items()
+            if any(getattr(n, "id", None) == word for n in ast.walk(unit.returns))]
+
+
+def test_no_memo_stage_returns_a_list():
+    """``_memo`` stores each stage in one form and makes its arrays
+    read-only; a stored list could be changed by any caller, so no memoized
+    function's return annotation names ``list``, at any depth."""
+    assert _memo_stages_returning("list") == []
+
+
+def test_no_memo_stage_returns_a_dict():
+    """A stored dict could be changed by any caller just as a list could; a
+    memoized mapping, such as the subgroup positions, is a read-only
+    ``Mapping``."""
+    assert _memo_stages_returning("dict") == []
+
+
+def test_subgroup_positions_are_decided_only_in_groups():
+    """``groups._subgroup_group`` is the one place that indexes a subgroup's
+    members, so ``cat1``, ``cat2``, ``xmod`` and ``xsq`` build no dict
+    comprehension over ``enumerate(...)``."""
+    built = [f"{name} line {n.lineno}" for name in ("cat1.py", "cat2.py", "xmod.py", "xsq.py")
+             for n in ast.walk(TREES[name]) if isinstance(n, ast.DictComp)
+             for gen in n.generators
+             if isinstance(gen.iter, ast.Call) and getattr(gen.iter.func, "id", None) == "enumerate"]
+    assert built == []
 
 
 def _callers(word):

@@ -6,11 +6,13 @@ from catsq.cat2 import all_cat2_groups, cat2_group, cat2_morphism
 from catsq.serialize import parse_cat1
 from catsq.xsq import crossed_square, trivial_action_crossed_square
 from catsq.groups import (
+    DENSE_CAP,
     DenseGroup,
     GroupAction,
     GroupError,
     Homomorphism,
     action_by_hom,
+    automorphism_group,
     automorphism_group_as_table,
     hom_by_images,
     identity_hom,
@@ -68,6 +70,23 @@ def test_automorphism_xmod():
     X = automorphism_xmod(catalog.small_group(6, 1))
     assert X.range_.order == 6
     assert len(set(X.boundary.mapping)) == 6  # Inn(S3) = Aut(S3)
+
+
+def test_automorphism_xmod_boundary_is_conjugation():
+    """On every catalog group with |Aut(G)| <= DENSE_CAP, the boundary sends
+    s to the position of conjugation by s among the automorphism maps,
+    found here by looking the conjugation map up."""
+    checked = 0
+    for key in catalog.catalog_keys():
+        G = catalog.small_group(*key)
+        if len(automorphism_group(G)) > DENSE_CAP:
+            continue
+        maps = automorphism_group_as_table(G)[1]
+        pos = {m: i for i, m in enumerate(maps)}
+        oracle = tuple(pos[tuple(G.conj(s, x) for x in G.elements())] for s in G.elements())
+        assert automorphism_xmod(G).boundary.mapping == oracle, key
+        checked += 1
+    assert checked == 90
 
 
 def test_zero_boundary_xmod():
