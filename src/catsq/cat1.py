@@ -126,11 +126,6 @@ def cat1_group(t: Homomorphism, h: Homomorphism) -> Cat1Group:
     return Cat1Group(G, t, h, image_of(t))
 
 
-def identity_cat1(G: GroupTable) -> Cat1Group:
-    ident = Homomorphism(G, G, tuple(G.elements()))
-    return cat1_group(ident, ident)
-
-
 # -- the embedding (general) form ---------------------------------------------
 
 

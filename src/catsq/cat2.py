@@ -16,7 +16,10 @@ routine as the cat1 classes (min-label propagation with pointer jumping).
 :func:`_cat2_structures` decodes positions into structures for
 :func:`all_cat2_groups` and the representatives; the diagonal probe of
 :func:`non_cat1_diagonal_count` tests the structures at all class leaders in
-one array pass.
+one array pass.  The single-structure form, :func:`diagonal_pre_cat1`, reads
+the memoized cat1 report of the composed maps, the one that
+:func:`is_cat1_group` and :func:`cat1_group` read, so a process checks each
+diagonal once.
 """
 
 from __future__ import annotations
@@ -46,16 +49,15 @@ from .cat1 import (
     Classification,
     PreCat1Group,
     _cat1_pairs,
+    _cat1_report,
     _cat1_structures,
     _code_positions,
     _intertwines,
-    _kernel_check,
     _noncommuting_mask,
     _orbit_labels,
     cat1_isomorphism_classes,
     cat1_structure_orbit_maps,
     is_cat1_group,
-    pre_cat1_by_endomorphisms,
 )
 from .xmod import AxiomCheck, ValidityReport, _line, _map_lines, _require
 
@@ -111,11 +113,6 @@ def _noncommuting(c1: PreCat1Group, c2: PreCat1Group) -> Iterator[tuple[str, int
             for x in range(len(a)) if a[b[x]] != b[a[x]])
 
 
-def commutation_witness(c1: PreCat1Group, c2: PreCat1Group) -> Optional[tuple[str, int]]:
-    """First violated commutation identity, as (name, element), or None."""
-    return next(_noncommuting(c1, c2), None)
-
-
 def _commutation_check(c1: PreCat1Group, c2: PreCat1Group) -> AxiomCheck:
     return _line("commutation identities", _noncommuting(c1, c2))
 
@@ -147,18 +144,18 @@ def cat2_group(c1: PreCat1Group, c2: PreCat1Group) -> Cat2Group:
     return Cat2Group(pre.group, pre.c1, pre.c2)
 
 
-def transpose_cat2(C: PreCat2Group) -> PreCat2Group:
-    """The same unordered structure with the opposite orientation."""
-    return type(C)(C.group, C.c2, C.c1)
-
-
 def diagonal_pre_cat1(C: PreCat2Group) -> tuple[PreCat1Group, bool, Optional[tuple]]:
-    """The diagonal (t1 o t2, h1 o h2) with its cat1 verdict and witness."""
+    """The diagonal (t1 o t2, h1 o h2) with its cat1 verdict and witness.
+
+    The verdict is the kernel line of the memoized cat1 report of the
+    composed maps.  A failing earlier line raises ``pre-cat1 axiom
+    violated`` with its name and witness: t o h = h or h o t = t, or, for
+    an uncertified pair, a composed map that is no homomorphism."""
     t = compose(C.c1.tail, C.c2.tail)
     h = compose(C.c1.head, C.c2.head)
-    pre = pre_cat1_by_endomorphisms(t, h)
-    kernels = _kernel_check(pre.group, t, h)
-    return pre, kernels.ok, kernels.witness
+    *lines, kernels = _cat1_report(C.group, t, h).checks
+    _require(lines, "pre-cat1 axiom violated")
+    return PreCat1Group(C.group, t, h, image_of(t)), kernels.ok, kernels.witness
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -349,10 +346,6 @@ def isomorphism_cat2_groups(A: PreCat2Group, B: PreCat2Group) -> Optional[Cat2Mo
                 gamma = Homomorphism(A.group, B.group, mapping)
                 return cat2_morphism(A, B, gamma, swapped)
     return None
-
-
-def are_isomorphic_cat2_groups(A: PreCat2Group, B: PreCat2Group) -> bool:
-    return isomorphism_cat2_groups(A, B) is not None
 
 
 # -- cat^n ---------------------------------------------------------------------

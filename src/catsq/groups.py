@@ -417,23 +417,6 @@ def _table_from_right(right: Sequence[Sequence[int]], label: str) -> list[tuple[
     return list(zip(*cols))
 
 
-def verify_group_axioms(G: GroupTable) -> None:
-    """Exhaustive associativity / identity / inverse check (test hook)."""
-    n = G.order
-    for a in range(n):
-        if G.mul(0, a) != a or G.mul(a, 0) != a:
-            raise GroupError(f"identity fails at {a}")
-        i = G.inv(a)
-        if G.mul(a, i) != 0 or G.mul(i, a) != 0:
-            raise GroupError(f"inverse fails at {a}")
-    for a in range(n):
-        for b in range(n):
-            ab = G.mul(a, b)
-            for c in range(n):
-                if G.mul(ab, c) != G.mul(a, G.mul(b, c)):
-                    raise GroupError(f"associativity fails at ({a}, {b}, {c})")
-
-
 # ---------------------------------------------------------------------------
 # subgroups
 
@@ -476,23 +459,11 @@ def subgroup_generated(G: GroupTable, seed: Iterable[int]) -> Subgroup:
     return Subgroup(G, tuple(sorted(members)))
 
 
-def whole_subgroup(G: GroupTable) -> Subgroup:
-    return Subgroup(G, tuple(G.elements()))
-
-
-def trivial_subgroup(G: GroupTable) -> Subgroup:
-    return Subgroup(G, (0,))
-
-
 def intersection(A: Subgroup, B: Subgroup) -> Subgroup:
     if A.parent is not B.parent:
         raise GroupError("subgroup intersection needs a common parent")
     bs = set(B.members)
     return Subgroup(A.parent, tuple(m for m in A.members if m in bs))
-
-
-def is_normal(G: GroupTable, S: Subgroup) -> bool:
-    return normality_witness(G, S) is None
 
 
 def normality_witness(G: GroupTable, S: Subgroup) -> Optional[tuple[int, int]]:
@@ -511,15 +482,6 @@ def commutator_subgroup(G: GroupTable, A: Subgroup, B: Subgroup) -> Subgroup:
     return subgroup_generated(G, comms)
 
 
-def group_of_subgroup(S: Subgroup) -> tuple[DenseGroup, tuple[int, ...]]:
-    """Standalone dense group for a subgroup, plus the member positions.
-
-    Returns ``(H, members)`` with ``H`` indexed by position in the sorted
-    member list, so position 0 is the parent identity.  Memoized per parent.
-    """
-    return _subgroup_group(S.parent, S.members)[0], S.members
-
-
 @_memo
 def _subgroup_group(G: GroupTable, members: tuple[int, ...]) -> tuple[DenseGroup, Mapping[int, int]]:
     """The group of ``members`` and the read-only position of each member in
@@ -533,32 +495,7 @@ def _subgroup_group(G: GroupTable, members: tuple[int, ...]) -> tuple[DenseGroup
 
 
 def inclusion_hom(S: Subgroup) -> "Homomorphism":
-    H, members = group_of_subgroup(S)
-    return Homomorphism(H, S.parent, members)
-
-
-@_memo
-def all_subgroups(G: GroupTable) -> tuple[Subgroup, ...]:
-    """Every subgroup of ``G``, found by closure-extension search."""
-    found = {(0,)}
-    frontier = [(0,)]
-    while frontier:
-        nxt = []
-        for mem in frontier:
-            inside = set(mem)
-            for x in G.elements():
-                if x in inside:
-                    continue
-                bigger = subgroup_generated(G, inside | {x}).members
-                if bigger not in found:
-                    found.add(bigger)
-                    nxt.append(bigger)
-        frontier = nxt
-    return tuple(Subgroup(G, mem) for mem in sorted(found, key=lambda m: (len(m), m)))
-
-
-def normal_subgroups(G: GroupTable) -> tuple[Subgroup, ...]:
-    return tuple(S for S in all_subgroups(G) if is_normal(G, S))
+    return Homomorphism(_subgroup_group(S.parent, S.members)[0], S.parent, S.members)
 
 
 # ---------------------------------------------------------------------------
@@ -642,21 +579,6 @@ def restrict_hom(f: Homomorphism, sub: Subgroup, target_sub: Subgroup) -> Homomo
     except KeyError:
         raise GroupError("f does not map the subgroup into the stated target") from None
     return Homomorphism(S, T, mapping)
-
-
-def hom_by_images(G: GroupTable, H: GroupTable,
-                  images: Sequence[int]) -> Homomorphism:
-    """The homomorphism sending ``G.generators`` to ``images`` (must exist)."""
-    if len(images) != len(G.generators):
-        raise GroupError(f"{len(images)} generator images given, but {G.label!r} "
-                         f"has {len(G.generators)} generators")
-    for pos, im in enumerate(images):
-        if not 0 <= im < H.order:
-            raise GroupError(f"image {im} of generator {pos} lies outside 0..{H.order - 1}")
-    for block in _hom_blocks(G, H, [[im] for im in images]):
-        if len(block):
-            return Homomorphism(G, H, tuple(block[0].tolist()))
-    raise GroupError("the generator images do not define a homomorphism")
 
 
 # Generator-image tuples checked per numpy block by :func:`_hom_blocks`.
@@ -1013,6 +935,3 @@ def isomorphism_between(G: GroupTable, H: GroupTable) -> Optional[Homomorphism]:
         return Homomorphism(G, H, mapping)
     return None
 
-
-def are_isomorphic(G: GroupTable, H: GroupTable) -> bool:
-    return isomorphism_between(G, H) is not None

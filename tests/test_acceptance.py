@@ -33,17 +33,16 @@ import itertools
 import numpy as np
 import pytest
 
-from catsq import catalog
+from catsq import catalog, cat2
 from catsq.groups import (
     _endomorphism_maps,
     all_homomorphisms,
-    are_isomorphic,
     automorphism_generators,
     automorphism_group,
     group_from_permutation_generators,
-    hom_by_images,
     idempotent_endomorphisms,
-    normal_subgroups,
+    identity_hom,
+    isomorphism_between,
     subgroup_generated,
     trivial_hom,
 )
@@ -53,7 +52,6 @@ from catsq.cat1 import (
     cat1_group,
     cat1_isomorphism_classes,
     cat1_of_xmod,
-    identity_cat1,
     xmod_of_cat1,
 )
 from catsq.cat2 import (
@@ -62,7 +60,6 @@ from catsq.cat2 import (
     cat2_group,
     cat2_isomorphism_classes,
     cat2_pair_indices,
-    commutation_witness,
     diagonal_pre_cat1,
     non_cat1_diagonal_count,
 )
@@ -75,7 +72,8 @@ from catsq.xsq import (
     is_crossed_square,
 )
 from test_cat2 import oracle_bad_diagonals, oracle_representative_partners, representative_partners
-from test_groups import end_map_tuples, fresh_copy, oracle_aut_generators, oracle_end_maps
+from test_groups import (end_map_tuples, fresh_copy, hom_by_images, normal_subgroups,
+                         oracle_aut_generators, oracle_end_maps)
 from test_orbits import oracle_problems
 
 
@@ -375,7 +373,7 @@ def test_criterion_5_session_checks():
     d8 = catalog.small_group(8, 3)
     s = d8.generators[1]
     B = cat2_group(cat1_group(*[hom_by_images(d8, d8, [0, s])] * 2),
-                   identity_cat1(d8))
+                   cat1_group(identity_hom(d8), identity_hom(d8)))
     n = len(all_cat2_group_morphisms(A, B))
     if n != 2:
         problems.append(f"{n} morphisms between the session cat2-groups, stated 2")
@@ -403,8 +401,8 @@ def test_criterion_6_round_trips_fast():
     count = 0
     for X in _conjugation_xmods_up_to(200):
         back = xmod_of_cat1(cat1_of_xmod(X))
-        if not (are_isomorphic(back.source, X.source)
-                and are_isomorphic(back.range_, X.range_)):
+        if not (isomorphism_between(back.source, X.source) is not None
+                and isomorphism_between(back.range_, X.range_) is not None):
             problems.append(f"conjugation round trip failed on {X!r}")
         count += 1
     assert count > 200  # the sweep really covers the catalog
@@ -412,8 +410,8 @@ def test_criterion_6_round_trips_fast():
         X = automorphism_xmod(catalog.small_group(*key))
         if X.source.order * X.range_.order <= 200:
             back = xmod_of_cat1(cat1_of_xmod(X))
-            if not (are_isomorphic(back.source, X.source)
-                    and are_isomorphic(back.range_, X.range_)):
+            if not (isomorphism_between(back.source, X.source) is not None
+                    and isomorphism_between(back.range_, X.range_) is not None):
                 problems.append(f"automorphism round trip failed on {key}")
 
     # every cat2 on groups of order <= 16 (heavy row excluded here)
@@ -558,7 +556,7 @@ def test_criterion_7_oracle_equivalence_fast():
         if order > 16:
             continue
         naive2 = [(i, j) for i in range(len(cat1s)) for j in range(i, len(cat1s))
-                  if commutation_witness(cat1s[i], cat1s[j]) is None]
+                  if next(cat2._noncommuting(cat1s[i], cat1s[j]), None) is None]
         if naive2 != cat2_pair_indices(G):
             problems.append(f"cat2 naive loop differs on {order}/{gid}")
     seen = {k: kernel_rejects[k] for k in ((24, 14), (27, 3), (28, 3))}
@@ -581,7 +579,7 @@ def test_criterion_7_oracle_equivalence_16_14():
         G = catalog.small_group(*key)
         cat1s = all_cat1_groups(G)
         naive2 = [(i, j) for i in range(len(cat1s)) for j in range(i, len(cat1s))
-                  if commutation_witness(cat1s[i], cat1s[j]) is None]
+                  if next(cat2._noncommuting(cat1s[i], cat1s[j]), None) is None]
         if naive2 != cat2_pair_indices(G):
             problems.append(f"cat2 naive loop differs on {key[0]}/{key[1]}")
         # the generator-column partner lists against the whole-row test

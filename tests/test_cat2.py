@@ -5,28 +5,27 @@ import numpy as np
 import pytest
 
 from catsq import catalog, cat2
-from catsq.groups import GroupError, _endomorphism_maps, compose, hom_by_images, trivial_hom
+from catsq.groups import (GroupError, Homomorphism, _endomorphism_maps, compose, identity_hom,
+                          image_of, trivial_hom)
+from catsq.serialize import emit_cat2, parse_cat2
 from catsq.tables import HEAVY_KEYS
-from catsq.cat1 import (Classification, _cat1_pairs, all_cat1_groups, cat1_group,
-                        cat1_isomorphism_classes, identity_cat1, pre_cat1_by_endomorphisms)
+from catsq.cat1 import (Classification, PreCat1Group, _cat1_pairs, all_cat1_groups, cat1_group,
+                        cat1_isomorphism_classes, pre_cat1_by_endomorphisms)
 from catsq.cat2 import (
     PreCat2Group,
     all_cat2_group_morphisms,
     all_cat2_groups,
-    are_isomorphic_cat2_groups,
     cat2_group,
     cat2_isomorphism_classes,
     cat2_pair_indices,
     catn_group,
-    commutation_witness,
     diagonal_pre_cat1,
     is_cat2_group,
     isomorphism_cat2_groups,
     non_cat1_diagonal_count,
     pre_cat2_group,
-    transpose_cat2,
 )
-from test_groups import LIGHT_KEYS, fresh_copy
+from test_groups import LIGHT_KEYS, fresh_copy, hom_by_images
 
 
 def session_16_3():
@@ -48,7 +47,8 @@ def test_cat2_session_example():
 def test_cat2_identity_pair():
     for key in ((6, 1), (8, 4)):
         G = catalog.small_group(*key)
-        C = cat2_group(identity_cat1(G), identity_cat1(G))
+        ident = cat1_group(identity_hom(G), identity_hom(G))
+        C = cat2_group(ident, ident)
         assert C.size == (G.order,) * 4
         assert diagonal_pre_cat1(C)[1]
 
@@ -63,18 +63,18 @@ def test_cat2_rejects_noncommuting(d8):
     assert not diagonal_pre_cat1(C)[1]
     # mismatched groups are rejected
     with pytest.raises(GroupError, match="same group"):
-        cat2_group(Ca, identity_cat1(catalog.small_group(8, 2)))
+        c4c2 = catalog.small_group(8, 2)
+        cat2_group(Ca, cat1_group(identity_hom(c4c2), identity_hom(c4c2)))
 
 
 def test_commutation_witness_failure():
     G = catalog.small_group(6, 1)
-    ident = identity_cat1(G)
     # zero and a projection do not give commuting heads on S3: find a real case
     cat1s = all_cat1_groups(G)
     found = None
     for i in range(len(cat1s)):
         for j in range(len(cat1s)):
-            if commutation_witness(cat1s[i], cat1s[j]) is not None:
+            if next(cat2._noncommuting(cat1s[i], cat1s[j]), None) is not None:
                 found = (cat1s[i], cat1s[j])
                 break
         if found:
@@ -100,7 +100,7 @@ def test_naive_pair_loop_oracle():
         naive = []
         for i in range(len(cat1s)):
             for j in range(i, len(cat1s)):
-                if commutation_witness(cat1s[i], cat1s[j]) is None:
+                if next(cat2._noncommuting(cat1s[i], cat1s[j]), None) is None:
                     naive.append((i, j))
         assert naive == cat2_pair_indices(G), key
 
@@ -185,16 +185,16 @@ def test_isomorphism_between_family_mates():
     assert m is not None and m.gamma.is_bijective()
     reps = cls.representatives
     assert isomorphism_cat2_groups(reps[0], reps[1]) is None
-    assert are_isomorphic_cat2_groups(reps[0], reps[0])
+    assert isomorphism_cat2_groups(reps[0], reps[0]) is not None
 
 
 def test_transpose_is_involutive():
     G, C1a, C1b = session_16_3()
     C = cat2_group(C1a, C1b)
-    T = transpose_cat2(C)
+    T = type(C)(C.group, C.c2, C.c1)
     assert T.size == (16, 4, 2, 1)
-    assert transpose_cat2(T).key() == C.key()
-    assert are_isomorphic_cat2_groups(C, T)
+    assert type(T)(T.group, T.c2, T.c1).key() == C.key()
+    assert isomorphism_cat2_groups(C, T) is not None
 
 
 def test_morphism_session_count():
@@ -208,7 +208,7 @@ def test_morphism_session_count():
     d8 = catalog.small_group(8, 3)
     r, s = d8.generators
     proj_s = hom_by_images(d8, d8, [0, s])
-    B = cat2_group(cat1_group(proj_s, proj_s), identity_cat1(d8))
+    B = cat2_group(cat1_group(proj_s, proj_s), cat1_group(identity_hom(d8), identity_hom(d8)))
     mors = all_cat2_group_morphisms(A, B)
     assert len(mors) == 2
     for m in mors:
@@ -217,8 +217,10 @@ def test_morphism_session_count():
 
 def test_morphisms_basics(d8):
     triv = catalog.small_group(1, 1)
-    T = cat2_group(identity_cat1(triv), identity_cat1(triv))
-    ident_d8 = cat2_group(identity_cat1(d8), identity_cat1(d8))
+    ident_triv = cat1_group(identity_hom(triv), identity_hom(triv))
+    T = cat2_group(ident_triv, ident_triv)
+    ident = cat1_group(identity_hom(d8), identity_hom(d8))
+    ident_d8 = cat2_group(ident, ident)
     assert len(all_cat2_group_morphisms(ident_d8, T)) == 1
     self_mors = all_cat2_group_morphisms(ident_d8, ident_d8)
     assert any(m.gamma.mapping == tuple(d8.elements()) for m in self_mors)
@@ -226,7 +228,7 @@ def test_morphisms_basics(d8):
 
 def test_catn_group():
     G, C1a, C1b = session_16_3()
-    C1c = identity_cat1(G)
+    C1c = cat1_group(identity_hom(G), identity_hom(G))
     C3 = catn_group([C1a, C1b, C1c])
     assert C3.higher_dimension == 4
     front = C3.front()
@@ -241,7 +243,7 @@ def test_catn_group():
     bad_pair = None
     for i in range(len(bad)):
         for j in range(len(bad)):
-            if commutation_witness(bad[i], bad[j]) is not None:
+            if next(cat2._noncommuting(bad[i], bad[j]), None) is not None:
                 bad_pair = [bad[i], bad[j]]
                 break
         if bad_pair:
@@ -325,6 +327,62 @@ def test_diagonal_probe_rejects_a_diagonal_that_is_no_pre_cat1(monkeypatch):
     assert str(caught.value).endswith(message.split(": ", 1)[1])
 
 
+def test_diagonal_reads_the_memoized_cat1_report(monkeypatch):
+    """``diagonal_pre_cat1`` reads the memoized cat1 report of its composed
+    maps, so a second call on the same structure checks no kernel line."""
+    from catsq import cat1
+
+    G = fresh_copy(catalog.small_group(8, 3))
+    reps = cat2_isomorphism_classes(G).representatives
+    calls, kernel_check = [], cat1._kernel_check
+    monkeypatch.setattr(cat1, "_kernel_check",
+                        lambda *args: calls.append(args) or kernel_check(*args))
+    diagonals, verdicts = set(), []
+    for C in reps:
+        first, second = diagonal_pre_cat1(C), diagonal_pre_cat1(C)
+        assert first[0].key() == second[0].key() and first[1:] == second[1:]
+        diagonals.add(first[0].key())
+        verdicts.append(first[1])
+    assert len(calls) == len(diagonals)
+    assert verdicts.count(False) == non_cat1_diagonal_count(G) == 1
+
+
+def test_diagonal_of_a_parsed_pre_cat2_names_the_failing_line():
+    """An uncertified pair, as ``parse_cat2`` returns it, whose diagonal
+    fails t o h = h raises the message of
+    :func:`pre_cat1_by_endomorphisms` on the composed maps.  Composed maps
+    that are no homomorphisms raise on their line of the cat1 report."""
+    G = catalog.small_group(4, 2)
+    cat1s = all_cat1_groups(G)
+
+    def diagonal_error(a, b):
+        try:
+            pre_cat1_by_endomorphisms(compose(a.tail, b.tail), compose(a.head, b.head))
+        except GroupError as exc:
+            return str(exc)
+        return None
+
+    a, b, message = next((a, b, m) for a in cat1s for b in cat1s
+                         if (m := diagonal_error(a, b)) and "t o h = h" in m)
+    P = parse_cat2(emit_cat2(PreCat2Group(G, a, b), (4, 2)))
+    with pytest.raises(GroupError) as caught:
+        diagonal_pre_cat1(P)
+    assert str(caught.value) == message
+    assert message.startswith("pre-cat1 axiom violated: t o h = h fails with witness (")
+
+    # an idempotent map that is no homomorphism passes both pre-cat1 lines
+    s3 = catalog.small_group(6, 1)
+    x = next(g for g in s3.elements() if s3.element_order(g) == 3)
+    f = Homomorphism(s3, s3, tuple(0 if g == x else g for g in s3.elements()))
+    ident = identity_hom(s3)
+    P = parse_cat2(emit_cat2(PreCat2Group(s3, PreCat1Group(s3, f, f, image_of(f)),
+                                          PreCat1Group(s3, ident, ident, image_of(ident))),
+                             (6, 1)))
+    with pytest.raises(GroupError,
+                       match=r"^pre-cat1 axiom violated: t is a homomorphism fails with witness"):
+        diagonal_pre_cat1(P)
+
+
 def test_pre_cat2_accepts_pre_cat1_pairs():
     # the zero pre-cat1 on Q8 commutes with itself but fails eq-style cat1
     from catsq.cat1 import pre_cat1_by_endomorphisms, is_cat1_group
@@ -353,8 +411,8 @@ def test_is_cat2_group_report():
     # with the witness of the naive oracle
     cat1s = all_cat1_groups(catalog.small_group(6, 1))
     c1, c2 = next((a, b) for a in cat1s for b in cat1s
-                  if commutation_witness(a, b) is not None)
+                  if next(cat2._noncommuting(a, b), None) is not None)
     P = PreCat2Group(c1.group, c1, c2)
     bad = is_cat2_group(P).failures()
     assert [(c.name, c.witness) for c in bad] == [
-        ("commutation identities", commutation_witness(c1, c2))]
+        ("commutation identities", next(cat2._noncommuting(c1, c2), None))]

@@ -5,9 +5,9 @@ import sys
 
 import pytest
 
-from catsq import catalog
+from catsq import catalog, cat2
 from catsq.cat1 import all_cat1_groups
-from catsq.cat2 import all_cat2_groups, commutation_witness
+from catsq.cat2 import all_cat2_groups
 from catsq.cli import main
 from catsq.groups import idempotent_endomorphisms, trivial_action
 from catsq.serialize import emit_cat1, emit_cat2, emit_xsq
@@ -359,7 +359,7 @@ def _bijection_not_hom():
 def _noncommuting_pair():
     cat1s = all_cat1_groups(catalog.small_group(6, 1))
     c1, c2 = next((a, b) for a in cat1s for b in cat1s
-                  if commutation_witness(a, b) is not None)
+                  if next(cat2._noncommuting(a, b), None) is not None)
     return _cat2_text((6, 1), c1.tail.mapping, c1.head.mapping,
                       c2.tail.mapping, c2.head.mapping)
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,11 +11,14 @@ from catsq.groups import (
     DenseGroup,
     GroupAction,
     GroupError,
+    GroupTable,
     Homomorphism,
     SemidirectGroup,
+    Subgroup,
     TooLargeError,
+    _hom_blocks,
+    _memo,
     all_homomorphisms,
-    all_subgroups,
     as_dense,
     automorphism_generators,
     automorphism_group,
@@ -23,15 +27,13 @@ from catsq.groups import (
     conjugation_action,
     direct_product,
     group_from_permutation_generators,
-    group_of_subgroup,
-    hom_by_images,
     idempotent_endomorphisms,
     identity_hom,
     image_of,
     inner_automorphism_indices,
     isomorphism_between,
     kernel_of,
-    normal_subgroups,
+    normality_witness,
     perm_from_cycles,
     cycles_of_perm,
     semidirect_product,
@@ -39,9 +41,6 @@ from catsq.groups import (
     subgroup_generated,
     trivial_action,
     trivial_hom,
-    trivial_subgroup,
-    verify_group_axioms,
-    whole_subgroup,
 )
 from catsq.tables import HEAVY_KEYS
 from catsq.xmod import is_homomorphism
@@ -150,6 +149,70 @@ def fresh_copy(G, relabel=None):
     return DenseGroup(table, f"{G.label}'", check=False)
 
 
+# -- test oracles and fixtures that the package itself does not need ----------
+# Other test modules import them from here.
+
+
+def verify_group_axioms(G: GroupTable) -> None:
+    """Exhaustive associativity / identity / inverse check (test hook)."""
+    n = G.order
+    for a in range(n):
+        if G.mul(0, a) != a or G.mul(a, 0) != a:
+            raise GroupError(f"identity fails at {a}")
+        i = G.inv(a)
+        if G.mul(a, i) != 0 or G.mul(i, a) != 0:
+            raise GroupError(f"inverse fails at {a}")
+    for a in range(n):
+        for b in range(n):
+            ab = G.mul(a, b)
+            for c in range(n):
+                if G.mul(ab, c) != G.mul(a, G.mul(b, c)):
+                    raise GroupError(f"associativity fails at ({a}, {b}, {c})")
+
+
+def is_normal(G: GroupTable, S: Subgroup) -> bool:
+    return normality_witness(G, S) is None
+
+
+@_memo
+def all_subgroups(G: GroupTable) -> tuple[Subgroup, ...]:
+    """Every subgroup of ``G``, found by closure-extension search."""
+    found = {(0,)}
+    frontier = [(0,)]
+    while frontier:
+        nxt = []
+        for mem in frontier:
+            inside = set(mem)
+            for x in G.elements():
+                if x in inside:
+                    continue
+                bigger = subgroup_generated(G, inside | {x}).members
+                if bigger not in found:
+                    found.add(bigger)
+                    nxt.append(bigger)
+        frontier = nxt
+    return tuple(Subgroup(G, mem) for mem in sorted(found, key=lambda m: (len(m), m)))
+
+
+def normal_subgroups(G: GroupTable) -> tuple[Subgroup, ...]:
+    return tuple(S for S in all_subgroups(G) if is_normal(G, S))
+
+
+def hom_by_images(G: GroupTable, H: GroupTable,
+                  images: Sequence[int]) -> Homomorphism:
+    """The homomorphism sending ``G.generators`` to ``images`` (must exist)."""
+    if len(images) != len(G.generators):
+        raise GroupError(f"{len(images)} generator images given, but {G.label!r} "
+                         f"has {len(G.generators)} generators")
+    for pos, im in enumerate(images):
+        if not 0 <= im < H.order:
+            raise GroupError(f"image {im} of generator {pos} lies outside 0..{H.order - 1}")
+    for block in _hom_blocks(G, H, [[im] for im in images]):
+        if len(block):
+            return Homomorphism(G, H, tuple(block[0].tolist()))
+    raise GroupError("the generator images do not define a homomorphism")
+
+
 LIGHT_KEYS = [k for k in catalog.catalog_keys() if k not in HEAVY_KEYS]
 
 
@@ -241,8 +304,9 @@ def test_kernel_image_product_law():
 
 def test_commutator_subgroup(d8):
     q8 = catalog.small_group(8, 4)
-    assert commutator_subgroup(q8, whole_subgroup(q8), trivial_subgroup(q8)).order == 1
-    assert commutator_subgroup(q8, whole_subgroup(q8), whole_subgroup(q8)).order == 2
+    whole = Subgroup(q8, tuple(q8.elements()))
+    assert commutator_subgroup(q8, whole, Subgroup(q8, (0,))).order == 1
+    assert commutator_subgroup(q8, whole, whole).order == 2
     a, b = d8.generators
     ka = kernel_of(hom_by_images(d8, d8, [a, 0]))
     kb = kernel_of(hom_by_images(d8, d8, [0, b]))
@@ -439,13 +503,12 @@ def test_subgroup_positions_are_one_read_only_memo():
     order, and no caller can change them."""
     G = catalog.small_group(8, 3)
     S = next(S for S in all_subgroups(G) if S.members != tuple(range(S.order)))
-    H, pos = groups._subgroup_group(G, S.members)
+    pos = groups._subgroup_group(G, S.members)[1]
     assert list(pos) == list(S.members)
     assert [pos[m] for m in S.members] == list(range(S.order))
     with pytest.raises(TypeError):
         pos[S.members[-1]] = 0
     assert groups._subgroup_group(G, S.members)[1] is pos
-    assert group_of_subgroup(S) == (H, S.members)
 
 
 def test_semidirect_product():
@@ -491,7 +554,7 @@ def test_conjugation_action(d8, d20):
     with pytest.raises(GroupError, match="must live in the acting group"):
         conjugation_action(d20, z)
     with pytest.raises(GroupError, match="must live in G"):
-        sub_conjugation_action(d20, whole_subgroup(d20), z)
+        sub_conjugation_action(d20, Subgroup(d20, tuple(d20.elements())), z)
     assert not hasattr(z, "__dict__")  # Subgroup has slots
 
 

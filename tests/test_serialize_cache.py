@@ -13,9 +13,9 @@ from catsq.cache import (
     read_group_data,
     write_group_data,
 )
-from catsq.cat1 import cat1_group, identity_cat1
+from catsq.cat1 import cat1_group
 from catsq.cat2 import cat2_group
-from catsq.groups import hom_by_images
+from catsq.groups import identity_hom
 from catsq.serialize import (
     FormatError,
     detect_kind,
@@ -29,6 +29,7 @@ from catsq.serialize import (
 )
 from catsq.tables import compute_group_data, group_data
 from catsq.xsq import crossed_square_of_cat2
+from test_groups import hom_by_images
 
 
 def test_cat1_round_trip_with_key(d8):
@@ -49,7 +50,8 @@ def test_cat1_round_trip_with_key(d8):
 
 
 def test_cat2_round_trip_inline_group(d8):
-    C = cat2_group(identity_cat1(d8), identity_cat1(d8))
+    ident = cat1_group(identity_hom(d8), identity_hom(d8))
+    C = cat2_group(ident, ident)
     text = emit_cat2(C)
     back = parse_cat2(text)
     assert emit_cat2(back) == text

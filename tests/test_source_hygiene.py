@@ -8,12 +8,19 @@ memoized stage is annotated to return a list or a dict, no module beyond
 ``groups`` builds a position dict over ``enumerate``, both classifiers find
 moved pair codes through the one lookup
 ``cat1._code_positions``, nothing calls ``searchsorted``, and only
-``cli.cmd_inspect`` reads a classification's ``families``."""
+``cli.cmd_inspect`` reads a classification's ``families``.  Every public
+top-level function and class is reached by another unit of the package
+(the ``__init__`` re-exports count) or named in README.md, so that no helper
+lives in ``src/`` for the tests alone, and every function that
+``perfbench/child.py`` traces still exists on its module."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
-SRC = sorted((Path(__file__).resolve().parent.parent / "src" / "catsq").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "catsq").glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SRC}
 
 
@@ -215,3 +222,52 @@ def test_only_inspect_reads_families():
     structure count is ``len(labels)``, not a stored ``total``."""
     assert _readers("families") == ["cli.py: cmd_inspect"]
     assert _readers("total") == []
+
+
+# Public names that only the tests and perfbench reach, each with its reason.
+UNREACHED_KEPT = {
+    "cat2.py: cat2_pair_indices": "perfbench/child.py traces it as the cat2.pair_scan "
+                                  "span until the benchmark reads stage records from "
+                                  "the library (ROADMAP item 2)",
+}
+
+
+def test_every_public_name_is_reached():
+    """A public top-level function or class is named by a unit of the
+    package other than its own definition, or in README.md; a helper that
+    only the tests call belongs in the tests."""
+    readers = {}
+    for name, tree in TREES.items():
+        for owner, unit in _units(name, tree):
+            for n in ast.walk(unit):
+                words = ([n.id] if isinstance(n, ast.Name)
+                         else [n.attr] if isinstance(n, ast.Attribute)
+                         else [a.name for a in n.names] if isinstance(n, ast.ImportFrom)
+                         else [])
+                for word in words:
+                    readers.setdefault(word, set()).add(owner)
+    readme = (ROOT / "README.md").read_text()
+    unreached = []
+    for name, tree in TREES.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                own = f"{name}: {node.name}"
+                if not ({r for r in readers.get(node.name, ())
+                         if r != own and not r.startswith(own + ".")}
+                        or re.search(rf"\b{node.name}\b", readme)):
+                    unreached.append(own)
+    assert sorted(unreached) == sorted(UNREACHED_KEPT)
+
+
+def test_perfbench_traced_functions_exist():
+    """A traced benchmark pass (``--trace 1``) wraps each ``(module,
+    function)`` of ``TRACED`` in ``perfbench/child.py``; a deleted or
+    renamed function would fail only that pass, which tier 1 never starts."""
+    child = ast.parse((ROOT / "perfbench" / "child.py").read_text())
+    traced = next(ast.literal_eval(node.value) for node in child.body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+    missing = [f"catsq.{module}.{fn}" for module, fn, _ in traced
+               if not callable(getattr(importlib.import_module(f"catsq.{module}"), fn, None))]
+    assert len(traced) > 10 and missing == []

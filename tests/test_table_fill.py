@@ -24,8 +24,8 @@ from catsq.groups import (
     semidirect_product,
     subgroup_generated,
     trivial_action,
-    verify_group_axioms,
 )
+from test_groups import verify_group_axioms
 
 # Aut(G) tables are compared for the catalog groups with |Aut(G)| up to this
 # size (86 of 92); the pairwise oracle costs |Aut(G)|^2 compositions.

@@ -11,17 +11,16 @@ from catsq.groups import (
     GroupAction,
     GroupError,
     Homomorphism,
+    Subgroup,
     action_by_hom,
     automorphism_group,
     automorphism_group_as_table,
-    hom_by_images,
     identity_hom,
     image_of,
     isomorphism_between,
     subgroup_generated,
     trivial_action,
     trivial_hom,
-    trivial_subgroup,
 )
 from catsq.xmod import (
     CrossedModule,
@@ -37,6 +36,7 @@ from catsq.xmod import (
     xmod_morphism,
     zero_boundary_xmod,
 )
+from test_groups import hom_by_images
 
 
 def center_subgroup(G):
@@ -44,7 +44,7 @@ def center_subgroup(G):
 
 
 def test_conjugation_xmod(d8, d20):
-    X = conjugation_xmod(trivial_subgroup(d8), d8)
+    X = conjugation_xmod(Subgroup(d8, (0,)), d8)
     assert X.source.order == 1 and is_crossed_module(X).ok
     X = conjugation_xmod(center_subgroup(d8), d8)
     assert (X.source.order, X.range_.order) == (2, 8)
@@ -150,7 +150,7 @@ def test_central_extension_xmod(d8):
 
 def test_direct_product_xmod(d8):
     X = conjugation_xmod(center_subgroup(d8), d8)
-    triv = conjugation_xmod(trivial_subgroup(catalog.small_group(1, 1)),
+    triv = conjugation_xmod(Subgroup(catalog.small_group(1, 1), (0,)),
                             catalog.small_group(1, 1))
     P = direct_product_xmod(X, triv)
     assert (P.source.order, P.range_.order) == (2, 8)
@@ -187,7 +187,7 @@ def test_xmod_morphism_validation(d8):
     m = xmod_morphism(X, X, identity_hom(X.source), identity_hom(X.range_))
     assert is_xmod_morphism(m).ok
     # zero sigma with identity rho breaks the boundary square
-    triv_target = conjugation_xmod(trivial_subgroup(d8), d8)
+    triv_target = conjugation_xmod(Subgroup(d8, (0,)), d8)
     with pytest.raises(GroupError, match="boundary-square"):
         xmod_morphism(X, triv_target, trivial_hom(X.source, triv_target.source),
                       identity_hom(d8))

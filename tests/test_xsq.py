@@ -9,25 +9,21 @@ from catsq.groups import (
     DENSE_CAP,
     GroupAction,
     GroupError,
+    Subgroup,
     TooLargeError,
     group_from_permutation_generators,
-    hom_by_images,
+    identity_hom,
     intersection,
-    normal_subgroups,
     subgroup_generated,
     trivial_action,
     trivial_hom,
-    trivial_subgroup,
-    verify_group_axioms,
-    whole_subgroup,
 )
-from catsq.cat1 import cat1_group, identity_cat1, pre_cat1_by_endomorphisms
+from catsq.cat1 import cat1_group, pre_cat1_by_endomorphisms
 from catsq.cat2 import (
     all_cat2_groups,
     cat2_group,
     is_cat2_group,
     pre_cat2_group,
-    transpose_cat2,
 )
 from catsq.serialize import emit_cat2, emit_xsq, parse_cat2, parse_xsq
 from catsq.xmod import automorphism_xmod, is_action, is_homomorphism
@@ -44,6 +40,7 @@ from catsq.xsq import (
     transpose_xsq,
     trivial_action_crossed_square,
 )
+from test_groups import hom_by_images, normal_subgroups, verify_group_axioms
 
 
 @pytest.fixture(scope="module")
@@ -100,14 +97,14 @@ def test_inclusion_square_on_d8(d8):
 
 
 def test_inclusion_square_trivial(d8):
-    t = trivial_subgroup(d8)
+    t = Subgroup(d8, (0,))
     X = crossed_square_by_normal_subgroups(t, t, t, d8)
     assert X.corner_orders() == (1, 1, 1, 8)
 
 
 def test_inclusion_square_rejects_wrong_intersection(d8):
-    t = trivial_subgroup(d8)
-    whole = whole_subgroup(d8)
+    t = Subgroup(d8, (0,))
+    whole = Subgroup(d8, tuple(d8.elements()))
     with pytest.raises(GroupError, match="intersection"):
         crossed_square_by_normal_subgroups(t, whole, whole, d8)
 
@@ -221,7 +218,8 @@ def test_crossed_square_of_cat2_session(c2ab):
 
 def test_crossed_square_of_cat2_identity():
     G = catalog.small_group(8, 3)
-    C = cat2_group(identity_cat1(G), identity_cat1(G))
+    ident = cat1_group(identity_hom(G), identity_hom(G))
+    C = cat2_group(ident, ident)
     X = crossed_square_of_cat2(C)
     assert X.corner_orders() == (1, 1, 1, 8)
 
@@ -294,7 +292,7 @@ def test_round_trip_preserves_corner_types(c2ab):
 
 def test_transpose_of_conversion_matches_swapped_cat2(c2ab):
     direct = transpose_xsq(crossed_square_of_cat2(c2ab))
-    swapped = crossed_square_of_cat2(transpose_cat2(c2ab))
+    swapped = crossed_square_of_cat2(type(c2ab)(c2ab.group, c2ab.c2, c2ab.c1))
     assert direct.pairing == swapped.pairing
     assert direct.kappa.mapping == swapped.kappa.mapping
     assert direct.mu.mapping == swapped.mu.mapping
@@ -352,8 +350,8 @@ def test_raw_square_converts_like_its_certified_twin(d8):
 def test_raw_square_is_checked_without_a_copy(d8, monkeypatch):
     # the reverse functor checks a raw square as it is given: no second
     # square object is constructed before the check
-    raw = CrossedSquare(**_fields(crossed_square_by_normal_subgroups(
-        whole_subgroup(d8), whole_subgroup(d8), whole_subgroup(d8), d8)))
+    whole = Subgroup(d8, tuple(d8.elements()))
+    raw = CrossedSquare(**_fields(crossed_square_by_normal_subgroups(whole, whole, whole, d8)))
     built, post_init = [], CrossedSquare.__post_init__
     monkeypatch.setattr(CrossedSquare, "__post_init__",
                         lambda self: built.append(type(self)) or post_init(self))
