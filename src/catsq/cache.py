@@ -1,8 +1,8 @@
 """On-disk cache of the per-group table row.
 
-One file per catalog key holds the row of :mod:`catsq.tables`: the
-idempotent-endomorphism count, the cat1 and cat2 structure and class counts,
-and the bad-diagonal class count, on one ``counts`` line.  Writes are atomic
+One file per catalog key holds the six counts of a :mod:`catsq.tables` row
+(idempotent endomorphisms, cat1 and cat2 structures and classes, bad
+diagonals) on one ``counts`` line, keyed by order and id.  Writes are atomic
 (temp file + rename).  Reads validate the format version and a group
 fingerprint (order plus idempotent-endomorphism count) before trusting the
 counts; any problem, a file in an older layout included, raises a distinct,
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -38,25 +37,6 @@ class CacheFormatError(CacheMiss):
     pass
 
 
-@dataclass(frozen=True)
-class GroupData:
-    """The table row of one catalog group, as cached."""
-
-    order: int
-    gid: int
-    ie_count: int
-    cat1_count: int
-    cat1_classes: int
-    cat2_count: int
-    cat2_classes: int
-    bad_diagonals: int
-
-    @property
-    def counts(self) -> tuple[int, int, int, int, int]:
-        return (self.ie_count, self.cat1_count, self.cat1_classes,
-                self.cat2_count, self.cat2_classes)
-
-
 def resolve_cache_dir(explicit: Optional[str]) -> Optional[Path]:
     if explicit:
         return Path(explicit)
@@ -68,13 +48,13 @@ def cache_path(cache_dir: Path, order: int, gid: int) -> Path:
     return cache_dir / f"{order}_{gid}.catsq"
 
 
-def emit_group_data(data: GroupData) -> str:
-    counts = " ".join(map(str, (*data.counts, data.bad_diagonals)))
-    return (f"catsq {FORMAT_VERSION} cache\ngroup key {data.order} {data.gid}\n"
-            f"fingerprint {data.order} {data.ie_count}\ncounts {counts}\nend\n")
+def emit_group_data(order: int, gid: int, counts: tuple[int, ...]) -> str:
+    return (f"catsq {FORMAT_VERSION} cache\ngroup key {order} {gid}\n"
+            f"fingerprint {order} {counts[0]}\ncounts {' '.join(map(str, counts))}\nend\n")
 
 
-def parse_group_data(text: str) -> GroupData:
+def parse_group_data(text: str) -> tuple[int, int, tuple[int, ...]]:
+    """(order, gid, the six counts) of a cache entry."""
     try:
         r = _Reader(text)
         head = r.expect("catsq")
@@ -89,7 +69,7 @@ def parse_group_data(text: str) -> GroupData:
         if len(words) != 6 or not all(w.isdecimal() for w in words):
             raise CacheFormatError(f"line {r.pos}: {r.lines[r.pos - 1]!r} does not "
                                    "hold six non-negative integers")
-        counts = _ints(words)
+        counts = tuple(_ints(words))
         r.end()
     except CacheMiss:
         raise
@@ -97,16 +77,16 @@ def parse_group_data(text: str) -> GroupData:
         raise CacheFormatError(str(exc)) from exc
     if (forder, ie) != (order, counts[0]):
         raise CacheFingerprintError("fingerprint does not match the group key and counts")
-    return GroupData(order, gid, *counts)
+    return order, gid, counts
 
 
-def write_group_data(cache_dir: Path, data: GroupData) -> Path:
+def write_group_data(cache_dir: Path, order: int, gid: int, counts: tuple[int, ...]) -> Path:
     cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_path(cache_dir, data.order, data.gid)
+    path = cache_path(cache_dir, order, gid)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(emit_group_data(data))
+            fh.write(emit_group_data(order, gid, counts))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -116,8 +96,8 @@ def write_group_data(cache_dir: Path, data: GroupData) -> Path:
 
 
 def read_group_data(cache_dir: Path, order: int, gid: int,
-                    expected_ie: int) -> GroupData:
-    """Load and validate a cache entry; raises a CacheMiss subtype otherwise."""
+                    expected_ie: int) -> tuple[int, ...]:
+    """The six counts of a validated cache entry, or a CacheMiss subtype."""
     path = cache_path(cache_dir, order, gid)
     if not path.exists():
         raise CacheMiss(f"no cache entry at {path}")
@@ -125,10 +105,10 @@ def read_group_data(cache_dir: Path, order: int, gid: int,
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise CacheFormatError(f"unreadable cache entry {path}: {exc}") from exc
-    data = parse_group_data(text)
-    if (data.order, data.gid) != (order, gid):
+    found_order, found_gid, counts = parse_group_data(text)
+    if (found_order, found_gid) != (order, gid):
         raise CacheFingerprintError("cache entry is for a different group")
-    if data.ie_count != expected_ie:
+    if counts[0] != expected_ie:
         raise CacheFingerprintError(
-            f"stale fingerprint: cached IE {data.ie_count}, group has {expected_ie}")
-    return data
+            f"stale fingerprint: cached IE {counts[0]}, group has {expected_ie}")
+    return counts

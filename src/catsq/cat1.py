@@ -6,9 +6,10 @@ h o t = t and [ker t, ker h] = 1 (the identities force im t = im h), each
 reported with a witness by :func:`is_cat1_group` after the lines that t and
 h are homomorphisms; the report is memoized on the group and keyed on both
 maps, so a process checks each structure once, and the certifying factory
-:func:`cat1_group` raises with its first failing line.  The endomorphism
-form is canonical; the embedding form (e; t, h : G -> R) is a view converted
-on input and output, with R indexed as ``groups`` decides once.  Enumeration
+:func:`cat1_group` raises with its first failing line.  A structure stores
+only its maps and reads G and im t off them.  The endomorphism form is
+canonical; the embedding form (e; t, h : G -> R) is a view converted on
+input and output, with R indexed as ``groups`` decides once.  Enumeration
 pairs the rows of the sorted idempotent array E of the End(G) pass with
 array tests of both axioms at once, and lists ordered pairs in lexicographic
 order of their concatenated map arrays; the index pair (tails, heads) into E
@@ -59,12 +60,24 @@ from .xmod import (AxiomCheck, CrossedModule, ValidityReport, _line, _map_lines,
 
 @dataclass(frozen=True)
 class PreCat1Group:
-    """(G; t, h) with t o h = h and h o t = t; build via the factories."""
+    """(G; t, h) with t o h = h and h o t = t; build via the factories.
+    Only the maps are stored: G is their group and R = im t is built on read."""
 
-    group: GroupTable
     tail: Homomorphism
     head: Homomorphism
-    range_: Subgroup
+
+    def __post_init__(self) -> None:
+        G, t, h = self.tail.source, self.tail, self.head
+        if t.target is not G or h.source is not G or h.target is not G:
+            raise GroupError("tail and head must be endomorphisms of one group")
+
+    @property
+    def group(self) -> GroupTable:
+        return self.tail.source
+
+    @cached_property
+    def range_(self) -> Subgroup:
+        return image_of(self.tail)
 
     def key(self) -> tuple:
         return (self.tail.mapping, self.head.mapping)
@@ -85,11 +98,9 @@ def _pre_cat1_checks(t: Sequence[int], h: Sequence[int]) -> tuple[AxiomCheck, Ax
 
 def pre_cat1_by_endomorphisms(t: Homomorphism, h: Homomorphism) -> PreCat1Group:
     """Validated pre-cat1-group from two endomorphisms of one group."""
-    G = t.source
-    if t.target is not G or h.source is not G or h.target is not G:
-        raise GroupError("tail and head must be endomorphisms of one group")
+    C = PreCat1Group(t, h)
     _require(_pre_cat1_checks(t.mapping, h.mapping), "pre-cat1 axiom violated")
-    return PreCat1Group(G, t, h, image_of(t))
+    return C
 
 
 def _kernel_check(G: GroupTable, t: Homomorphism, h: Homomorphism) -> AxiomCheck:
@@ -119,11 +130,9 @@ def cat1_group(t: Homomorphism, h: Homomorphism) -> Cat1Group:
     """Certified cat1-group; raises :class:`GroupError` naming the first
     failing line of :func:`is_cat1_group` and its witness.  The report is
     the memoized one, so certifying the same maps again checks nothing."""
-    G = t.source
-    if t.target is not G or h.source is not G or h.target is not G:
-        raise GroupError("tail and head must be endomorphisms of one group")
-    _require(_cat1_report(G, t, h).checks, "not a cat1-group")
-    return Cat1Group(G, t, h, image_of(t))
+    C = Cat1Group(t, h)
+    _require(_cat1_report(C.group, t, h).checks, "not a cat1-group")
+    return C
 
 
 # -- the embedding (general) form ---------------------------------------------
@@ -201,13 +210,11 @@ def _cat1_pairs(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
 def _cat1_structures(G: GroupTable, positions) -> list[Cat1Group]:
     """The cat1 structures at ``positions`` (a numpy index) of the
     enumeration: the idempotent rows of their index pairs of
-    :func:`_cat1_pairs`, each row built once, and the structures with one
-    tail share one range subgroup, its image."""
+    :func:`_cat1_pairs`, each row built once."""
     tails, heads = (a[positions].tolist() for a in _cat1_pairs(G))
     E = _endomorphism_maps(G)[0]
     homs = {i: Homomorphism(G, G, E[i].tolist()) for i in {*tails, *heads}}
-    ranges = {i: image_of(homs[i]) for i in set(tails)}
-    return [Cat1Group(G, homs[i], homs[j], ranges[i]) for i, j in zip(tails, heads)]
+    return [Cat1Group(homs[i], homs[j]) for i, j in zip(tails, heads)]
 
 
 def all_cat1_groups(G: GroupTable) -> list[Cat1Group]:

@@ -1,8 +1,9 @@
 """Cat2-group structures and cat^n generalities.
 
 A cat2-group is an unordered pair of cat1 structures on one group whose four
-maps commute pairwise; constructors keep the caller's orientation while the
-enumeration emits each pair once, lexicographically smaller structure first.
+maps commute pairwise.  It stores the pair alone, in the caller's orientation,
+and refuses structures on two groups at construction; the enumeration emits
+each pair once, lexicographically smaller structure first.
 :func:`is_cat2_group` reports each structure's cat1 lines, then the
 commutation identities; :func:`cat2_group` checks commutation, and the cat1
 lines only of a structure that is not already a :class:`Cat1Group`.
@@ -68,18 +69,26 @@ class PreCat2Group:
 
     The pair is semantically unordered; the stored orientation is the one the
     structure was built with (the enumeration emits the lexicographically
-    canonical orientation), and classification identifies transposes.
+    canonical orientation), and classification identifies transposes.  Only
+    the two structures are stored; the group is theirs.
     """
 
-    group: GroupTable
     c1: PreCat1Group
     c2: PreCat1Group
 
-    @cached_property
+    def __post_init__(self) -> None:
+        if self.c1.group is not self.c2.group:
+            raise GroupError("both structures must live on the same group")
+
+    @property
+    def group(self) -> GroupTable:
+        return self.c1.group
+
+    @property
     def r1(self) -> Subgroup:
         return self.c1.range_
 
-    @cached_property
+    @property
     def r2(self) -> Subgroup:
         return self.c2.range_
 
@@ -126,10 +135,9 @@ def is_cat2_group(C: PreCat2Group) -> ValidityReport:
 
 
 def pre_cat2_group(c1: PreCat1Group, c2: PreCat1Group) -> PreCat2Group:
-    if c1.group is not c2.group:
-        raise GroupError("both structures must live on the same group")
+    C = PreCat2Group(c1, c2)
     _require((_commutation_check(c1, c2),), "commutation identity violated")
-    return PreCat2Group(c1.group, c1, c2)
+    return C
 
 
 def cat2_group(c1: PreCat1Group, c2: PreCat1Group) -> Cat2Group:
@@ -140,8 +148,9 @@ def cat2_group(c1: PreCat1Group, c2: PreCat1Group) -> Cat2Group:
         if not isinstance(c, Cat1Group):
             _require(is_cat1_group(c).checks,
                      f"a generating structure is not a cat1-group: structure {n}")
-    pre = pre_cat2_group(c1, c2)
-    return Cat2Group(pre.group, pre.c1, pre.c2)
+    C = Cat2Group(c1, c2)
+    _require((_commutation_check(c1, c2),), "commutation identity violated")
+    return C
 
 
 def diagonal_pre_cat1(C: PreCat2Group) -> tuple[PreCat1Group, bool, Optional[tuple]]:
@@ -155,7 +164,7 @@ def diagonal_pre_cat1(C: PreCat2Group) -> tuple[PreCat1Group, bool, Optional[tup
     h = compose(C.c1.head, C.c2.head)
     *lines, kernels = _cat1_report(C.group, t, h).checks
     _require(lines, "pre-cat1 axiom violated")
-    return PreCat1Group(C.group, t, h, image_of(t)), kernels.ok, kernels.witness
+    return PreCat1Group(t, h), kernels.ok, kernels.witness
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -232,7 +241,7 @@ def _cat2_structures(G: GroupTable, positions) -> list[Cat2Group]:
     used[j] = True
     cat1s = _cat1_structures(G, np.flatnonzero(used))
     rank = np.cumsum(used) - 1  # the index into cat1s of each used position
-    return [Cat2Group(G, cat1s[a], cat1s[b])
+    return [Cat2Group(cat1s[a], cat1s[b])
             for a, b in zip(rank[i].tolist(), rank[j].tolist())]
 
 
@@ -353,10 +362,19 @@ def isomorphism_cat2_groups(A: PreCat2Group, B: PreCat2Group) -> Optional[Cat2Mo
 
 @dataclass(frozen=True)
 class CatNGroup:
-    """A group with n pairwise-independent cat1 structures."""
+    """A group with n pairwise-independent cat1 structures, stored alone."""
 
-    group: GroupTable
     structures: tuple[Cat1Group, ...]
+
+    def __post_init__(self) -> None:
+        if not self.structures:
+            raise GroupError("a cat^n-group needs at least one structure")
+        if any(c.group is not self.group for c in self.structures):
+            raise GroupError("all structures must live on the same group")
+
+    @property
+    def group(self) -> GroupTable:
+        return self.structures[0].group
 
     @property
     def higher_dimension(self) -> int:
@@ -371,16 +389,10 @@ class CatNGroup:
 
 
 def catn_group(structures: Sequence[Cat1Group]) -> CatNGroup:
-    structures = tuple(structures)
-    if not structures:
-        raise GroupError("a cat^n-group needs at least one structure")
-    G = structures[0].group
-    for c in structures[1:]:
-        if c.group is not G:
-            raise GroupError("all structures must live on the same group")
+    C = CatNGroup(tuple(structures))
     # swapping the structures permutes the four identities: test i < j only
-    for i in range(len(structures)):
-        for j in range(i + 1, len(structures)):
-            _require((_commutation_check(structures[i], structures[j]),),
+    for i, a in enumerate(C.structures):
+        for j, b in enumerate(C.structures[i + 1:], i + 1):
+            _require((_commutation_check(a, b),),
                      f"structures {i + 1} and {j + 1} do not commute")
-    return CatNGroup(G, structures)
+    return C

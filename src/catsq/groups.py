@@ -377,9 +377,7 @@ def group_from_permutation_generators(gens: Sequence[Sequence[Sequence[int]]],
 
     right = [[index[_pcompose(x, g)] for g in gen_perms] for x in elems]
     gen_idx = [index[p] for p in gen_perms]
-    G = DenseGroup(_table_from_right(right, label), label, gen_idx)
-    G._cache["perms"] = tuple(elems)
-    return G
+    return DenseGroup(_table_from_right(right, label), label, gen_idx)
 
 
 def _spanning_tree(right: Sequence[Sequence[int]], label: str) -> list[tuple[int, int, int]]:

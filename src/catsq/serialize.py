@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .groups import (DenseGroup, GroupAction, GroupError, GroupTable, Homomorphism, _memo,
-                     image_of, require_dense)
+                     require_dense)
 from .cat1 import PreCat1Group
 from .cat2 import PreCat2Group
 from .xsq import CrossedSquare
@@ -198,16 +198,12 @@ def _open(text: str, kind: str) -> _Reader:
     return r
 
 
-def _pre_cat1(t: Homomorphism, h: Homomorphism) -> PreCat1Group:
-    return PreCat1Group(t.source, t, h, image_of(t))
-
-
 def parse_cat1(text: str) -> PreCat1Group:
     r = _open(text, "cat1")
     G = parse_group(r)
     t, h = (_map(r, k, G, G) for k in ("t", "h"))
     r.end()
-    return _pre_cat1(t, h)
+    return PreCat1Group(t, h)
 
 
 def parse_cat2(text: str) -> PreCat2Group:
@@ -215,7 +211,7 @@ def parse_cat2(text: str) -> PreCat2Group:
     G = parse_group(r)
     maps = [_map(r, k, G, G) for k in ("t1", "h1", "t2", "h2")]
     r.end()
-    return PreCat2Group(G, _pre_cat1(*maps[:2]), _pre_cat1(*maps[2:]))
+    return PreCat2Group(PreCat1Group(*maps[:2]), PreCat1Group(*maps[2:]))
 
 
 def parse_xsq(text: str) -> CrossedSquare:

@@ -1,11 +1,11 @@
 """Classification rows, the embedded reference table, and table assembly.
 
-Each catalog group gets a row of five counts (idempotent endomorphisms, cat1
-structures, cat1 classes, cat2 structures, cat2 classes) plus the number of
-cat2 classes whose diagonal fails to be a cat1-group, read off the End(G)
-arrays and the lengths of the classifiers' label and leader arrays without
-building a structure object or a family; :func:`group_data` can keep each
-row in :mod:`catsq.cache`.
+Each catalog group gets six counts (idempotent endomorphisms, cat1
+structures and classes, cat2 structures and classes, and cat2 classes whose
+diagonal fails to be a cat1-group), read off the End(G) arrays and the
+lengths of the classifiers' label and leader arrays without building a
+structure object or a family; :func:`group_data` can keep them in
+:mod:`catsq.cache`.  :class:`ClassificationRow` is the one row type.
 The reference table is embedded verbatim for the check flag; cyclic groups
 are covered by the closed forms (2^m structures for m distinct prime
 factors, all classes singletons).
@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import catalog
-from .cache import CacheMiss, GroupData, read_group_data, write_group_data
+from .cache import CacheMiss, read_group_data, write_group_data
 from .cat1 import cat1_isomorphism_classes
 from .cat2 import cat2_isomorphism_classes, non_cat1_diagonal_count
 from .groups import _endomorphism_maps
@@ -155,18 +155,17 @@ class ClassificationRow:
                 self.cat2_count, self.cat2_classes)
 
 
-def compute_group_data(order: int, gid: int) -> GroupData:
-    """The table row of one catalog group, read off the End(G) arrays and the
-    classifiers' labels and leaders; no structure object or family is built."""
+def compute_group_data(order: int, gid: int) -> tuple[int, ...]:
+    """The six counts of one catalog group, in the order of the CSV columns
+    after ``name``; no structure object or family is built."""
     G = catalog.small_group(order, gid)
     cls1 = cat1_isomorphism_classes(G)
     cls2 = cat2_isomorphism_classes(G)
-    return GroupData(order, gid, len(_endomorphism_maps(G)[0]),
-                     len(cls1.labels), len(cls1.leaders),
-                     len(cls2.labels), len(cls2.leaders), non_cat1_diagonal_count(G))
+    return (len(_endomorphism_maps(G)[0]), len(cls1.labels), len(cls1.leaders),
+            len(cls2.labels), len(cls2.leaders), non_cat1_diagonal_count(G))
 
 
-def group_data(order: int, gid: int, cache_dir: Optional[Path] = None) -> GroupData:
+def group_data(order: int, gid: int, cache_dir: Optional[Path] = None) -> tuple[int, ...]:
     """Cache-aware variant of :func:`compute_group_data`."""
     if cache_dir is not None:
         ie = len(_endomorphism_maps(catalog.small_group(order, gid))[0])
@@ -174,15 +173,14 @@ def group_data(order: int, gid: int, cache_dir: Optional[Path] = None) -> GroupD
             return read_group_data(cache_dir, order, gid, ie)
         except CacheMiss:
             pass
-    data = compute_group_data(order, gid)
+    counts = compute_group_data(order, gid)
     if cache_dir is not None:
-        write_group_data(cache_dir, data)
-    return data
+        write_group_data(cache_dir, order, gid, counts)
+    return counts
 
 
-def row_from_data(entry: catalog.CatalogEntry, data: GroupData) -> ClassificationRow:
-    return ClassificationRow(entry.order, entry.gid, entry.name, *data.counts,
-                             data.bad_diagonals)
+def row_from_data(entry: catalog.CatalogEntry, counts: tuple[int, ...]) -> ClassificationRow:
+    return ClassificationRow(entry.order, entry.gid, entry.name, *counts)
 
 
 def build_table(max_order: int = 30, heavy: bool = False,
@@ -205,11 +203,7 @@ def format_table(rows, fmt: str = "csv") -> str:
     if fmt not in ("csv", "tsv"):
         raise ValueError(f"unknown table format {fmt!r}")
     buf = io.StringIO()
-    if fmt == "csv":
-        writer = csv.writer(buf, lineterminator="\n")
-        emit = writer.writerow
-    else:
-        emit = lambda cells: buf.write("\t".join(str(c) for c in cells) + "\n")
+    emit = csv.writer(buf, delimiter="," if fmt == "csv" else "\t", lineterminator="\n").writerow
     emit(CSV_HEADER)
     for entry, row in rows:
         if row is None:

@@ -41,7 +41,6 @@ from .groups import (
     conjugation_action,
     direct_product,
     identity_hom,
-    image_of,
     inclusion_hom,
     inner_automorphism_indices,
     intersection,
@@ -383,4 +382,4 @@ def cat2_of_crossed_square(X: CrossedSquare) -> Cat2Group:
         t2m.append(n * rn + p)
         h2m.append(N.mul(lam[l], n) * rn + P.mul(mu[m], p))
     t1, h1, t2, h2 = (Homomorphism(G, G, m) for m in (t1m, h1m, t2m, h2m))
-    return Cat2Group(G, Cat1Group(G, t1, h1, image_of(t1)), Cat1Group(G, t2, h2, image_of(t2)))
+    return Cat2Group(Cat1Group(t1, h1), Cat1Group(t2, h2))

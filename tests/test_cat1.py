@@ -55,6 +55,24 @@ def test_pre_cat1_construction(d8):
         cat1_group(tab, tab)
 
 
+def test_pre_cat1_maps_on_two_groups_raise_at_construction(d8):
+    """A structure is its two maps; maps that are not endomorphisms of one
+    group are refused by the constructor itself, with the factories' text."""
+    d8_copy = fresh_copy(d8)
+    t, h = identity_hom(d8), identity_hom(d8_copy)
+    for build in (PreCat1Group, pre_cat1_by_endomorphisms, cat1_group):
+        with pytest.raises(GroupError, match="^tail and head must be endomorphisms of one group$"):
+            build(t, h)
+
+
+def test_pre_cat1_range_is_the_tail_image_built_on_read(d8):
+    ta = proj_a(d8)
+    C = PreCat1Group(ta, ta)
+    assert C.group is d8 and "range_" not in vars(C)
+    assert C.range_ == image_of(ta) and C.range_.order == 2
+    assert C.range_ is C.range_
+
+
 def test_pre_cat1_rejects_bad_pairs(d8):
     ta, tb = proj_a(d8), proj_b(d8)
     with pytest.raises(GroupError, match="pre-cat1 axiom"):
@@ -256,7 +274,7 @@ def test_pre_cat1_identities_force_equal_images():
         images = [image_of(f).members for f in ies]
         for i, t in enumerate(ies):
             for j, h in enumerate(ies):
-                th, ht = is_cat1_group(PreCat1Group(G, t, h, image_of(t))).checks[2:4]
+                th, ht = is_cat1_group(PreCat1Group(t, h)).checks[2:4]
                 assert (th.name, ht.name) == ("t o h = h", "h o t = t")
                 for check, f, g in ((th, t.mapping, h.mapping), (ht, h.mapping, t.mapping)):
                     if not check.ok:
@@ -276,7 +294,7 @@ def test_pre_cat1_identities_force_equal_images():
 def _on(H, C):
     """The structure with the mappings of ``C`` on the group ``H``."""
     t, h = (Homomorphism(H, H, f.mapping) for f in (C.tail, C.head))
-    return PreCat1Group(H, t, h, image_of(t))
+    return PreCat1Group(t, h)
 
 
 def test_memoized_cat1_report_equals_one_on_a_fresh_copy():
@@ -301,9 +319,6 @@ def test_equal_mappings_on_different_groups_are_separate_entries():
     C2 = _on(G2, C1)
     r1, r2 = is_cat1_group(C1), is_cat1_group(C2)
     assert r1 == r2 and r1 is not r2
-    # a structure named on G1 whose maps live on G2 is a third entry
-    mixed = PreCat1Group(G1, C2.tail, C2.head, C2.range_)
-    assert is_cat1_group(mixed) is not r1
     # equal mappings on C4 and on C2 x C2, checked on C4 first: some fail
     # there, and all pass on C2 x C2
     v4, c4 = (fresh_copy(catalog.small_group(4, gid)) for gid in (2, 1))
@@ -361,7 +376,7 @@ def test_cat1_group_reads_the_memoized_report(monkeypatch):
     G = fresh_copy(catalog.small_group(8, 3))
     t, h = next((a, b) for a in idempotent_endomorphisms(G)
                 for b in idempotent_endomorphisms(G) if set(a.mapping) != set(b.mapping))
-    first = is_cat1_group(PreCat1Group(G, t, h, image_of(t))).failures()[0]
+    first = is_cat1_group(PreCat1Group(t, h)).failures()[0]
     assert first.name == "t o h = h"
     with pytest.raises(GroupError) as caught:
         cat1_group(t, h)

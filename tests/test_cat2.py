@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 
@@ -6,12 +7,13 @@ import pytest
 
 from catsq import catalog, cat2
 from catsq.groups import (GroupError, Homomorphism, _endomorphism_maps, compose, identity_hom,
-                          image_of, trivial_hom)
+                          trivial_hom)
 from catsq.serialize import emit_cat2, parse_cat2
 from catsq.tables import HEAVY_KEYS
 from catsq.cat1 import (Classification, PreCat1Group, _cat1_pairs, all_cat1_groups, cat1_group,
                         cat1_isomorphism_classes, pre_cat1_by_endomorphisms)
 from catsq.cat2 import (
+    CatNGroup,
     PreCat2Group,
     all_cat2_group_morphisms,
     all_cat2_groups,
@@ -65,6 +67,31 @@ def test_cat2_rejects_noncommuting(d8):
     with pytest.raises(GroupError, match="same group"):
         c4c2 = catalog.small_group(8, 2)
         cat2_group(Ca, cat1_group(identity_hom(c4c2), identity_hom(c4c2)))
+
+
+def test_pre_cat2_on_two_groups_raises_at_construction(d8):
+    ident = cat1_group(identity_hom(d8), identity_hom(d8))
+    other = fresh_copy(d8)
+    elsewhere = cat1_group(identity_hom(other), identity_hom(other))
+    for build in (PreCat2Group, pre_cat2_group, cat2_group):
+        with pytest.raises(GroupError, match="^both structures must live on the same group$"):
+            build(ident, elsewhere)
+    with pytest.raises(GroupError, match="^all structures must live on the same group$"):
+        CatNGroup((ident, elsewhere))
+    with pytest.raises(GroupError, match="^a cat\\^n-group needs at least one structure$"):
+        CatNGroup(())
+
+
+def test_structures_store_only_their_defining_maps(d8):
+    """The group, the ranges and the cat^n group are read off the maps."""
+    assert [f.name for f in dataclasses.fields(PreCat1Group)] == ["tail", "head"]
+    assert [f.name for f in dataclasses.fields(PreCat2Group)] == ["c1", "c2"]
+    assert [f.name for f in dataclasses.fields(CatNGroup)] == ["structures"]
+    ident = cat1_group(identity_hom(d8), identity_hom(d8))
+    C = cat2_group(ident, ident)
+    assert C.group is ident.group is d8
+    assert (C.r1, C.r2) == (ident.range_, ident.range_)
+    assert catn_group([ident, ident]).group is d8
 
 
 def test_commutation_witness_failure():
@@ -191,9 +218,9 @@ def test_isomorphism_between_family_mates():
 def test_transpose_is_involutive():
     G, C1a, C1b = session_16_3()
     C = cat2_group(C1a, C1b)
-    T = type(C)(C.group, C.c2, C.c1)
+    T = type(C)(C.c2, C.c1)
     assert T.size == (16, 4, 2, 1)
-    assert type(T)(T.group, T.c2, T.c1).key() == C.key()
+    assert type(T)(T.c2, T.c1).key() == C.key()
     assert isomorphism_cat2_groups(C, T) is not None
 
 
@@ -364,7 +391,7 @@ def test_diagonal_of_a_parsed_pre_cat2_names_the_failing_line():
 
     a, b, message = next((a, b, m) for a in cat1s for b in cat1s
                          if (m := diagonal_error(a, b)) and "t o h = h" in m)
-    P = parse_cat2(emit_cat2(PreCat2Group(G, a, b), (4, 2)))
+    P = parse_cat2(emit_cat2(PreCat2Group(a, b), (4, 2)))
     with pytest.raises(GroupError) as caught:
         diagonal_pre_cat1(P)
     assert str(caught.value) == message
@@ -375,8 +402,7 @@ def test_diagonal_of_a_parsed_pre_cat2_names_the_failing_line():
     x = next(g for g in s3.elements() if s3.element_order(g) == 3)
     f = Homomorphism(s3, s3, tuple(0 if g == x else g for g in s3.elements()))
     ident = identity_hom(s3)
-    P = parse_cat2(emit_cat2(PreCat2Group(s3, PreCat1Group(s3, f, f, image_of(f)),
-                                          PreCat1Group(s3, ident, ident, image_of(ident))),
+    P = parse_cat2(emit_cat2(PreCat2Group(PreCat1Group(f, f), PreCat1Group(ident, ident)),
                              (6, 1)))
     with pytest.raises(GroupError,
                        match=r"^pre-cat1 axiom violated: t is a homomorphism fails with witness"):
@@ -408,11 +434,23 @@ def test_is_cat2_group_report():
             assert report.ok, key
             assert [c.name for c in report.checks] == names
     # a pair of cat1 structures that do not commute fails only commutation,
-    # with the witness of the naive oracle
+    # with the witness of the per-element oracle
     cat1s = all_cat1_groups(catalog.small_group(6, 1))
     c1, c2 = next((a, b) for a in cat1s for b in cat1s
-                  if next(cat2._noncommuting(a, b), None) is not None)
-    P = PreCat2Group(c1.group, c1, c2)
-    bad = is_cat2_group(P).failures()
+                  if _first_noncommuting(a, b) is not None)
+    bad = is_cat2_group(PreCat2Group(c1, c2)).failures()
     assert [(c.name, c.witness) for c in bad] == [
-        ("commutation identities", next(cat2._noncommuting(c1, c2), None))]
+        ("commutation identities", _first_noncommuting(c1, c2))]
+
+
+def _first_noncommuting(c1, c2):
+    """(identity, x) for the first of the four commutation identities that
+    fails and its least failing element x, by applying the maps one element
+    at a time; None if all four hold."""
+    (t1, h1), (t2, h2) = (c1.tail, c1.head), (c2.tail, c2.head)
+    for name, a, b in (("t1 o t2 = t2 o t1", t1, t2), ("h1 o h2 = h2 o h1", h1, h2),
+                       ("t1 o h2 = h2 o t1", t1, h2), ("t2 o h1 = h1 o t2", t2, h1)):
+        for x in c1.group.elements():
+            if a(b(x)) != b(a(x)):
+                return name, x
+    return None

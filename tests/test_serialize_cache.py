@@ -7,7 +7,6 @@ from catsq.cache import (
     CacheFormatError,
     CacheMiss,
     CacheVersionError,
-    GroupData,
     emit_group_data,
     parse_group_data,
     read_group_data,
@@ -89,24 +88,23 @@ def test_parse_rejects_garbage():
 
 def test_group_data_round_trip():
     data = compute_group_data(8, 3)
-    text = emit_group_data(data)
+    text = emit_group_data(8, 3, data)
     back = parse_group_data(text)
-    assert back == data
-    assert emit_group_data(back) == text
+    assert back == (8, 3, data)
+    assert emit_group_data(*back) == text
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 30), st.integers(1, 15), st.lists(st.integers(0, 10**6), min_size=6, max_size=6))
 def test_group_data_round_trip_random(order, gid, counts):
-    gd = GroupData(order, gid, *counts)
-    text = emit_group_data(gd)
+    text = emit_group_data(order, gid, tuple(counts))
     assert len(text.splitlines()) == 5
-    assert parse_group_data(text) == gd
+    assert parse_group_data(text) == (order, gid, tuple(counts))
 
 
 def test_cache_write_read(tmp_path):
     data = compute_group_data(8, 3)
-    path = write_group_data(tmp_path, data)
+    path = write_group_data(tmp_path, 8, 3, data)
     assert path.exists()
     assert not list(tmp_path.glob("*.tmp"))
     back = read_group_data(tmp_path, 8, 3, expected_ie=10)
@@ -116,13 +114,13 @@ def test_cache_write_read(tmp_path):
 def test_cache_missing_dir_created_on_demand(tmp_path):
     target = tmp_path / "deep" / "cache"
     data = compute_group_data(6, 1)
-    write_group_data(target, data)
+    write_group_data(target, 6, 1, data)
     assert (target / "6_1.catsq").exists()
 
 
 def test_cache_error_kinds(tmp_path):
     data = compute_group_data(8, 3)
-    path = write_group_data(tmp_path, data)
+    path = write_group_data(tmp_path, 8, 3, data)
 
     with pytest.raises(CacheMiss):
         read_group_data(tmp_path, 8, 2, expected_ie=10)
@@ -142,7 +140,7 @@ def test_cache_error_kinds(tmp_path):
 
 def test_cache_trailing_content_recomputed(tmp_path):
     data = compute_group_data(8, 3)
-    path = write_group_data(tmp_path, data)
+    path = write_group_data(tmp_path, 8, 3, data)
     text = path.read_text()
     path.write_text(text + "garbage 1 2 3\n")
     with pytest.raises(CacheFormatError, match=f"line {text.count(chr(10)) + 1}: 'garbage 1 2 3'"):
@@ -153,11 +151,11 @@ def test_cache_trailing_content_recomputed(tmp_path):
 
 def test_stale_cache_triggers_recompute(tmp_path):
     data = compute_group_data(8, 3)
-    path = write_group_data(tmp_path, data)
+    path = write_group_data(tmp_path, 8, 3, data)
     # corrupt the fingerprint: the loader must fall back to recomputation
     path.write_text(path.read_text().replace("fingerprint 8 10", "fingerprint 8 11"))
     fresh = group_data(8, 3, cache_dir=tmp_path)
-    assert fresh.counts == (10, 9, 3, 21, 6)
+    assert fresh == (10, 9, 3, 21, 6, 1)
     # and the rewritten entry is valid again
     again = read_group_data(tmp_path, 8, 3, expected_ie=10)
     assert again == fresh
@@ -165,7 +163,7 @@ def test_stale_cache_triggers_recompute(tmp_path):
 
 def test_cache_counts_line_must_hold_six_counts(tmp_path):
     data = compute_group_data(8, 3)
-    path = write_group_data(tmp_path, data)
+    path = write_group_data(tmp_path, 8, 3, data)
     text = path.read_text()
     assert text.splitlines()[3] == "counts 10 9 3 21 6 1"
     for bad in ("counts 10 9 3 21 6", "counts 10 9 3 21 6 1 7", "counts 10 9 3 21 -6 1",
@@ -191,7 +189,7 @@ def test_old_layout_cache_entry_recomputed(tmp_path):
         read_group_data(tmp_path, 6, 1, expected_ie=5)
     data = group_data(6, 1, cache_dir=tmp_path)
     assert data == compute_group_data(6, 1)
-    assert path.read_text() == emit_group_data(data)
+    assert path.read_text() == emit_group_data(6, 1, data)
     assert read_group_data(tmp_path, 6, 1, expected_ie=5) == data
 
 
@@ -210,7 +208,7 @@ def test_unreadable_cache_entry_recomputed(tmp_path):
         read_group_data(tmp_path, 8, 3, expected_ie=10)
     data = group_data(8, 3, cache_dir=tmp_path)
     assert data == compute_group_data(8, 3)
-    assert path.read_text() == emit_group_data(data)
+    assert path.read_text() == emit_group_data(8, 3, data)
 
 
 def test_directory_at_entry_path_is_a_miss(tmp_path):

@@ -120,9 +120,6 @@ def test_post_init_checks_shapes_only():
 # Functions that may touch a group's ``_cache``: the one memo and the
 # constructor that creates it.
 CACHE_OWNERS = {"groups.py: _memo", "groups.py: GroupTable.__init__"}
-# group_from_permutation_generators records its element permutations under
-# "perms" (read by tests/test_table_fill.py); that is data, not a memo.
-PERMS_RECORD = "groups.py: group_from_permutation_generators"
 
 
 def _units(name, tree):
@@ -139,21 +136,17 @@ def _units(name, tree):
 
 def test_only_memo_touches_the_group_cache():
     """Every per-group stage is memoized through ``groups._memo``; no other
-    function reads or writes ``._cache``, except the named ``perms`` record."""
+    function reads or writes ``._cache``."""
     touches, owners = [], set()
     for name, tree in TREES.items():
         for owner, unit in _units(name, tree):
-            perms = {id(n.value) for n in ast.walk(unit)
-                     if owner == PERMS_RECORD and isinstance(n, ast.Subscript)
-                     and isinstance(n.ctx, ast.Store) and isinstance(n.slice, ast.Constant)
-                     and n.slice.value == "perms"}
             for n in ast.walk(unit):
                 if isinstance(n, ast.Attribute) and n.attr == "_cache":
                     owners.add(owner)
-                    if owner not in CACHE_OWNERS and id(n) not in perms:
+                    if owner not in CACHE_OWNERS:
                         touches.append(f"{owner} line {n.lineno}")
     assert touches == []
-    assert owners == CACHE_OWNERS | {PERMS_RECORD}
+    assert owners == CACHE_OWNERS
 
 
 def _memo_stages_returning(word):

@@ -16,7 +16,6 @@ from catsq.groups import (
     automorphism_group,
     automorphism_group_as_table,
     identity_hom,
-    image_of,
     isomorphism_between,
     subgroup_generated,
     trivial_action,
@@ -227,7 +226,7 @@ def test_certifying_factories_name_the_failing_map_line():
         (lambda: from_general_form(bad_e, gf.tail, gf.head),
          "not a cat1-group: e is a homomorphism fails with witness "
          f"{is_homomorphism(bad_e).witness}"),
-        (lambda: cat2_group(PreCat1Group(s3, bad, ident, image_of(bad)), A.c1),
+        (lambda: cat2_group(PreCat1Group(bad, ident), A.c1),
          f"structure 1: t is a homomorphism fails with witness {w}"),
         (lambda: cat2_morphism(A, A, bad),
          f"not a cat2 morphism: gamma is a homomorphism fails with witness {w}"),

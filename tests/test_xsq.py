@@ -292,7 +292,7 @@ def test_round_trip_preserves_corner_types(c2ab):
 
 def test_transpose_of_conversion_matches_swapped_cat2(c2ab):
     direct = transpose_xsq(crossed_square_of_cat2(c2ab))
-    swapped = crossed_square_of_cat2(type(c2ab)(c2ab.group, c2ab.c2, c2ab.c1))
+    swapped = crossed_square_of_cat2(type(c2ab)(c2ab.c2, c2ab.c1))
     assert direct.pairing == swapped.pairing
     assert direct.kappa.mapping == swapped.kappa.mapping
     assert direct.mu.mapping == swapped.mu.mapping
