@@ -14,12 +14,13 @@ pairs the rows of the sorted idempotent array E of the End(G) pass with
 array tests of both axioms at once, and lists ordered pairs in lexicographic
 order of their concatenated map arrays; the index pair (tails, heads) into E
 is the one array form of the structures, whose maps are E[tails] and E[heads].
-Classification conjugates E by each Aut(G) generator; the induced permutation
-of E moves the sorted pair codes, and :func:`_code_positions` finds them by
-one argsort, one permutation of the k positions per generator.
-:func:`_orbit_labels` (min-label propagation with pointer jumping) turns
-such permutations into one label array, each position's least orbit member,
-for the cat2 classes too; that array is the stored form of a
+Classification conjugates E by each Aut(G) generator; the lookup
+:func:`_code_positions` of ``groups`` matches the conjugates to E on whole
+rows and then finds the pair codes that the induced permutation of E moves,
+one permutation of the k positions per generator.  The orbit routine
+:func:`_orbit_labels` of ``groups`` (min-label propagation with pointer
+jumping) turns such permutations into one label array, each position's least
+orbit member, for the cat2 classes too; that array is the stored form of a
 :class:`Classification`, whose leaders and families are views built on read.
 The objects at given positions are built on read by
 :func:`_cat1_structures`, the decoder of :func:`all_cat1_groups` and of the
@@ -40,8 +41,10 @@ from .groups import (
     Homomorphism,
     Subgroup,
     _endomorphism_maps,
+    _code_positions,
     _memo,
     _np_table,
+    _orbit_labels,
     _subgroup_group,
     automorphism_generators,
     all_homomorphisms,
@@ -250,28 +253,16 @@ class Classification:
         return tuple(self.decode(self.group, self.leaders))
 
 
-def _code_positions(codes: np.ndarray, moved: np.ndarray, what: str) -> np.ndarray:
-    """The positions of ``moved`` in the sorted, distinct ``codes``, by one
-    argsort; raises :class:`GroupError` with the message ``what`` unless
-    ``moved`` is a permutation of ``codes``."""
-    order = np.argsort(moved)
-    if not np.array_equal(moved[order], codes):
-        raise GroupError(what)
-    pos = np.empty(len(codes), dtype=np.intp)
-    pos[order] = np.arange(len(codes))
-    return pos
-
-
 @_memo
 def cat1_structure_orbit_maps(G: GroupTable) -> np.ndarray:
     """Row r: the cat1 positions permuted by the r-th Aut(G) generator.
 
     The generator a sends (t, h) to (a t a^-1, a h a^-1), so it acts through
-    the idempotents: the m rows of E are conjugated at once, matched to E by
-    one lexsort and compared in full, so a map that is no automorphism
-    cannot pass on some columns alone.  The induced permutation s of E sends
-    the pair code i*m + j of each structure to s[i]*m + s[j], which
-    :func:`_code_positions` finds.  Read-only result.
+    the idempotents: the m rows of E are conjugated at once and matched to
+    E by :func:`_code_positions` on whole rows, so a map that is no
+    automorphism cannot pass on some columns alone.  The induced permutation
+    s of E sends the pair code i*m + j of each structure to s[i]*m + s[j],
+    which the same lookup finds.  Read-only result.
     """
     E = _endomorphism_maps(G)[0]
     m = len(E)
@@ -282,32 +273,9 @@ def cat1_structure_orbit_maps(G: GroupTable) -> np.ndarray:
     broken = "conjugating a cat1 structure left the enumeration; the Aut action is broken"
     for r, a in enumerate(gens):
         conj = a[E[:, np.argsort(a)]]
-        s = np.argsort(np.lexsort(conj.T[::-1]))  # row i of conj is row s[i] of E
-        if not np.array_equal(conj, E[s]):
-            raise GroupError(broken)
+        s = _code_positions(E, conj, broken)  # row i of conj is row s[i] of E
         sigmas[r] = _code_positions(codes, s[tails] * m + s[heads], broken)
     return sigmas
-
-
-def _orbit_labels(n: int, perms) -> np.ndarray:
-    """The least member of each orbit of ``perms`` on 0..n-1, per member.
-
-    Each position takes the least label of itself and its images p[x], and
-    pointer jumping (label[label]) shortens the chains, until a full round
-    changes nothing.  A label is always a member of its position's orbit and
-    only decreases; at the fixed point it cannot drop along any cycle of any
-    p, so it is constant on every orbit: the orbit's least member.
-    """
-    label = np.arange(n)
-    while True:
-        old = label
-        for p in perms:
-            label = np.minimum(label, label[p])
-        label = label[label]
-        if np.array_equal(label, old):
-            break
-    label.flags.writeable = False
-    return label
 
 
 @_memo

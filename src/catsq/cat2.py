@@ -12,8 +12,9 @@ structures, comparing composed endomorphisms on the generator columns only,
 and carries the partner lists along all orbits at once, one breadth-first
 level at a time.  Isomorphism classification computes orbits under Aut(G)
 combined with the orientation swap: each Aut(G) generator permutes the
-sorted pair codes, and the class labels come from the same array orbit
-routine as the cat1 classes (min-label propagation with pointer jumping).
+sorted pair codes, found by the one lookup of ``groups``, and the class
+labels come from the orbit routine of ``groups`` that also labels the cat1
+classes and closes the Aut(G) generators.
 :func:`_cat2_structures` decodes positions into structures for
 :func:`all_cat2_groups` and the representatives; the diagonal probe of
 :func:`non_cat1_diagonal_count` tests the structures at all class leaders in
@@ -36,8 +37,10 @@ from .groups import (
     GroupTable,
     Homomorphism,
     Subgroup,
+    _code_positions,
     _endomorphism_maps,
     _memo,
+    _orbit_labels,
     all_homomorphisms,
     compose,
     image_of,
@@ -52,10 +55,8 @@ from .cat1 import (
     _cat1_pairs,
     _cat1_report,
     _cat1_structures,
-    _code_positions,
     _intertwines,
     _noncommuting_mask,
-    _orbit_labels,
     cat1_isomorphism_classes,
     cat1_structure_orbit_maps,
     is_cat1_group,

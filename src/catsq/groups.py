@@ -23,6 +23,11 @@ properties are the report lines :func:`catsq.xmod.is_homomorphism` and
 Every per-group stage in the package is memoized on its group by one
 decorator, :func:`_memo`, as GAP stores an attribute: a stored array is
 read-only, and object lists are built from the arrays on each call.
+
+Aut(G) acts through one lookup, :func:`_code_positions`, which finds moved
+codes or rows among sorted ones and checks that they are a permutation of
+them, and one orbit routine, :func:`_orbit_labels`; the generator closure,
+the Aut(G) table and the cat1 and cat2 classifiers share them.
 """
 
 from __future__ import annotations
@@ -83,13 +88,14 @@ def perm_from_cycles(cycles: Sequence[Sequence[int]], degree: int = 0) -> Perm:
             if pt < 1:
                 raise GroupError(f"cycle point {pt} is not a positive integer")
             top = max(top, pt)
-    images = list(range(top))
+    images, seen = list(range(top)), set()
     for cyc in cycles:
         if len(set(cyc)) != len(cyc):
             raise GroupError(f"cycle {cyc} repeats a point")
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            if images[a - 1] != a - 1:
+            if a in seen:
                 raise GroupError(f"cycles are not disjoint at point {a}")
+            seen.add(a)
             images[a - 1] = b - 1
     return tuple(images)
 
@@ -702,9 +708,38 @@ def automorphism_group(G: GroupTable) -> list[Homomorphism]:
     return [Homomorphism(G, G, m) for m in _endomorphism_maps(G)[1].tolist()]
 
 
-def _automorphism_positions(G: GroupTable) -> dict[tuple[int, ...], int]:
-    """Each automorphism's map, keyed to its row in the automorphism array."""
-    return {m: i for i, m in enumerate(map(tuple, _endomorphism_maps(G)[1].tolist()))}
+def _code_positions(codes: np.ndarray, moved: np.ndarray, what: str) -> np.ndarray:
+    """The positions of ``moved`` in the sorted, distinct ``codes``: integers
+    found by one argsort, or rows in lexicographic order found by one
+    lexsort.  Raises :class:`GroupError` with the message ``what`` unless
+    ``moved`` is a permutation of ``codes``, compared in full."""
+    order = np.argsort(moved) if moved.ndim == 1 else np.lexsort(moved.T[::-1])
+    if not np.array_equal(moved[order], codes):
+        raise GroupError(what)
+    pos = np.empty(len(codes), dtype=np.intp)
+    pos[order] = np.arange(len(codes))
+    return pos
+
+
+def _orbit_labels(n: int, perms) -> np.ndarray:
+    """The least member of each orbit of ``perms`` on 0..n-1, per member.
+
+    Each position takes the least label of itself and its images p[x], and
+    pointer jumping (label[label]) shortens the chains, until a full round
+    changes nothing.  A label is always a member of its position's orbit and
+    only decreases; at the fixed point it cannot drop along any cycle of any
+    p, so it is constant on every orbit: the orbit's least member.
+    """
+    label = np.arange(n)
+    while True:
+        old = label
+        for p in perms:
+            label = np.minimum(label, label[p])
+        label = label[label]
+        if np.array_equal(label, old):
+            break
+    label.flags.writeable = False
+    return label
 
 
 @_memo
@@ -715,18 +750,21 @@ def automorphism_group_as_table(G: GroupTable) -> tuple[DenseGroup, tuple[tuple[
     (lexicographic) order; the identity map sorts first, so index 0 is the
     group identity.  Raises :class:`TooLargeError` above :data:`DENSE_CAP`
     automorphisms, before any table is built.  Only the products a o g by
-    the :func:`automorphism_generators` g are composed;
-    :func:`_table_from_right` fills the rest of the table from them.
+    the :func:`automorphism_generators` g are found, for all a at once, by
+    :func:`_code_positions` on whole rows; :func:`_table_from_right` fills
+    the rest of the table from them.
     """
     require_dense(G)
     A = _endomorphism_maps(G)[1]
     if len(A) > DENSE_CAP:
         raise TooLargeError(f"Aut({G.label}) has order {len(A)}, above the dense cap {DENSE_CAP}")
-    pos = _automorphism_positions(G)
-    maps, gens = tuple(pos), automorphism_generators(G).tolist()
+    gens = automorphism_generators(G)
+    right = np.empty((len(A), len(gens)), dtype=np.intp)
+    for e, g in enumerate(gens):
+        right[:, e] = _code_positions(A, A[:, g], "composing automorphisms left Aut(G)")
     label = f"Aut({G.label})"
-    right = [[pos[_pcompose(a, g)] for g in gens] for a in maps]
-    return DenseGroup(_table_from_right(right, label), label, check=False), maps
+    return (DenseGroup(_table_from_right(right.tolist(), label), label, check=False),
+            tuple(map(tuple, A.tolist())))
 
 
 def inner_automorphism_indices(G: GroupTable) -> tuple[int, ...]:
@@ -738,7 +776,7 @@ def inner_automorphism_indices(G: GroupTable) -> tuple[int, ...]:
 @_memo
 def _inner_automorphisms(G: GroupTable) -> tuple[int, ...]:
     """Entry g: the row of conjugation by g in the automorphism array."""
-    where = _automorphism_positions(G)
+    where = {m: i for i, m in enumerate(map(tuple, _endomorphism_maps(G)[1].tolist()))}
     return tuple(where[tuple(G.conj(g, x) for x in G.elements())] for g in G.elements())
 
 
@@ -750,34 +788,24 @@ def automorphism_generators(G: GroupTable) -> np.ndarray:
     Walking the automorphisms in canonical order, each one outside the
     subgroup generated so far becomes a generator.  An automorphism is known
     by its generator images, and (g o x)(gen) = g(x(gen)), so the closure
-    needs only the generator columns of the automorphism array, sorted once;
-    each new generator sorts its images of them.
+    needs only the generator columns of the automorphism array, sorted once:
+    :func:`_code_positions` finds each new generator's images of them, and
+    the subgroup is the :func:`_orbit_labels` orbit of the identity.
     """
     require_dense(G)
     A = _endomorphism_maps(G)[1]
     cols = A[:, [0, *G.generators]]  # column 0 keeps the sort keys non-empty
     by_cols = np.lexsort(cols.T[::-1])
     sorted_cols = cols[by_cols]
+    gens, perms = [], []  # positions, and x -> position of (gen o x)
     known = np.arange(len(A)) == 0  # the identity sorts first
-    gens: dict[int, np.ndarray] = {}  # position -> (x -> position of it o x)
     while not known.all():
         a = int(np.argmin(known))
-        images = A[a][cols]
-        by_images = np.lexsort(images.T[::-1])
-        if not np.array_equal(images[by_images], sorted_cols):
-            raise GroupError("composing automorphisms left Aut(G)")
-        gens[a] = np.empty(len(A), dtype=np.intp)
-        gens[a][by_images] = by_cols
-        frontier = np.array([a])
-        known[a] = True
-        while frontier.size:
-            # a hit mask, not np.unique, which imports numpy.ma on first use
-            hit = np.zeros(len(A), dtype=bool)
-            for g in gens.values():
-                hit[g[frontier]] = True
-            frontier = np.flatnonzero(hit & ~known)
-            known[frontier] = True
-    return A[list(gens)]
+        gens.append(a)
+        perms.append(by_cols[_code_positions(sorted_cols, A[a][cols],
+                                             "composing automorphisms left Aut(G)")])
+        known = _orbit_labels(len(A), perms) == 0
+    return A[gens]
 
 
 # ---------------------------------------------------------------------------

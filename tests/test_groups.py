@@ -226,8 +226,11 @@ def test_perm_cycle_round_trip():
     p = perm_from_cycles([(1, 2, 3, 4), (5, 6, 7, 8)])
     assert cycles_of_perm(p) == ((1, 2, 3, 4), (5, 6, 7, 8))
     assert perm_from_cycles([]) == ()
-    with pytest.raises(GroupError):
-        perm_from_cycles([(1, 2), (2, 3)])
+    # a point that a 1-cycle names is taken too, in either order
+    for cycles in ([(1, 2), (2, 3)], [(3,), (3, 4)], [(3, 4), (3,)]):
+        with pytest.raises(GroupError, match=r"^cycles are not disjoint at point [23]$"):
+            perm_from_cycles(cycles)
+    assert perm_from_cycles([(3,), (1, 2)]) == (1, 0, 2)
 
 
 def test_empty_cycle_is_the_identity():

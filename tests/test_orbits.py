@@ -2,8 +2,10 @@
 
 ``oracle_orbit_maps`` conjugates one cat1 structure at a time and
 ``oracle_families`` joins positions with union-find, as the classifiers did
-before the array orbit routine, now :func:`catsq.cat1._orbit_labels`,
-replaced both; they are kept here as the oracles of the array code.
+before the array orbit routine, now :func:`catsq.groups._orbit_labels`,
+replaced both; they are kept here as the oracles of the array code.  The
+one code lookup, :func:`catsq.groups._code_positions`, is tested on codes
+and on rows, and through the guards of the Aut(G) closure and table.
 """
 
 import random
@@ -168,6 +170,33 @@ def test_orbit_maps_compare_whole_rows(monkeypatch):
         cat1_structure_orbit_maps(F)
 
 
+def test_automorphism_products_stay_in_the_automorphism_array(monkeypatch):
+    G = catalog.small_group(8, 3)
+    (E, A), gens = groups._endomorphism_maps(G), automorphism_generators(G)
+    swap = np.array([0, 1, 2, 3, 7, 5, 6, 4])  # (4 7): no automorphism, fixes the generators
+
+    def planted(rows):
+        """A fresh D8 whose automorphism array is ``rows``."""
+        monkeypatch.setattr(groups, "_endomorphism_maps", lambda _: (E, rows))
+        return fresh_copy(G)
+
+    # the row of (4 7) sorts right after the identity, so the closure takes
+    # it as its first generator, and (4 7) o x leaves the array on the
+    # generator columns for some automorphism x
+    rows = np.vstack([A[:1], swap, A[1:]])
+    for stage in (automorphism_generators, groups.automorphism_group_as_table):
+        with pytest.raises(GroupError, match="composing automorphisms left Aut"):
+            stage(planted(rows))
+    # a o (5 6) is no automorphism either.  It agrees with a on the
+    # generator columns, which are all the closure reads, and on their
+    # images under each generator, so only whole rows tell the table's
+    # products by the generators from those of the true array
+    F = planted(np.vstack([A[:-1], A[-1][[0, 1, 2, 3, 4, 6, 5, 7]]]))
+    assert np.array_equal(automorphism_generators(F), gens)
+    with pytest.raises(GroupError, match="composing automorphisms left Aut"):
+        groups.automorphism_group_as_table(F)
+
+
 def test_orbit_maps_find_every_moved_code(monkeypatch):
     G = catalog.small_group(8, 3)
     F = fresh_copy(G)
@@ -183,10 +212,18 @@ def test_orbit_maps_find_every_moved_code(monkeypatch):
 
 def test_code_positions_need_a_permutation_of_the_codes():
     codes = np.array([2, 5, 7, 11])
-    assert cat1._code_positions(codes, np.array([7, 2, 11, 5]), "lost").tolist() == [2, 0, 3, 1]
+    assert groups._code_positions(codes, np.array([7, 2, 11, 5]), "lost").tolist() == [2, 0, 3, 1]
     # every moved code is enumerated, but 5 is reached twice and 11 never
     with pytest.raises(GroupError, match="^lost$"):
-        cat1._code_positions(codes, np.array([7, 2, 5, 5]), "lost")
+        groups._code_positions(codes, np.array([7, 2, 5, 5]), "lost")
+    # rows in lexicographic order are codes too, compared on every column
+    rows = np.array([[0, 1, 2], [0, 1, 5], [0, 3, 1], [4, 0, 0]])
+    moved = rows[[2, 0, 3, 1]]
+    assert groups._code_positions(rows, moved, "lost").tolist() == [2, 0, 3, 1]
+    for bad in (rows[[2, 0, 3, 3]],  # a repeated row, and row 1 never
+                np.array([[0, 3, 1], [0, 1, 2], [4, 0, 0], [0, 1, 4]])):  # agrees on [0, 1] only
+        with pytest.raises(GroupError, match="^lost$"):
+            groups._code_positions(rows, bad, "lost")
 
 
 def test_pair_scan_without_aut_generators():

@@ -5,10 +5,12 @@ module-level assigned name is referenced somewhere in the package, only
 ``tables`` and ``cli`` import the result cache, no dataclass constructor
 multiplies, only the memo decorator touches a group's ``_cache``, no
 memoized stage is annotated to return a list or a dict, no module beyond
-``groups`` builds a position dict over ``enumerate``, both classifiers find
-moved pair codes through the one lookup
-``cat1._code_positions``, nothing calls ``searchsorted``, and only
-``cli.cmd_inspect`` reads a classification's ``families``.  Every public
+``groups`` builds a position dict over ``enumerate``, the Aut(G) closure,
+the Aut(G) table and both classifiers find moved codes or rows through the
+one lookup ``groups._code_positions``, nothing calls ``searchsorted``, the
+closure and both classifiers label orbits with the one orbit routine
+``groups._orbit_labels``, and only ``cli.cmd_inspect`` reads a
+classification's ``families``.  Every public
 top-level function and class is reached by another unit of the package
 (the ``__init__`` re-exports count) or named in README.md, so that no helper
 lives in ``src/`` for the tests alone, and every function that
@@ -194,13 +196,34 @@ def _callers(word):
                                                    getattr(n.func, "id", None))]
 
 
+def _definitions(word):
+    """The modules that define a top-level function ``word``."""
+    return [name for name, tree in TREES.items() for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == word]
+
+
 def test_only_code_positions_searches_sorted_codes():
-    """Both classifiers, and nothing else, find moved pair codes through the
-    one lookup ``cat1._code_positions``, which checks that they are a
-    permutation of the sorted codes; nothing calls ``searchsorted``."""
+    """The Aut(G) closure, the Aut(G) table and both classifiers, and
+    nothing else, find moved codes or rows through the one lookup
+    ``groups._code_positions``, which checks that they are a permutation of
+    the sorted codes; the cat1 orbit maps call it for the idempotents and
+    for the pair codes.  Nothing calls ``searchsorted``."""
     assert _callers("searchsorted") == []
+    assert _definitions("_code_positions") == ["groups.py"]
     assert sorted(_callers("_code_positions")) == ["cat1.py: cat1_structure_orbit_maps",
-                                                   "cat2.py: cat2_isomorphism_classes"]
+                                                   "cat1.py: cat1_structure_orbit_maps",
+                                                   "cat2.py: cat2_isomorphism_classes",
+                                                   "groups.py: automorphism_generators",
+                                                   "groups.py: automorphism_group_as_table"]
+
+
+def test_one_orbit_routine():
+    """Orbits of Aut(G), on its own elements and on the cat1 and cat2
+    structures, are labelled by the one routine ``groups._orbit_labels``."""
+    assert _definitions("_orbit_labels") == ["groups.py"]
+    assert sorted(_callers("_orbit_labels")) == ["cat1.py: cat1_isomorphism_classes",
+                                                 "cat2.py: cat2_isomorphism_classes",
+                                                 "groups.py: automorphism_generators"]
 
 
 def _readers(attr):
