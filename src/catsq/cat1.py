@@ -180,11 +180,21 @@ def general_form(C: Cat1Group) -> Cat1GeneralForm:
 # -- enumeration and classification -------------------------------------------
 
 
-@_memo
-def _noncommuting_mask(G: GroupTable) -> np.ndarray:
-    """The float32 0/1 mask of element pairs (a, b) with ab != ba; read-only."""
+def _bit_codes(B: np.ndarray) -> np.ndarray:
+    """Each row of the boolean array ``B`` as int64 bit codes, 64 columns
+    to a word, so equal rows have equal codes at any order."""
+    codes = np.zeros((len(B), -(-B.shape[1] // 64) * 8), dtype=np.uint8)
+    codes[:, :-(-B.shape[1] // 8)] = np.packbits(B, axis=1)
+    return codes.view(np.int64)
+
+
+def _kernel_clash(G: GroupTable, ker: np.ndarray) -> np.ndarray:
+    """Per row of the boolean membership array ``ker`` of kernels in G, the
+    elements that fail to commute with some element of that kernel, as a
+    boolean row: [K, L] = 1 exactly when L misses them.  The product of
+    boolean arrays runs in numpy's own loop, not in BLAS."""
     T = _np_table(G)
-    return (T != T.T).astype(np.float32)
+    return ker @ (T != T.T)
 
 
 @_memo
@@ -194,20 +204,18 @@ def _cat1_pairs(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
 
     An idempotent fixes exactly its image, so t o h = h and h o t = t hold
     for a pair of idempotents precisely when their fixed-point sets are
-    equal: neither has a point outside the other.  [ker t, ker h] = 1 fails
-    exactly when ker t x ker h meets the mask NC of non-commuting element
-    pairs.  Both are counted for all pairs at once by products of 0/1
-    matrices, ``fixed @ (1 - fixed).T`` and ``ker @ NC @ ker.T``.
-    ``np.nonzero`` lists the pairs in C order, which is lexicographic
-    because the idempotent array is.
+    equal, and so their :func:`_bit_codes`.  ``np.nonzero`` of that m x m
+    equality lists the pairs in C order, which is lexicographic because the
+    idempotent array is.  [ker t, ker h] = 1 is then tested on those pairs
+    only: ker h must miss the :func:`_kernel_clash` of ker t.  Every test is
+    on integers and booleans, so no BLAS product runs.
     """
     I = _endomorphism_maps(G)[0]
-    # the counts stay below 2**24, so float32 products are exact
-    fixed = (I == np.arange(G.order)).astype(np.float32)
-    ker = (I == 0).astype(np.float32)
-    outside = fixed @ (1 - fixed).T
-    clash = ker @ _noncommuting_mask(G) @ ker.T
-    return np.nonzero((outside == 0) & (outside.T == 0) & (clash == 0))
+    fixed = _bit_codes(I == np.arange(G.order))
+    tails, heads = np.nonzero((fixed[:, None] == fixed).all(axis=2))
+    ker = I == 0
+    ok = ~(_kernel_clash(G, ker)[tails] & ker[heads]).any(axis=1)
+    return tails[ok], heads[ok]
 
 
 def _cat1_structures(G: GroupTable, positions) -> list[Cat1Group]:

@@ -56,7 +56,7 @@ from .cat1 import (
     _cat1_report,
     _cat1_structures,
     _intertwines,
-    _noncommuting_mask,
+    _kernel_clash,
     cat1_isomorphism_classes,
     cat1_structure_orbit_maps,
     is_cat1_group,
@@ -285,10 +285,10 @@ def non_cat1_diagonal_count(G: GroupTable) -> int:
     are gathered from the idempotent array by pair code, giving t = t1 o t2
     and h = h1 o h2 for all of them at once.  Every diagonal must be a
     pre-cat1 structure (t o h = h and h o t = t), or :class:`GroupError`
-    names the first failing representative.  The diagonal fails [ker t, ker h] = 1 exactly when
-    ker t x ker h meets the non-commuting mask NC, counted by the diagonal
-    of ``ker_t @ NC @ ker_h.T`` (exact in float32).  The single-structure
-    form is :func:`diagonal_pre_cat1`.
+    names the first failing representative.  The diagonal fails
+    [ker t, ker h] = 1 exactly when ker h meets the :func:`_kernel_clash`
+    of ker t, the test of the cat1 enumeration.  The single-structure form
+    is :func:`diagonal_pre_cat1`.
     """
     E = _endomorphism_maps(G)[0]
     tails, heads = _cat1_pairs(G)
@@ -301,8 +301,7 @@ def non_cat1_diagonal_count(G: GroupTable) -> int:
         r, line, x = np.argwhere(wrong)[0].tolist()  # first class, line, element
         raise GroupError(f"pre-cat1 axiom violated on the diagonal of cat2 class {r + 1}: "
                          f"{('t o h = h', 'h o t = t')[line]} fails with witness ({x},)")
-    ker_t, ker_h = ((m == 0).astype(np.float32) for m in (t, h))
-    return int(np.count_nonzero((ker_t @ _noncommuting_mask(G) * ker_h).any(axis=1)))
+    return int(np.count_nonzero((_kernel_clash(G, t == 0) & (h == 0)).any(axis=1)))
 
 
 # -- morphisms -----------------------------------------------------------------

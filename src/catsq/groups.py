@@ -9,9 +9,10 @@ is their composition as functions.
 
 Every homomorphism search extends generator images through one numpy
 kernel, :func:`_hom_blocks`, which checks a block of image tuples at a time
-against every edge of the right Cayley graph.  The tables of permutation
-groups, of Aut(G) and of dense products are filled along a spanning tree of
-the same graph (:func:`_spanning_tree`).  Every checked table passes Light's
+against every edge of the right Cayley graph, in int16 for every target of
+order up to 181.  The tables of permutation groups, of Aut(G) and of dense
+products are filled along a spanning tree of the same graph
+(:func:`_spanning_tree`).  Every checked table passes Light's
 test, and its stated generators must generate it.
 
 One rule holds in every module: values and dataclasses check shapes, and
@@ -27,7 +28,8 @@ read-only, and object lists are built from the arrays on each call.
 Aut(G) acts through one lookup, :func:`_code_positions`, which finds moved
 codes or rows among sorted ones and checks that they are a permutation of
 them, and one orbit routine, :func:`_orbit_labels`; the generator closure,
-the Aut(G) table and the cat1 and cat2 classifiers share them.
+the Aut(G) table and the cat1 and cat2 classifiers share them.  The closure
+codes each automorphism by its index in the End(G) enumeration.
 """
 
 from __future__ import annotations
@@ -610,8 +612,10 @@ def _cayley_tree(G: GroupTable) -> tuple[tuple[tuple[int, int, int], ...], tuple
 
 @_memo
 def _np_table(H: GroupTable) -> np.ndarray:
-    """The multiplication table of a dense ``H`` as a read-only intp array."""
-    return np.array(require_dense(H).table, dtype=np.intp)
+    """The multiplication table of a dense ``H`` as a read-only array, in the
+    smallest signed dtype that holds the flat index |H|^2 - 1: int16 up to
+    |H| = 181, which covers every catalog group, and intp above."""
+    return np.array(require_dense(H).table, dtype=np.int16 if H.order ** 2 <= 2 ** 15 else np.intp)
 
 
 def _hom_blocks(G: GroupTable, H: GroupTable,
@@ -625,42 +629,53 @@ def _hom_blocks(G: GroupTable, H: GroupTable,
     column, so each step f(y) = f(parent) f(via) along :func:`_cayley_tree`
     writes one contiguous row.  The tree edges hold by construction; a map
     is kept only if every other right Cayley edge (x, g) has
-    ``f(x g) = f(x) f(g)``.
+    ``f(x g) = f(x) f(g)``.  The candidates, images and blocks take the
+    dtype of :func:`_np_table`, which holds every flat index a * |H| + b,
+    so the blocks of a catalog group are int16 and the yielded rows too.
+    The gathers call ``take``, which converts int16 indices at a smaller
+    fixed cost per call than ``T[...]`` does.
     """
     tree, edges = _cayley_tree(G)
     T = _np_table(H).ravel()  # read flat: H[a, b] = T[a * |H| + b]
-    cands = [np.asarray(c, dtype=np.intp) for c in cands]
+    cands = [np.asarray(c, dtype=T.dtype) for c in cands]
     total = math.prod(len(c) for c in cands)
     for start in range(0, total, _BLOCK_ROWS):
         rows = min(_BLOCK_ROWS, total - start)
         # mixed-radix digits of start + 0..rows-1, the last generator fastest
-        images = np.empty((len(cands), rows), dtype=np.intp)
+        images = np.empty((len(cands), rows), dtype=T.dtype)
         carry, rest = np.arange(rows), start
         for e in reversed(range(len(cands))):
             rest, low = divmod(rest, len(cands[e]))
             carry, digit = np.divmod(carry + low, len(cands[e]))
             images[e] = cands[e][digit]
-        M = np.zeros((G.order, rows), dtype=np.intp)
+        M = np.zeros((G.order, rows), dtype=T.dtype)
         for y, parent, via in tree:
-            M[y] = T[M[parent] * H.order + images[via]]
+            M[y] = T.take(M[parent] * H.order + images[via])
         ok = np.ones(rows, dtype=bool)
         for e, (xs, ys) in enumerate(edges):
-            ok &= (M[ys] == T[M[xs] * H.order + images[e]]).all(axis=0)
+            ok &= (M[ys] == T.take(M[xs] * H.order + images[e])).all(axis=0)
         yield M[:, ok].T
 
 
 def _order_candidates(G: GroupTable, H: GroupTable, fits) -> list[list[int]]:
     # per generator g, the h in H with fits(order of g, order of h)
     g_orders, h_orders = G.element_orders(), H.element_orders()
-    return [[h for h in H.elements() if fits(g_orders[g], h_orders[h])]
+    return [[h for h, oh in enumerate(h_orders) if fits(g_orders[g], oh)]
             for g in G.generators]
+
+
+def _hom_candidates(G: GroupTable, H: GroupTable) -> list[list[int]]:
+    """Per generator g of G, the h in H whose order divides that of g: the
+    candidates of :func:`all_homomorphisms`, of the End(G) pass and of the
+    codes of the Aut(G) closure."""
+    return _order_candidates(G, H, lambda og, oh: og % oh == 0)
 
 
 def all_homomorphisms(G: GroupTable, H: GroupTable) -> list[Homomorphism]:
     """Complete duplicate-free list, lexicographic on the mapping arrays."""
     require_dense(G), require_dense(H)
-    cands = _order_candidates(G, H, lambda og, oh: og % oh == 0)
-    maps = sorted(tuple(row) for M in _hom_blocks(G, H, cands) for row in M.tolist())
+    maps = sorted(tuple(row) for M in _hom_blocks(G, H, _hom_candidates(G, H))
+                  for row in M.tolist())
     return [Homomorphism(G, H, m) for m in maps]
 
 
@@ -677,16 +692,14 @@ def _endomorphism_maps(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     ``0..max(G.generators)`` only (column 0 alone for the trivial group),
     and M o M = M (both sides are endomorphisms) on the generator columns.
     """
-    cands = _order_candidates(G, G, lambda og, oh: og % oh == 0)
     gens = list(G.generators)
     idempotent, bijective = [], []
-    for M in _hom_blocks(G, G, cands):
-        M = M.astype(np.int32)  # halves the memory of the rows kept until the sort
+    for M in _hom_blocks(G, G, _hom_candidates(G, G)):
         Mg = M[:, gens]
         idempotent.append(M[(np.take_along_axis(M, Mg, axis=1) == Mg).all(axis=1)])
         bijective.append(M[(M == 0).sum(axis=1) == 1])
     return tuple(A[np.lexsort(A[:, max(G.generators, default=0)::-1].T)]
-                 for A in map(np.concatenate, (idempotent, bijective)))
+                 for A in (np.concatenate(b, dtype=np.int32) for b in (idempotent, bijective)))
 
 
 def idempotent_endomorphisms(G: GroupTable) -> list[Homomorphism]:
@@ -788,22 +801,45 @@ def automorphism_generators(G: GroupTable) -> np.ndarray:
     Walking the automorphisms in canonical order, each one outside the
     subgroup generated so far becomes a generator.  An automorphism is known
     by its generator images, and (g o x)(gen) = g(x(gen)), so the closure
-    needs only the generator columns of the automorphism array, sorted once:
-    :func:`_code_positions` finds each new generator's images of them, and
-    the subgroup is the :func:`_orbit_labels` orbit of the identity.
+    codes each one by its index in the End(G) enumeration: the mixed radix
+    of its generator images' positions in the :func:`_hom_candidates`, the
+    last generator fastest, as :func:`_hom_blocks` counts.  A code is below
+    the number of tuples that pass enumerated, so int64 holds it, and an
+    image outside its candidates makes the whole code negative.  The codes
+    are sorted once, :func:`_code_positions` finds each new generator's
+    left products among them, and the subgroup is the :func:`_orbit_labels`
+    orbit of the identity.
     """
     require_dense(G)
     A = _endomorphism_maps(G)[1]
-    cols = A[:, [0, *G.generators]]  # column 0 keeps the sort keys non-empty
-    by_cols = np.lexsort(cols.T[::-1])
-    sorted_cols = cols[by_cols]
+    cands = _hom_candidates(G, G)
+    total = math.prod(map(len, cands))
+    # weight[e |G| + x]: the position of x among the candidates of generator
+    # e times the radix of e, or -total for an x outside them
+    weight, radix = [], total
+    for c in cands:
+        radix //= len(c)
+        row = [-total] * G.order
+        for i, x in enumerate(c):
+            row[x] = i * radix
+        weight += row
+    weight = np.array(weight, dtype=np.int64)
+    # at[x, e] = e |G| + x(gen e), so weight[at] holds the digits of x
+    at = A[:, G.generators] + np.arange(0, len(cands) * G.order, G.order)
+    left = "composing automorphisms left Aut(G)"
+    codes = weight[at].sum(axis=1)
+    if codes.min() < 0:
+        raise GroupError(left)
+    weight = weight.reshape(len(cands), G.order)
+    by_code = np.argsort(codes)
+    sorted_codes = codes[by_code]
     gens, perms = [], []  # positions, and x -> position of (gen o x)
     known = np.arange(len(A)) == 0  # the identity sorts first
     while not known.all():
         a = int(np.argmin(known))
         gens.append(a)
-        perms.append(by_cols[_code_positions(sorted_cols, A[a][cols],
-                                             "composing automorphisms left Aut(G)")])
+        after_a = weight[:, A[a]].ravel()[at].sum(axis=1)  # the codes of a o x
+        perms.append(by_code[_code_positions(sorted_codes, after_a, left)])
         known = _orbit_labels(len(A), perms) == 0
     return A[gens]
 

@@ -6,6 +6,7 @@ from catsq.groups import (
     Homomorphism,
     all_homomorphisms,
     compose,
+    group_from_permutation_generators,
     idempotent_endomorphisms,
     identity_hom,
     image_of,
@@ -113,11 +114,13 @@ def test_every_enumerated_structure_is_valid():
 
 
 def test_naive_pair_oracle_small():
-    """The enumeration equals the naive double loop over idempotent pairs."""
-    from catsq.groups import idempotent_endomorphisms
-
-    for key in ((6, 1), (8, 2), (8, 3), (8, 4), (9, 2)):
-        G = catalog.small_group(*key)
+    """The enumeration equals the naive double loop over idempotent pairs,
+    also on the dihedral group of order 70, whose bit codes take two words."""
+    d70 = group_from_permutation_generators(
+        [[tuple(range(1, 36))], [(i, 37 - i) for i in range(2, 19)]], "D70")
+    assert d70.order == 70
+    for G in [*(catalog.small_group(*key) for key in ((6, 1), (8, 2), (8, 3), (8, 4), (9, 2))),
+              d70]:
         ies = idempotent_endomorphisms(G)
         naive = []
         for t in ies:
@@ -131,7 +134,7 @@ def test_naive_pair_oracle_small():
                 kh = [x for x in G.elements() if hm[x] == 0]
                 if all(G.mul(p, q) == G.mul(q, p) for p in kt for q in kh):
                     naive.append((tm, hm))
-        assert naive == [c.key() for c in all_cat1_groups(G)], key
+        assert naive == [c.key() for c in all_cat1_groups(G)], G.label
 
 
 def test_xmod_of_cat1(d8):

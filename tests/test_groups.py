@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 import math
 import random
 from typing import Sequence
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -426,6 +428,39 @@ def test_all_homomorphisms_match_per_tuple_oracle(small_blocks):
         for H in small:
             got = [f.mapping for f in all_homomorphisms(G, H)]
             assert got == sorted(oracle_hom_maps(G, H)), (G.label, H.label)
+
+
+def test_kernel_dtype_bound():
+    # The kernel reads flat table indices a * |H| + b, in int16 up to
+    # |H| = 181 (181^2 - 1 = 32,760) and in intp above.  The maps of C_n to
+    # itself reach the largest index, which for n = 182 is 33,123, past int16.
+    for n, dtype in ((181, np.int16), (182, np.intp)):
+        H = DenseGroup([[(a + b) % n for b in range(n)] for a in range(n)], f"C{n}", [1],
+                       check=False)
+        for G in (catalog.small_group(2, 1), catalog.small_group(3, 1), H):
+            got = [f.mapping for f in all_homomorphisms(G, H)]
+            assert got == sorted(oracle_hom_maps(G, H)), (G.label, n)
+        assert groups._np_table(H).dtype == dtype
+
+
+# sha256 of the idempotent and bijective arrays of the End(G) pass and of the
+# automorphism_generators rows of all 92 catalog groups, each array as
+# little-endian int32 after its (key, shape), recorded with the intp kernel and
+# the lexsort closure that the int16 kernel and the enumeration-index codes
+# replaced.
+END_PASS_SHA256 = "647858a912bc768481ad10ac10f5a76fd081da5e303a2bc64f2cc9bdf199e9a9"
+
+
+def test_end_pass_arrays_pinned():
+    digest = hashlib.sha256()
+    for key in catalog.catalog_keys():
+        G = catalog.small_group(*key)
+        I, A = groups._endomorphism_maps(G)
+        assert I.dtype == A.dtype == np.int32, key
+        for rows in (I, A, automorphism_generators(G)):
+            digest.update(repr((key, rows.shape)).encode())
+            digest.update(rows.astype("<i4").tobytes())
+    assert digest.hexdigest() == END_PASS_SHA256
 
 
 def test_isomorphism_between_matches_per_tuple_oracle(small_blocks):

@@ -195,6 +195,15 @@ def test_automorphism_products_stay_in_the_automorphism_array(monkeypatch):
     assert np.array_equal(automorphism_generators(F), gens)
     with pytest.raises(GroupError, match="composing automorphisms left Aut"):
         groups.automorphism_group_as_table(F)
+    # a generator image of the wrong order has no index in the End(G)
+    # enumeration, so the closure refuses the row while coding it, before
+    # any lookup
+    g = min(G.generators, key=G.element_order)
+    bad = A[-1].copy()
+    bad[g] = next(x for x in G.elements() if G.element_order(g) % G.element_order(x))
+    monkeypatch.setattr(groups, "_code_positions", None)
+    with pytest.raises(GroupError, match="composing automorphisms left Aut"):
+        automorphism_generators(planted(np.vstack([A, bad])))
 
 
 def test_orbit_maps_find_every_moved_code(monkeypatch):
@@ -240,8 +249,7 @@ def test_pair_scan_without_aut_generators():
 def test_shared_memo_arrays_are_read_only():
     G = fresh_copy(catalog.small_group(8, 3))
     shared = (*groups._endomorphism_maps(G), automorphism_generators(G), *cat1._cat1_pairs(G),
-              cat1_structure_orbit_maps(G), cat2._cat2_codes(G), cat1._noncommuting_mask(G),
-              groups._np_table(G))
+              cat1_structure_orbit_maps(G), cat2._cat2_codes(G), groups._np_table(G))
     for A in shared:
         before = A.copy()
         with pytest.raises(ValueError):

@@ -9,8 +9,9 @@ memoized stage is annotated to return a list or a dict, no module beyond
 the Aut(G) table and both classifiers find moved codes or rows through the
 one lookup ``groups._code_positions``, nothing calls ``searchsorted``, the
 closure and both classifiers label orbits with the one orbit routine
-``groups._orbit_labels``, and only ``cli.cmd_inspect`` reads a
-classification's ``families``.  Every public
+``groups._orbit_labels``, only ``cli.cmd_inspect`` reads a
+classification's ``families``, and no array has a floating-point dtype.
+Every public
 top-level function and class is reached by another unit of the package
 (the ``__init__`` re-exports count) or named in README.md, so that no helper
 lives in ``src/`` for the tests alone, and every function that
@@ -20,6 +21,8 @@ import ast
 import importlib
 import re
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "catsq").glob("*.py"))
@@ -238,6 +241,47 @@ def test_only_inspect_reads_families():
     structure count is ``len(labels)``, not a stored ``total``."""
     assert _readers("families") == ["cli.py: cmd_inspect"]
     assert _readers("total") == []
+
+
+def _names_inexact_dtype(node):
+    """Whether ``node`` names a float or complex dtype: a numpy type, the
+    builtin ``float`` or ``complex``, or a dtype string such as ``"f4"``."""
+    if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in ("np", "numpy"):
+        kind = getattr(np, node.attr, None)
+        return isinstance(kind, type) and issubclass(kind, np.inexact)
+    if isinstance(node, ast.Name):
+        return node.id in ("float", "complex")
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        try:
+            return np.dtype(node.value).kind in "fc"
+        except TypeError:
+            return False
+    return False
+
+
+def test_no_floating_point_dtype():
+    """catsq is an exact calculator, and a float product of numpy arrays
+    runs in BLAS, which may start threads.  So no module names a numpy
+    float or complex type, passes a float dtype to ``dtype=`` or
+    ``astype``, or calls ``np.zeros``, ``np.ones`` or ``np.empty``, whose
+    default dtype is float64, without a dtype."""
+    found = []
+    for name, tree in TREES.items():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and _names_inexact_dtype(n):
+                found.append(f"{name} line {n.lineno}: {n.attr}")
+            if not isinstance(n, ast.Call):
+                continue
+            dtypes = [k.value for k in n.keywords if k.arg == "dtype"]
+            if getattr(n.func, "attr", None) == "astype":
+                dtypes += n.args[:1]
+            found += [f"{name} line {n.lineno}: {ast.unparse(d)}"
+                      for d in dtypes if _names_inexact_dtype(d)]
+            if (getattr(n.func, "attr", None) in ("zeros", "ones", "empty")
+                    and getattr(n.func.value, "id", None) == "np"
+                    and len(n.args) < 2 and not any(k.arg == "dtype" for k in n.keywords)):
+                found.append(f"{name} line {n.lineno}: np.{n.func.attr} without a dtype")
+    assert found == []
 
 
 # Public names that only the tests and perfbench reach, each with its reason.
