@@ -1,83 +1,48 @@
 """On-disk cache of the per-group table row.
 
-One file per catalog key holds the six counts of a :mod:`catsq.tables` row
-(idempotent endomorphisms, cat1 and cat2 structures and classes, bad
-diagonals) on one ``counts`` line, keyed by order and id.  Writes are atomic
-(temp file + rename).  Reads validate the format version and a group
-fingerprint (order plus idempotent-endomorphism count) before trusting the
-counts; any problem, a file in an older layout included, raises a distinct,
-recoverable error so callers can fall back to recomputation.
+One file per catalog key holds one line: the six counts of a
+:mod:`catsq.tables` row (idempotent endomorphisms, cat1 and cat2 structures
+and classes, bad diagonals), then a check, the sha256 of the package source,
+the key and the counts.  An entry is served only if its check recomputes, so
+an entry written by other code, for another key, or altered after writing
+is a miss, and a hit builds no group.  Writes are atomic (temp file +
+rename).  Every problem raises :class:`CacheMiss`, naming the path and the
+bad line; callers recompute.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import os
 import tempfile
 from pathlib import Path
-from typing import Optional
-
-from .serialize import FORMAT_VERSION, FormatError, _Reader, _ints
-
-CACHE_ENV = "CATSQ_CACHE_DIR"
 
 
 class CacheMiss(Exception):
     """Recoverable cache problem; recompute instead."""
 
 
-class CacheVersionError(CacheMiss):
-    pass
+@functools.cache
+def _source_digest() -> str:
+    """sha256 of every module of the package, names and bytes, once per process."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        data = path.read_bytes()
+        h.update(f"{path.name} {len(data)}\n".encode())
+        h.update(data)
+    return h.hexdigest()
 
 
-class CacheFingerprintError(CacheMiss):
-    pass
-
-
-class CacheFormatError(CacheMiss):
-    pass
-
-
-def resolve_cache_dir(explicit: Optional[str]) -> Optional[Path]:
-    if explicit:
-        return Path(explicit)
-    env = os.environ.get(CACHE_ENV)
-    return Path(env) if env else None
+def _entry(order: int, gid: int, counts: tuple[int, ...]) -> str:
+    """The entry of a key: one line of its counts, then their check."""
+    text = " ".join(map(str, counts))
+    check = hashlib.sha256(f"{_source_digest()} {order} {gid} {text}".encode())
+    return f"{text} {check.hexdigest()}\n"
 
 
 def cache_path(cache_dir: Path, order: int, gid: int) -> Path:
     return cache_dir / f"{order}_{gid}.catsq"
-
-
-def emit_group_data(order: int, gid: int, counts: tuple[int, ...]) -> str:
-    return (f"catsq {FORMAT_VERSION} cache\ngroup key {order} {gid}\n"
-            f"fingerprint {order} {counts[0]}\ncounts {' '.join(map(str, counts))}\nend\n")
-
-
-def parse_group_data(text: str) -> tuple[int, int, tuple[int, ...]]:
-    """(order, gid, the six counts) of a cache entry."""
-    try:
-        r = _Reader(text)
-        head = r.expect("catsq")
-        if int(head[0]) != FORMAT_VERSION:
-            raise CacheVersionError(f"cache format version {head[0]}")
-        if head[1] != "cache":
-            raise CacheFormatError(f"not a cache file: kind {head[1]}")
-        words = r.expect("group")
-        order, gid = _ints(words[1:3])
-        forder, ie = _ints(r.expect("fingerprint"))
-        words = r.expect("counts")
-        if len(words) != 6 or not all(w.isdecimal() for w in words):
-            raise CacheFormatError(f"line {r.pos}: {r.lines[r.pos - 1]!r} does not "
-                                   "hold six non-negative integers")
-        counts = tuple(_ints(words))
-        r.end()
-    except CacheMiss:
-        raise
-    except (FormatError, ValueError, IndexError) as exc:
-        raise CacheFormatError(str(exc)) from exc
-    if (forder, ie) != (order, counts[0]):
-        raise CacheFingerprintError("fingerprint does not match the group key and counts")
-    return order, gid, counts
 
 
 def write_group_data(cache_dir: Path, order: int, gid: int, counts: tuple[int, ...]) -> Path:
@@ -86,7 +51,7 @@ def write_group_data(cache_dir: Path, order: int, gid: int, counts: tuple[int, .
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(emit_group_data(order, gid, counts))
+            fh.write(_entry(order, gid, counts))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -95,20 +60,19 @@ def write_group_data(cache_dir: Path, order: int, gid: int, counts: tuple[int, .
     return path
 
 
-def read_group_data(cache_dir: Path, order: int, gid: int,
-                    expected_ie: int) -> tuple[int, ...]:
-    """The six counts of a validated cache entry, or a CacheMiss subtype."""
+def read_group_data(cache_dir: Path, order: int, gid: int) -> tuple[int, ...]:
+    """The six counts of the entry of ``(order, gid)`` if it is the line
+    :func:`write_group_data` writes for them under this package source, and
+    nothing else; otherwise a :class:`CacheMiss`."""
     path = cache_path(cache_dir, order, gid)
-    if not path.exists():
-        raise CacheMiss(f"no cache entry at {path}")
     try:
-        text = path.read_text()
+        line, end, rest = path.read_text().partition("\n")
     except (OSError, UnicodeDecodeError) as exc:
-        raise CacheFormatError(f"unreadable cache entry {path}: {exc}") from exc
-    found_order, found_gid, counts = parse_group_data(text)
-    if (found_order, found_gid) != (order, gid):
-        raise CacheFingerprintError("cache entry is for a different group")
-    if counts[0] != expected_ie:
-        raise CacheFingerprintError(
-            f"stale fingerprint: cached IE {counts[0]}, group has {expected_ie}")
+        raise CacheMiss(f"unreadable cache entry {path}: {exc}") from exc
+    counts = tuple(int(w) for w in line.split(" ")[:6] if w.isdecimal())
+    if len(counts) != 6 or line + end != _entry(order, gid, counts):
+        raise CacheMiss(f"{path} line 1: {line!r} is not the entry of "
+                        f"{order}/{gid} under this package source")
+    if rest:
+        raise CacheMiss(f"{path} line 2: {rest.splitlines()[0]!r} follows the entry")
     return counts

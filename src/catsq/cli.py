@@ -9,7 +9,6 @@ from pathlib import Path
 from typing import Optional
 
 from . import catalog
-from .cache import resolve_cache_dir
 from .cat1 import cat1_isomorphism_classes, is_cat1_group
 from .cat2 import cat2_isomorphism_classes, is_cat2_group
 from .groups import GroupError
@@ -27,9 +26,9 @@ from .xsq import cat2_of_crossed_square, crossed_square_of_cat2, is_crossed_squa
 
 
 def cmd_table(args) -> int:
-    cache_dir = resolve_cache_dir(args.cache_dir)
     try:
-        rows = build_table(args.max_order, heavy=args.heavy, cache_dir=cache_dir)
+        rows = build_table(args.max_order, heavy=args.heavy,
+                           cache_dir=Path(args.cache_dir) if args.cache_dir else None)
     except OSError as exc:  # the cache directory or an entry cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2

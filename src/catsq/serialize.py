@@ -1,4 +1,4 @@
-"""Line-oriented text format for groups, structures, and cached results.
+"""Line-oriented text format for groups and structures.
 
 Files are LF-terminated ASCII: a header line ``catsq <version> <kind>``,
 keyword-introduced sections with whitespace-separated decimal integers, and a

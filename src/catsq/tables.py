@@ -5,7 +5,8 @@ structures and classes, cat2 structures and classes, and cat2 classes whose
 diagonal fails to be a cat1-group), read off the End(G) arrays and the
 lengths of the classifiers' label and leader arrays without building a
 structure object or a family; :func:`group_data` can keep them in
-:mod:`catsq.cache`.  :class:`ClassificationRow` is the one row type.
+:mod:`catsq.cache`, whose hits build no group.  :class:`ClassificationRow`
+is the one row type.
 The reference table is embedded verbatim for the check flag; cyclic groups
 are covered by the closed forms (2^m structures for m distinct prime
 factors, all classes singletons).
@@ -166,11 +167,12 @@ def compute_group_data(order: int, gid: int) -> tuple[int, ...]:
 
 
 def group_data(order: int, gid: int, cache_dir: Optional[Path] = None) -> tuple[int, ...]:
-    """Cache-aware variant of :func:`compute_group_data`."""
+    """The six counts of :func:`compute_group_data`, read from the entry in
+    ``cache_dir`` when :mod:`catsq.cache` serves it, with no group built;
+    otherwise computed, and written there when ``cache_dir`` is given."""
     if cache_dir is not None:
-        ie = len(_endomorphism_maps(catalog.small_group(order, gid))[0])
         try:
-            return read_group_data(cache_dir, order, gid, ie)
+            return read_group_data(cache_dir, order, gid)
         except CacheMiss:
             pass
     counts = compute_group_data(order, gid)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from catsq import catalog, cat2
-from catsq.groups import (GroupError, Homomorphism, _endomorphism_maps, compose, identity_hom,
-                          trivial_hom)
+from catsq.groups import (GroupError, Homomorphism, _endomorphism_maps, compose,
+                          direct_product, identity_hom, trivial_hom)
 from catsq.serialize import emit_cat2, parse_cat2
 from catsq.tables import HEAVY_KEYS
 from catsq.cat1 import (Classification, PreCat1Group, _cat1_pairs, all_cat1_groups, cat1_group,
@@ -324,10 +324,16 @@ def test_pair_scan_partners_match_the_whole_row_oracle():
 
 
 def test_diagonal_probe_matches_the_per_representative_loop():
+    """On the catalog groups but 16/14, and on S3 x S3 (order 36): on no
+    catalog group does testing [ker t, ker t] = 1 or [ker h, ker h] = 1 in
+    place of [ker t, ker h] = 1 change the count, on S3 x S3 either gives 2."""
     keys = [k for k in catalog.catalog_keys() if k not in HEAVY_KEYS] + [(27, 5)]
     for key in keys:
         G = catalog.small_group(*key)
         assert non_cat1_diagonal_count(G) == oracle_bad_diagonals(G), key
+    s3 = catalog.small_group(6, 1)
+    G = direct_product(s3, s3)
+    assert non_cat1_diagonal_count(G) == oracle_bad_diagonals(G) == 1
 
 
 def test_diagonal_probe_rejects_a_diagonal_that_is_no_pre_cat1(monkeypatch):

@@ -526,13 +526,6 @@ def test_cache_cold_and_warm_runs_identical(tmp_path):
     assert files  # entries were written on the cold run
 
 
-def test_cache_env_var(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CATSQ_CACHE_DIR", str(tmp_path / "envcache"))
-    assert main(["table", "--max-order", "4"]) == 0
-    capsys.readouterr()
-    assert (tmp_path / "envcache" / "4_2.catsq").exists()
-
-
 def test_console_entry_point_runs(tmp_path):
     """The console entry prints a table, and ends a malformed file with exit
     status 2 and a one-line message naming the bad token, never a traceback."""

@@ -2,14 +2,14 @@
 imports a name it never uses, every private top-level function and private
 module-level assigned name is referenced somewhere in the package, only
 ``groups`` chooses between a dense and a structural realization, only
-``tables`` and ``cli`` import the result cache, no dataclass constructor
-multiplies, only the memo decorator touches a group's ``_cache``, no
-memoized stage is annotated to return a list or a dict, no module beyond
-``groups`` builds a position dict over ``enumerate``, the Aut(G) closure,
-the Aut(G) table and both classifiers find moved codes or rows through the
-one lookup ``groups._code_positions``, nothing calls ``searchsorted``, the
-closure and both classifiers label orbits with the one orbit routine
-``groups._orbit_labels``, only ``cli.cmd_inspect`` reads a
+``tables`` imports the result cache, which imports no catsq module, no
+dataclass constructor multiplies, only the memo decorator touches a group's
+``_cache``, no memoized stage is annotated to return a list or a dict, no
+module beyond ``groups`` builds a position dict over ``enumerate``, the
+Aut(G) closure, the Aut(G) table and both classifiers find moved codes or
+rows through the one lookup ``groups._code_positions``, nothing calls
+``searchsorted``, the closure and both classifiers label orbits with the one
+orbit routine ``groups._orbit_labels``, only ``cli.cmd_inspect`` reads a
 classification's ``families``, and no array has a floating-point dtype.
 Every public
 top-level function and class is reached by another unit of the package
@@ -92,22 +92,25 @@ def test_realization_is_chosen_only_in_groups():
     assert outside == []
 
 
-def test_cache_is_imported_only_by_tables_and_cli():
-    """``catsq.cache`` is reached through ``tables.group_data`` and
-    ``table --cache-dir`` alone, so that deleting it touches two modules."""
-    importers = set()
-    for name, tree in TREES.items():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                modules = ([node.module] if node.module
-                           else [alias.name for alias in node.names])
-            elif isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            else:
-                continue
-            if any(m.split(".")[-1] == "cache" for m in modules):
-                importers.add(name)
-    assert importers == {"tables.py", "cli.py"}
+def _imported_modules(tree):
+    """The modules that the import statements of ``tree`` name, as written."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield from ([("." * node.level) + node.module] if node.module
+                        else [("." * node.level) + alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+
+
+def test_cache_is_imported_only_by_tables():
+    """``catsq.cache`` is reached through ``tables.group_data`` alone, so that
+    deleting it touches one module, and it imports no catsq module, so that a
+    hit cannot build a group."""
+    importers = {name for name, tree in TREES.items()
+                 if any(m.split(".")[-1] == "cache" for m in _imported_modules(tree))}
+    assert importers == {"tables.py"}
+    assert [m for m in _imported_modules(TREES["cache.py"])
+            if m.startswith(".") or m.split(".")[0] == "catsq"] == []
 
 
 def test_post_init_checks_shapes_only():
