@@ -1,19 +1,15 @@
-"""Cat1-group structures: axioms, enumeration, classification, and the
-equivalence with crossed modules.
+"""Cat1-group structures: axioms, enumeration and classification.
 
 A structure is a pair of endomorphisms (t, h) of one group with t o h = h,
 h o t = t and [ker t, ker h] = 1 (the identities force im t = im h), each
 reported with a witness by :func:`is_cat1_group` after the lines that t and
 h are homomorphisms; the report is memoized on the group and keyed on both
-maps, so a process checks each structure once, and the certifying factory
-:func:`cat1_group` raises with its first failing line.  A structure stores
-only its maps and reads G and im t off them.  The endomorphism form is
-canonical; the embedding form (e; t, h : G -> R) is a view converted on
-input and output, with R indexed as ``groups`` decides once.  Enumeration
-pairs the rows of the sorted idempotent array E of the End(G) pass with
-array tests of both axioms at once, and lists ordered pairs in lexicographic
-order of their concatenated map arrays; the index pair (tails, heads) into E
-is the one array form of the structures, whose maps are E[tails] and E[heads].
+maps, so a process checks each structure once.  A structure stores only its
+maps and reads G and im t off them.  Enumeration pairs the rows of the
+sorted idempotent array E of the End(G) pass with array tests of both axioms
+at once, and lists ordered pairs in lexicographic order of their concatenated
+map arrays; the index pair (tails, heads) into E is the one array form of the
+structures, whose maps are E[tails] and E[heads].
 Classification conjugates E by each Aut(G) generator; the lookup
 :func:`_code_positions` of ``groups`` matches the conjugates to E on whole
 rows and then finds the pair codes that the induced permutation of E moves,
@@ -45,25 +41,17 @@ from .groups import (
     _memo,
     _np_table,
     _orbit_labels,
-    _subgroup_group,
     automorphism_generators,
-    all_homomorphisms,
-    compose,
     image_of,
-    inclusion_hom,
     kernel_of,
     require_dense,
-    restrict_hom,
-    semidirect_product,
-    sub_conjugation_action,
 )
-from .xmod import (AxiomCheck, CrossedModule, ValidityReport, _line, _map_lines, _require,
-                   crossed_module)
+from .xmod import AxiomCheck, ValidityReport, _line, _map_lines
 
 
 @dataclass(frozen=True)
 class PreCat1Group:
-    """(G; t, h) with t o h = h and h o t = t; build via the factories.
+    """(G; t, h) with t o h = h and h o t = t, which :func:`is_cat1_group` reports.
     Only the maps are stored: G is their group and R = im t is built on read."""
 
     tail: Homomorphism
@@ -99,13 +87,6 @@ def _pre_cat1_checks(t: Sequence[int], h: Sequence[int]) -> tuple[AxiomCheck, Ax
             _line("h o t = t", ((x,) for x, tx in enumerate(t) if h[tx] != tx)))
 
 
-def pre_cat1_by_endomorphisms(t: Homomorphism, h: Homomorphism) -> PreCat1Group:
-    """Validated pre-cat1-group from two endomorphisms of one group."""
-    C = PreCat1Group(t, h)
-    _require(_pre_cat1_checks(t.mapping, h.mapping), "pre-cat1 axiom violated")
-    return C
-
-
 def _kernel_check(G: GroupTable, t: Homomorphism, h: Homomorphism) -> AxiomCheck:
     """[ker t, ker h] = 1 in G, with the first noncommuting kernel pair on
     failure."""
@@ -127,54 +108,6 @@ def _cat1_report(G: GroupTable, t: Homomorphism, h: Homomorphism) -> ValidityRep
     lines = _map_lines([("t", t), ("h", h)])
     checks = _pre_cat1_checks(t.mapping, h.mapping)
     return ValidityReport(lines + checks + (_kernel_check(G, t, h),))
-
-
-def cat1_group(t: Homomorphism, h: Homomorphism) -> Cat1Group:
-    """Certified cat1-group; raises :class:`GroupError` naming the first
-    failing line of :func:`is_cat1_group` and its witness.  The report is
-    the memoized one, so certifying the same maps again checks nothing."""
-    C = Cat1Group(t, h)
-    _require(_cat1_report(C.group, t, h).checks, "not a cat1-group")
-    return C
-
-
-# -- the embedding (general) form ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class Cat1GeneralForm:
-    """(e; t, h : G -> R) with R standalone and e an embedding into G."""
-
-    embedding: Homomorphism
-    tail: Homomorphism
-    head: Homomorphism
-
-
-def from_general_form(e: Homomorphism, t: Homomorphism, h: Homomorphism) -> Cat1Group:
-    """Convert the embedding form into an endomorphism-form cat1-group.
-
-    The embedding e must pass its line "e is a homomorphism".  As e is
-    injective, :func:`cat1_group` on (e o t, e o h) then checks t and h and
-    the general axioms t o e o h = h and h o e o t = t, with their witnesses.
-    """
-    R, G = e.source, e.target
-    if t.source is not G or h.source is not G or t.target is not R or h.target is not R:
-        raise GroupError("tail and head must map G onto the embedded range")
-    if len(set(e.mapping)) != R.order:
-        raise GroupError("the range embedding must be injective")
-    _require(_map_lines([("e", e)]), "not a cat1-group")
-    if len(set(t.mapping)) != R.order or len(set(h.mapping)) != R.order:
-        raise GroupError("tail and head must be surjections onto the range")
-    return cat1_group(compose(e, t), compose(e, h))
-
-
-def general_form(C: Cat1Group) -> Cat1GeneralForm:
-    """The embedding-form view of a cat1-group (range as a standalone group)."""
-    R, pos = _subgroup_group(C.group, C.range_.members)
-    e = inclusion_hom(C.range_)
-    t = Homomorphism(C.group, R, tuple(pos[v] for v in C.tail.mapping))
-    h = Homomorphism(C.group, R, tuple(pos[v] for v in C.head.mapping))
-    return Cat1GeneralForm(e, t, h)
 
 
 # -- enumeration and classification -------------------------------------------
@@ -294,55 +227,3 @@ def cat1_isomorphism_classes(G: GroupTable) -> Classification:
     require_dense(G)
     k = len(_cat1_pairs(G)[0])
     return Classification(G, _orbit_labels(k, cat1_structure_orbit_maps(G)), _cat1_structures)
-
-
-# -- the equivalence with crossed modules --------------------------------------
-
-
-def xmod_of_cat1(C: PreCat1Group) -> CrossedModule:
-    """S = ker t, R = im t, boundary h|S, action by conjugation in G."""
-    G = C.group
-    ker = kernel_of(C.tail)
-    rng = C.range_
-    boundary = restrict_hom(C.head, ker, rng)
-    action = sub_conjugation_action(G, rng, ker)
-    return crossed_module(action.space, action.actor, boundary, action)
-
-
-def cat1_of_xmod(X: CrossedModule) -> Cat1Group:
-    """G = S x| R with t(s,r) = (1,r) and h(s,r) = (1, (ds) r)."""
-    S, R = X.source, X.range_
-    G = semidirect_product(S, R, X.action, label=f"{S.label} x| {R.label}")
-    rn = R.order
-    bm = X.boundary.mapping
-    tmap = tuple(x % rn for x in G.elements())
-    hmap = tuple(R.mul(bm[x // rn], x % rn) for x in G.elements())
-    return cat1_group(Homomorphism(G, G, tmap), Homomorphism(G, G, hmap))
-
-
-# -- morphisms -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Cat1Morphism:
-    source: PreCat1Group
-    target: PreCat1Group
-    hom: Homomorphism
-
-
-def _intertwines(f: Sequence[int], a: Sequence[int], b: Sequence[int]) -> bool:
-    # f o a = b o f on the source elements
-    return all(f[a[x]] == b[f[x]] for x in range(len(f)))
-
-
-def is_cat1_morphism(C1: PreCat1Group, C2: PreCat1Group, f: Homomorphism) -> bool:
-    return (_intertwines(f.mapping, C1.tail.mapping, C2.tail.mapping)
-            and _intertwines(f.mapping, C1.head.mapping, C2.head.mapping))
-
-
-def all_cat1_morphisms(C1: PreCat1Group, C2: PreCat1Group) -> list[Cat1Morphism]:
-    out = []
-    for f in all_homomorphisms(C1.group, C2.group):
-        if is_cat1_morphism(C1, C2, f):
-            out.append(Cat1Morphism(C1, C2, f))
-    return out

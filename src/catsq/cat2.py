@@ -1,4 +1,5 @@
-"""Cat2-group structures and cat^n generalities.
+"""Cat2-group structures: axioms, enumeration, classification and the
+diagonal probe.
 
 A cat2-group is an unordered pair of cat1 structures on one group whose four
 maps commute pairwise.  It stores the pair alone, in the caller's orientation,
@@ -20,33 +21,28 @@ classes and closes the Aut(G) generators.
 :func:`non_cat1_diagonal_count` tests the structures at all class leaders in
 one array pass.  The single-structure form, :func:`diagonal_pre_cat1`, reads
 the memoized cat1 report of the composed maps, the one that
-:func:`is_cat1_group` and :func:`cat1_group` read, so a process checks each
-diagonal once.
+:func:`is_cat1_group` reads, so a process checks each diagonal once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .groups import (
     GroupError,
     GroupTable,
-    Homomorphism,
     Subgroup,
     _code_positions,
     _endomorphism_maps,
     _memo,
     _orbit_labels,
-    all_homomorphisms,
     compose,
     image_of,
     require_dense,
-    restrict_hom,
-    _iter_isomorphism_maps,
 )
 from .cat1 import (
     Cat1Group,
@@ -55,13 +51,12 @@ from .cat1 import (
     _cat1_pairs,
     _cat1_report,
     _cat1_structures,
-    _intertwines,
     _kernel_clash,
     cat1_isomorphism_classes,
     cat1_structure_orbit_maps,
     is_cat1_group,
 )
-from .xmod import AxiomCheck, ValidityReport, _line, _map_lines, _require
+from .xmod import AxiomCheck, ValidityReport, _line, _require
 
 
 @dataclass(frozen=True)
@@ -133,12 +128,6 @@ def is_cat2_group(C: PreCat2Group) -> ValidityReport:
               for n, c in ((1, C.c1), (2, C.c2)) for k in is_cat1_group(c).checks]
     checks.append(_commutation_check(C.c1, C.c2))
     return ValidityReport(tuple(checks))
-
-
-def pre_cat2_group(c1: PreCat1Group, c2: PreCat1Group) -> PreCat2Group:
-    C = PreCat2Group(c1, c2)
-    _require((_commutation_check(c1, c2),), "commutation identity violated")
-    return C
 
 
 def cat2_group(c1: PreCat1Group, c2: PreCat1Group) -> Cat2Group:
@@ -302,97 +291,3 @@ def non_cat1_diagonal_count(G: GroupTable) -> int:
         raise GroupError(f"pre-cat1 axiom violated on the diagonal of cat2 class {r + 1}: "
                          f"{('t o h = h', 'h o t = t')[line]} fails with witness ({x},)")
     return int(np.count_nonzero((_kernel_clash(G, t == 0) & (h == 0)).any(axis=1)))
-
-
-# -- morphisms -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Cat2Morphism:
-    source: PreCat2Group
-    target: PreCat2Group
-    gamma: Homomorphism
-    rho1: Homomorphism
-    rho2: Homomorphism
-    swapped: bool = False  # gamma matches the target with orientation swapped
-
-
-def _cat2_intertwines(gm, A: PreCat2Group, c1: PreCat1Group, c2: PreCat1Group) -> bool:
-    return (_intertwines(gm, A.c1.tail.mapping, c1.tail.mapping)
-            and _intertwines(gm, A.c1.head.mapping, c1.head.mapping)
-            and _intertwines(gm, A.c2.tail.mapping, c2.tail.mapping)
-            and _intertwines(gm, A.c2.head.mapping, c2.head.mapping))
-
-
-def cat2_morphism(A: PreCat2Group, B: PreCat2Group, gamma: Homomorphism,
-                  swapped: bool = False) -> Cat2Morphism:
-    """Certified morphism: gamma must pass "gamma is a homomorphism" and
-    intertwine the four structure maps; rho1 and rho2 are its restrictions."""
-    _require(_map_lines([("gamma", gamma)]), "not a cat2 morphism")
-    tgt = (B.c2, B.c1) if swapped else (B.c1, B.c2)
-    if not _cat2_intertwines(gamma.mapping, A, *tgt):
-        raise GroupError("gamma does not intertwine the four structure maps")
-    rho1 = restrict_hom(gamma, A.r1, tgt[0].range_)
-    rho2 = restrict_hom(gamma, A.r2, tgt[1].range_)
-    return Cat2Morphism(A, B, gamma, rho1, rho2, swapped)
-
-
-def all_cat2_group_morphisms(A: PreCat2Group, B: PreCat2Group) -> list[Cat2Morphism]:
-    """All morphisms with the stored orientations matched componentwise."""
-    out = []
-    for f in all_homomorphisms(A.group, B.group):
-        if _cat2_intertwines(f.mapping, A, B.c1, B.c2):
-            out.append(cat2_morphism(A, B, f))
-    return out
-
-
-def isomorphism_cat2_groups(A: PreCat2Group, B: PreCat2Group) -> Optional[Cat2Morphism]:
-    """A bijective morphism matching either orientation of B, or None."""
-    for mapping in _iter_isomorphism_maps(A.group, B.group):
-        for swapped in (False, True):
-            tgt = (B.c2, B.c1) if swapped else (B.c1, B.c2)
-            if _cat2_intertwines(mapping, A, *tgt):
-                gamma = Homomorphism(A.group, B.group, mapping)
-                return cat2_morphism(A, B, gamma, swapped)
-    return None
-
-
-# -- cat^n ---------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CatNGroup:
-    """A group with n pairwise-independent cat1 structures, stored alone."""
-
-    structures: tuple[Cat1Group, ...]
-
-    def __post_init__(self) -> None:
-        if not self.structures:
-            raise GroupError("a cat^n-group needs at least one structure")
-        if any(c.group is not self.group for c in self.structures):
-            raise GroupError("all structures must live on the same group")
-
-    @property
-    def group(self) -> GroupTable:
-        return self.structures[0].group
-
-    @property
-    def higher_dimension(self) -> int:
-        return len(self.structures) + 1
-
-    def face(self, i: int, j: int) -> Cat2Group:
-        """The cat2-group on structures i and j (1-based)."""
-        return cat2_group(self.structures[i - 1], self.structures[j - 1])
-
-    def front(self) -> Cat2Group:
-        return self.face(1, 2)
-
-
-def catn_group(structures: Sequence[Cat1Group]) -> CatNGroup:
-    C = CatNGroup(tuple(structures))
-    # swapping the structures permutes the four identities: test i < j only
-    for i, a in enumerate(C.structures):
-        for j, b in enumerate(C.structures[i + 1:], i + 1):
-            _require((_commutation_check(a, b),),
-                     f"structures {i + 1} and {j + 1} do not commute")
-    return C

@@ -10,10 +10,10 @@ is their composition as functions.
 Every homomorphism search extends generator images through one numpy
 kernel, :func:`_hom_blocks`, which checks a block of image tuples at a time
 against every edge of the right Cayley graph, in int16 for every target of
-order up to 181.  The tables of permutation groups, of Aut(G) and of dense
-products are filled along a spanning tree of the same graph
-(:func:`_spanning_tree`).  Every checked table passes Light's
-test, and its stated generators must generate it.
+order up to 181.  The tables of permutation groups and of dense products
+are filled along a spanning tree of the same graph (:func:`_spanning_tree`).
+Every checked table passes Light's test, and its stated generators must
+generate it.
 
 One rule holds in every module: values and dataclasses check shapes, and
 reports and certifying factories check axioms.  :class:`Homomorphism` and
@@ -27,9 +27,9 @@ read-only, and object lists are built from the arrays on each call.
 
 Aut(G) acts through one lookup, :func:`_code_positions`, which finds moved
 codes or rows among sorted ones and checks that they are a permutation of
-them, and one orbit routine, :func:`_orbit_labels`; the generator closure,
-the Aut(G) table and the cat1 and cat2 classifiers share them.  The closure
-codes each automorphism by its index in the End(G) enumeration.
+them, and one orbit routine, :func:`_orbit_labels`; the generator closure
+and the cat1 and cat2 classifiers share them.  The closure codes each
+automorphism by its index in the End(G) enumeration.
 """
 
 from __future__ import annotations
@@ -483,11 +483,6 @@ def normality_witness(G: GroupTable, S: Subgroup) -> Optional[tuple[int, int]]:
     return None
 
 
-def commutator_subgroup(G: GroupTable, A: Subgroup, B: Subgroup) -> Subgroup:
-    comms = {G.comm(a, b) for a in A.members for b in B.members}
-    return subgroup_generated(G, comms)
-
-
 @_memo
 def _subgroup_group(G: GroupTable, members: tuple[int, ...]) -> tuple[DenseGroup, Mapping[int, int]]:
     """The group of ``members`` and the read-only position of each member in
@@ -547,9 +542,6 @@ class Homomorphism:
 
 def identity_hom(G: GroupTable) -> Homomorphism:
     return Homomorphism(G, G, tuple(G.elements()))
-
-def trivial_hom(G: GroupTable, H: GroupTable) -> Homomorphism:
-    return Homomorphism(G, H, (0,) * G.order)
 
 
 def compose(f: Homomorphism, g: Homomorphism) -> Homomorphism:
@@ -666,17 +658,8 @@ def _order_candidates(G: GroupTable, H: GroupTable, fits) -> list[list[int]]:
 
 def _hom_candidates(G: GroupTable, H: GroupTable) -> list[list[int]]:
     """Per generator g of G, the h in H whose order divides that of g: the
-    candidates of :func:`all_homomorphisms`, of the End(G) pass and of the
-    codes of the Aut(G) closure."""
+    candidates of the End(G) pass and of the codes of the Aut(G) closure."""
     return _order_candidates(G, H, lambda og, oh: og % oh == 0)
-
-
-def all_homomorphisms(G: GroupTable, H: GroupTable) -> list[Homomorphism]:
-    """Complete duplicate-free list, lexicographic on the mapping arrays."""
-    require_dense(G), require_dense(H)
-    maps = sorted(tuple(row) for M in _hom_blocks(G, H, _hom_candidates(G, H))
-                  for row in M.tolist())
-    return [Homomorphism(G, H, m) for m in maps]
 
 
 @_memo
@@ -753,44 +736,6 @@ def _orbit_labels(n: int, perms) -> np.ndarray:
             break
     label.flags.writeable = False
     return label
-
-
-@_memo
-def automorphism_group_as_table(G: GroupTable) -> tuple[DenseGroup, tuple[tuple[int, ...], ...]]:
-    """Aut(G) as a dense group under composition, plus its element maps.
-
-    Element k of the returned group is the k-th automorphism in canonical
-    (lexicographic) order; the identity map sorts first, so index 0 is the
-    group identity.  Raises :class:`TooLargeError` above :data:`DENSE_CAP`
-    automorphisms, before any table is built.  Only the products a o g by
-    the :func:`automorphism_generators` g are found, for all a at once, by
-    :func:`_code_positions` on whole rows; :func:`_table_from_right` fills
-    the rest of the table from them.
-    """
-    require_dense(G)
-    A = _endomorphism_maps(G)[1]
-    if len(A) > DENSE_CAP:
-        raise TooLargeError(f"Aut({G.label}) has order {len(A)}, above the dense cap {DENSE_CAP}")
-    gens = automorphism_generators(G)
-    right = np.empty((len(A), len(gens)), dtype=np.intp)
-    for e, g in enumerate(gens):
-        right[:, e] = _code_positions(A, A[:, g], "composing automorphisms left Aut(G)")
-    label = f"Aut({G.label})"
-    return (DenseGroup(_table_from_right(right.tolist(), label), label, check=False),
-            tuple(map(tuple, A.tolist())))
-
-
-def inner_automorphism_indices(G: GroupTable) -> tuple[int, ...]:
-    """Positions of the conjugation maps inside :func:`automorphism_group`."""
-    require_dense(G)
-    return tuple(sorted(set(_inner_automorphisms(G))))
-
-
-@_memo
-def _inner_automorphisms(G: GroupTable) -> tuple[int, ...]:
-    """Entry g: the row of conjugation by g in the automorphism array."""
-    where = {m: i for i, m in enumerate(map(tuple, _endomorphism_maps(G)[1].tolist()))}
-    return tuple(where[tuple(G.conj(g, x) for x in G.elements())] for g in G.elements())
 
 
 @_memo
@@ -876,11 +821,6 @@ class GroupAction:
                                  f"row {self.perms.index(p)} {what}")
 
 
-def trivial_action(actor: GroupTable, space: GroupTable) -> GroupAction:
-    ident = tuple(space.elements())
-    return GroupAction(actor, space, (ident,) * actor.order)
-
-
 def action_by_hom(f: Homomorphism, base: GroupAction) -> GroupAction:
     """Pull a ``base`` action back along ``f`` into ``f.source``.
 
@@ -944,37 +884,6 @@ def semidirect_product(S: GroupTable, R: GroupTable, act: GroupAction,
     """
     G = SemidirectGroup(S, R, act, label)
     return as_dense(G) if G.order <= DENSE_CAP else G
-
-
-def direct_product(A: GroupTable, B: GroupTable,
-                   label: Optional[str] = None) -> GroupTable:
-    """A x B on the pair indices a * |B| + b: :func:`semidirect_product`
-    with the trivial action, realized the same way."""
-    return semidirect_product(A, B, trivial_action(B, A), label or f"({A.label} x {B.label})")
-
-
-def product_hom(f1: Homomorphism, f2: Homomorphism, source: GroupTable,
-                target: GroupTable) -> Homomorphism:
-    """f1 x f2 : (x1, x2) -> (f1(x1), f2(x2)) from ``source``, the
-    :func:`direct_product` of the factor sources, to ``target``, that of the
-    factor targets.  A product of homomorphisms is one."""
-    n2 = f2.target.order
-    if (source.order, target.order) != (f1.source.order * f2.source.order, f1.target.order * n2):
-        raise GroupError("source and target must be the products of the factors' groups")
-    return Homomorphism(source, target, tuple(a * n2 + b for a in f1.mapping for b in f2.mapping))
-
-
-def product_action(a1: GroupAction, a2: GroupAction, actor: GroupTable,
-                   space: GroupTable) -> GroupAction:
-    """(p1, p2) |> (x1, x2) = (p1 |> x1, p2 |> x2) of ``actor`` on ``space``,
-    the :func:`direct_product` of the factor actors and of the factor spaces.
-    A product of actions is one."""
-    n2 = a2.space.order
-    if ((actor.order, space.order)
-            != (a1.actor.order * a2.actor.order, a1.space.order * n2)):
-        raise GroupError("actor and space must be the products of the factors' groups")
-    return GroupAction(actor, space, tuple(
-        tuple(x * n2 + y for x in q1 for y in q2) for q1 in a1.perms for q2 in a2.perms))
 
 
 # ---------------------------------------------------------------------------

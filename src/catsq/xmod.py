@@ -1,17 +1,17 @@
-"""Crossed modules of groups: the two axioms, standard constructions, morphisms.
+"""Crossed modules of groups, and the package's one check mechanism.
 
 A crossed module is a boundary S -> R together with an explicit action of R on
-S satisfying equivariance and the Peiffer identity.
+S satisfying equivariance and the Peiffer identity; :func:`_xmod_axioms`
+reports both for the five edge crossed modules of a crossed square.
 
-This module holds the package's one check mechanism.  Values and dataclasses
-check shapes; reports and certifying factories check axioms.  A report
-(``is_crossed_module``, ``is_cat1_group``, ``is_cat2_group``,
+Values and dataclasses check shapes; reports and certifying factories check
+axioms.  A report (``is_cat1_group``, ``is_cat2_group``,
 ``is_crossed_square``) is a :class:`ValidityReport` of :class:`AxiomCheck`
 lines, starting with one line per map and action from :func:`is_homomorphism`
-and :func:`is_action`.  A certifying factory raises through :func:`_require`
-with the name and witness of the first failing line.  ``is_cat1_group`` is
-memoized on its group, keyed on both maps, and ``cat1_group`` raises from
-that memoized report; the other reports are computed on each call.
+and :func:`is_action`.  A certifying factory (``cat2_group``,
+``crossed_square``) raises through :func:`_require` with the name and
+witness of the first failing line.  ``is_cat1_group`` is memoized on its
+group, keyed on both maps; the other reports are computed on each call.
 """
 
 from __future__ import annotations
@@ -20,22 +20,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .groups import (
-    GroupAction,
-    GroupError,
-    GroupTable,
-    Homomorphism,
-    Subgroup,
-    _inner_automorphisms,
-    automorphism_group_as_table,
-    conjugation_action,
-    direct_product,
-    inclusion_hom,
-    kernel_of,
-    product_action,
-    product_hom,
-    trivial_hom,
-)
+from .groups import GroupAction, GroupError, GroupTable, Homomorphism
 
 
 @dataclass(frozen=True)
@@ -116,7 +101,8 @@ def _map_lines(maps: Iterable[tuple[str, Homomorphism]],
 
 @dataclass(frozen=True)
 class CrossedModule:
-    """Boundary ``S -> R`` with an action of R on S (axioms via factories)."""
+    """Boundary ``S -> R`` with an action of R on S; :func:`_xmod_axioms`
+    reports the axioms."""
 
     source: GroupTable
     range_: GroupTable
@@ -129,18 +115,8 @@ class CrossedModule:
         if self.action.actor is not self.range_ or self.action.space is not self.source:
             raise GroupError("the action must be of the range on the source")
 
-    def act(self, r: int, s: int) -> int:
-        return self.action.perms[r][s]
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"[{self.source.label}->{self.range_.label}]"
-
-
-def is_crossed_module(X: CrossedModule) -> ValidityReport:
-    """Per-axiom report: the boundary and action lines, then equivariance and
-    the Peiffer identity, exhaustively."""
-    lines = _map_lines([("boundary", X.boundary)], [("action", X.action)])
-    return ValidityReport(lines + _xmod_axioms(X))
 
 
 def _xmod_axioms(X: CrossedModule) -> tuple[AxiomCheck, AxiomCheck]:
@@ -151,102 +127,3 @@ def _xmod_axioms(X: CrossedModule) -> tuple[AxiomCheck, AxiomCheck]:
                                    if b[act[r][s]] != R.conj(r, b[s]))),
             _line("peiffer", ((s1, s2) for s2 in Ss for s1 in Ss
                               if act[b[s2]][s1] != S.conj(s2, s1))))
-
-
-def crossed_module(source: GroupTable, range_: GroupTable, boundary: Homomorphism,
-                   action: GroupAction) -> CrossedModule:
-    X = CrossedModule(source, range_, boundary, action)
-    _require(is_crossed_module(X).checks, "not a crossed module")
-    return X
-
-
-# -- standard constructions ---------------------------------------------------
-
-
-def conjugation_xmod(N: Subgroup, R: GroupTable) -> CrossedModule:
-    """Inclusion of a normal subgroup with the conjugation action."""
-    if N.parent is not R:
-        raise GroupError("the subgroup must live inside the given range group")
-    act = conjugation_action(R, N)  # raises naming a witness if not normal
-    return crossed_module(act.space, R, inclusion_hom(N), act)
-
-
-def automorphism_xmod(S: GroupTable) -> CrossedModule:
-    """S -> Aut(S) sending s to conjugation by s, acting by application."""
-    A, maps = automorphism_group_as_table(S)
-    boundary = Homomorphism(S, A, _inner_automorphisms(S))
-    return crossed_module(S, A, boundary, GroupAction(A, S, maps))
-
-
-def zero_boundary_xmod(M: GroupTable, P: GroupTable, act: GroupAction) -> CrossedModule:
-    """Trivial boundary over an abelian module."""
-    if not M.is_abelian():
-        raise GroupError("a zero-boundary crossed module needs an abelian source")
-    if act.actor is not P or act.space is not M:
-        raise GroupError("the action must be of P on M")
-    return crossed_module(M, P, trivial_hom(M, P), act)
-
-
-def central_extension_xmod(f: Homomorphism) -> CrossedModule:
-    """Surjection with central kernel; r acts by conjugation with its least
-    preimage.  The kernel is central, so any other preimage gives the same
-    action."""
-    S, R = f.source, f.target
-    if len(set(f.mapping)) != R.order:
-        raise GroupError("central extension boundary must be surjective")
-    centre = set(S.center())
-    for k in kernel_of(f).members:
-        if k not in centre:
-            raise GroupError(f"kernel element {k} is not central in the source")
-    picks: dict[int, int] = {}
-    for x in S.elements():
-        picks.setdefault(f.mapping[x], x)
-    perms = tuple(
-        tuple(S.conj(picks[r], s) for s in S.elements()) for r in R.elements()
-    )
-    return crossed_module(S, R, f, GroupAction(R, S, perms))
-
-
-def direct_product_xmod(X1: CrossedModule, X2: CrossedModule) -> CrossedModule:
-    """Componentwise product, checked by :func:`crossed_module`."""
-    S = direct_product(X1.source, X2.source)
-    R = direct_product(X1.range_, X2.range_)
-    return crossed_module(S, R, product_hom(X1.boundary, X2.boundary, S, R),
-                          product_action(X1.action, X2.action, R, S))
-
-
-# -- morphisms ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class XModMorphism:
-    source: CrossedModule
-    target: CrossedModule
-    sigma: Homomorphism
-    rho: Homomorphism
-
-    def __post_init__(self) -> None:
-        if self.sigma.source is not self.source.source or self.sigma.target is not self.target.source:
-            raise GroupError("sigma must map source groups")
-        if self.rho.source is not self.source.range_ or self.rho.target is not self.target.range_:
-            raise GroupError("rho must map range groups")
-
-
-def is_xmod_morphism(m: XModMorphism) -> ValidityReport:
-    """Per-axiom report: the sigma and rho lines, then the boundary square
-    and the compatibility of the actions."""
-    X1, X2 = m.source, m.target
-    sig, rho = m.sigma.mapping, m.rho.mapping
-    b1, b2 = X1.boundary.mapping, X2.boundary.mapping
-    a1, a2, Ss = X1.action.perms, X2.action.perms, X1.source.elements()
-    return ValidityReport(_map_lines([("sigma", m.sigma), ("rho", m.rho)]) + (
-        _line("boundary-square", ((s,) for s in Ss if b2[sig[s]] != rho[b1[s]])),
-        _line("action-compatibility", ((r, s) for r in X1.range_.elements() for s in Ss
-                                       if sig[a1[r][s]] != a2[rho[r]][sig[s]]))))
-
-
-def xmod_morphism(source: CrossedModule, target: CrossedModule,
-                  sigma: Homomorphism, rho: Homomorphism) -> XModMorphism:
-    m = XModMorphism(source, target, sigma, rho)
-    _require(is_xmod_morphism(m).checks, "not a crossed module morphism")
-    return m

@@ -1,5 +1,5 @@
-"""Crossed squares: the five axioms, standard constructions, transposition,
-and the equivalence with cat2-groups in both directions.
+"""Crossed squares: the five axioms, the square of two normal subgroups, and
+the equivalence with cat2-groups in both directions.
 
 A square holds four groups L (up-left), M (up-right), N (down-left),
 P (down-right), boundaries kappa: L->M, lambda: L->N, mu: M->P, nu: N->P,
@@ -13,8 +13,9 @@ Values and dataclasses check shapes; reports and certifying factories check
 axioms.  :class:`CrossedSquare` checks that its maps, actions and pairing
 fit its corners.  :func:`is_crossed_square` reports the seven map and action
 lines (kappa, lambda, mu, nu, actl, actm, actn), then the axioms.  Data is
-validated where it enters: :func:`crossed_square` (and every construction
-built on it) requires every line and returns a :class:`ValidCrossedSquare`.
+validated where it enters: :func:`crossed_square` (and
+:func:`crossed_square_by_normal_subgroups`, built on it) requires every line
+and returns a :class:`ValidCrossedSquare`.
 The two equivalence functors rely on the theorem XSq ~ Cat2 instead of
 checking their output: :func:`crossed_square_of_cat2` certifies an input
 that is not a :class:`Cat2Group` by :func:`cat2_group` and returns a
@@ -33,25 +34,17 @@ from .groups import (
     GroupTable,
     Homomorphism,
     Subgroup,
-    _inner_automorphisms,
     _subgroup_group,
     action_by_hom,
-    automorphism_group_as_table,
     compose,
     conjugation_action,
-    direct_product,
     identity_hom,
     inclusion_hom,
-    inner_automorphism_indices,
     intersection,
     kernel_of,
-    product_action,
-    product_hom,
     restrict_hom,
     semidirect_product,
     sub_conjugation_action,
-    trivial_action,
-    trivial_hom,
 )
 from .xmod import CrossedModule, ValidityReport, _line, _map_lines, _require, _xmod_axioms
 from .cat1 import Cat1Group
@@ -90,9 +83,6 @@ class CrossedSquare:
         if len(self.pairing) != M.order or any(len(r) != N.order for r in self.pairing):
             raise GroupError("the pairing table must be |M| x |N|")
 
-    def pair(self, m: int, n: int) -> int:
-        return self.pairing[m][n]
-
     @property
     def diagonal(self) -> Homomorphism:
         return compose(self.mu, self.kappa)
@@ -108,10 +98,10 @@ class CrossedSquare:
 
 
 class ValidCrossedSquare(CrossedSquare):
-    """A crossed square whose axioms were all checked, the image of a
-    cat2-group, or the product or transpose of such squares; build it
-    through :func:`crossed_square`, :func:`crossed_square_of_cat2`,
-    :func:`direct_product_xsq` or :func:`transpose_xsq`, never directly."""
+    """A crossed square whose axioms were all checked, or the image of a
+    cat2-group: built by :func:`crossed_square` or
+    :func:`crossed_square_of_cat2`, or from such squares by a construction
+    whose output is a crossed square by theorem."""
 
 
 # -- axiom checking ------------------------------------------------------------
@@ -184,7 +174,7 @@ def _certify(X: CrossedSquare) -> None:
         _require(is_crossed_square(X).checks, "not a crossed square")
 
 
-# -- standard constructions -----------------------------------------------------
+# -- the square of two normal subgroups ----------------------------------------
 
 
 def crossed_square_by_normal_subgroups(L: Subgroup, M: Subgroup, N: Subgroup,
@@ -208,91 +198,6 @@ def crossed_square_by_normal_subgroups(L: Subgroup, M: Subgroup, N: Subgroup,
         inclusion_hom(M), inclusion_hom(N),
         act_l, act_m, act_n, pairing,
     )
-
-
-def actor_crossed_square(M: GroupTable) -> CrossedSquare:
-    """The square M -> Inn M (twice) -> Aut M with commutator pairing."""
-    A, maps = automorphism_group_as_table(M)
-    inner = Subgroup(A, inner_automorphism_indices(M))
-    Ig, ipos = _subgroup_group(A, inner.members)
-    alpha = Homomorphism(M, Ig, tuple(ipos[a] for a in _inner_automorphisms(M)))
-    iota = inclusion_hom(inner)
-    act_l = GroupAction(A, M, maps)
-    act_inn = conjugation_action(A, inner)
-    # the commutator pairing must not depend on the chosen preimages
-    pre: dict[int, list[int]] = {}
-    for m in M.elements():
-        pre.setdefault(alpha.mapping[m], []).append(m)
-    pairing_rows = []
-    for i in range(Ig.order):
-        row = []
-        for j in range(Ig.order):
-            vals = {M.comm(m, m2) for m in pre[i] for m2 in pre[j]}
-            if len(vals) != 1:
-                raise GroupError(
-                    f"commutator pairing ill-defined on inner classes ({i}, {j})")
-            row.append(vals.pop())
-        pairing_rows.append(tuple(row))
-    return crossed_square(M, Ig, Ig, A, alpha, alpha, iota, iota,
-                          act_l, act_inn, act_inn, tuple(pairing_rows))
-
-
-def trivial_action_crossed_square(A: GroupTable, M: GroupTable, N: GroupTable,
-                                  P: GroupTable, act_m: GroupAction,
-                                  act_n: GroupAction) -> CrossedSquare:
-    """Zero boundaries over P-modules, with P acting trivially on A."""
-    for g, what in ((A, "up-left"), (M, "up-right"), (N, "down-left")):
-        if not g.is_abelian():
-            raise GroupError(f"the {what} corner must be abelian")
-    pairing = ((0,) * N.order,) * M.order
-    return crossed_square(
-        A, M, N, P,
-        trivial_hom(A, M), trivial_hom(A, N), trivial_hom(M, P), trivial_hom(N, P),
-        trivial_action(P, A), act_m, act_n, pairing,
-    )
-
-
-def direct_product_xsq(X1: CrossedSquare, X2: CrossedSquare) -> ValidCrossedSquare:
-    """Componentwise product of two crossed squares.
-
-    A factor that is not a :class:`ValidCrossedSquare` is checked first by
-    :func:`_certify`.  A product of crossed squares is one, so the
-    product is certified without running the checker.
-    """
-    _certify(X1)
-    _certify(X2)
-    L = direct_product(X1.up_left, X2.up_left)
-    M = direct_product(X1.up_right, X2.up_right)
-    N = direct_product(X1.down_left, X2.down_left)
-    P = direct_product(X1.down_right, X2.down_right)
-    l2 = X2.up_left.order
-    # the pairing of (m1, m2) and (n1, n2) is (m1 |x| n1, m2 |x| n2)
-    pairing = tuple(tuple(a * l2 + b for a in row1 for b in row2)
-                    for row1 in X1.pairing for row2 in X2.pairing)
-    return ValidCrossedSquare(
-        L, M, N, P,
-        product_hom(X1.kappa, X2.kappa, L, M), product_hom(X1.lambda_, X2.lambda_, L, N),
-        product_hom(X1.mu, X2.mu, M, P), product_hom(X1.nu, X2.nu, N, P),
-        product_action(X1.act_l, X2.act_l, P, L), product_action(X1.act_m, X2.act_m, P, M),
-        product_action(X1.act_n, X2.act_n, P, N), pairing)
-
-
-def transpose_xsq(X: CrossedSquare) -> ValidCrossedSquare:
-    """Swap M and N; the new pairing is (n, m) -> (m |x| n)^-1.
-
-    An input that is not a :class:`ValidCrossedSquare` is checked first by
-    :func:`_certify`.  The transpose of a crossed square is one, so
-    the result is certified without running the checker.
-    """
-    _certify(X)
-    L = X.up_left
-    pairing = tuple(
-        tuple(L.inv(X.pairing[m][n]) for m in range(X.up_right.order))
-        for n in range(X.down_left.order)
-    )
-    return ValidCrossedSquare(L, X.down_left, X.up_right, X.down_right,
-                              X.lambda_, X.kappa, X.nu, X.mu,
-                              X.act_l, X.act_n, X.act_m, pairing)
 
 
 # -- the equivalence with cat2-groups -------------------------------------------

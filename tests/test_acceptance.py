@@ -36,7 +36,6 @@ import pytest
 from catsq import catalog, cat2
 from catsq.groups import (
     _endomorphism_maps,
-    all_homomorphisms,
     automorphism_generators,
     automorphism_group,
     group_from_permutation_generators,
@@ -44,18 +43,9 @@ from catsq.groups import (
     identity_hom,
     isomorphism_between,
     subgroup_generated,
-    trivial_hom,
 )
-from catsq.cat1 import (
-    _cat1_pairs,
-    all_cat1_groups,
-    cat1_group,
-    cat1_isomorphism_classes,
-    cat1_of_xmod,
-    xmod_of_cat1,
-)
+from catsq.cat1 import _cat1_pairs, all_cat1_groups, cat1_isomorphism_classes
 from catsq.cat2 import (
-    all_cat2_group_morphisms,
     all_cat2_groups,
     cat2_group,
     cat2_isomorphism_classes,
@@ -64,13 +54,15 @@ from catsq.cat2 import (
     non_cat1_diagonal_count,
 )
 from catsq.tables import HEAVY_KEYS, expected_bad_diagonals, expected_counts
-from catsq.xmod import automorphism_xmod, conjugation_xmod
 from catsq.xsq import (
     cat2_of_crossed_square,
     crossed_square_by_normal_subgroups,
     crossed_square_of_cat2,
     is_crossed_square,
 )
+from constructions import (all_cat2_group_morphisms, all_homomorphisms, automorphism_xmod,
+                           cat1_group, cat1_of_xmod, conjugation_xmod, trivial_hom,
+                           xmod_of_cat1)
 from test_cat2 import oracle_bad_diagonals, oracle_representative_partners, representative_partners
 from test_groups import (end_map_tuples, fresh_copy, hom_by_images, normal_subgroups,
                          oracle_aut_generators, oracle_end_maps)

@@ -6,27 +6,24 @@ import numpy as np
 import pytest
 
 from catsq import catalog, cat2
-from catsq.groups import (GroupError, Homomorphism, _endomorphism_maps, compose,
-                          direct_product, identity_hom, trivial_hom)
+from catsq.groups import GroupError, Homomorphism, _endomorphism_maps, compose, identity_hom
 from catsq.serialize import emit_cat2, parse_cat2
 from catsq.tables import HEAVY_KEYS
-from catsq.cat1 import (Classification, PreCat1Group, _cat1_pairs, all_cat1_groups, cat1_group,
-                        cat1_isomorphism_classes, pre_cat1_by_endomorphisms)
+from catsq.cat1 import (Classification, PreCat1Group, _cat1_pairs, all_cat1_groups,
+                        cat1_isomorphism_classes)
 from catsq.cat2 import (
-    CatNGroup,
     PreCat2Group,
-    all_cat2_group_morphisms,
     all_cat2_groups,
     cat2_group,
     cat2_isomorphism_classes,
     cat2_pair_indices,
-    catn_group,
     diagonal_pre_cat1,
     is_cat2_group,
-    isomorphism_cat2_groups,
     non_cat1_diagonal_count,
-    pre_cat2_group,
 )
+from constructions import (all_cat2_group_morphisms, cat1_group, direct_product,
+                           isomorphism_cat2_groups, pre_cat1_by_endomorphisms, pre_cat2_group,
+                           trivial_hom)
 from test_groups import LIGHT_KEYS, fresh_copy, hom_by_images
 
 
@@ -76,22 +73,16 @@ def test_pre_cat2_on_two_groups_raises_at_construction(d8):
     for build in (PreCat2Group, pre_cat2_group, cat2_group):
         with pytest.raises(GroupError, match="^both structures must live on the same group$"):
             build(ident, elsewhere)
-    with pytest.raises(GroupError, match="^all structures must live on the same group$"):
-        CatNGroup((ident, elsewhere))
-    with pytest.raises(GroupError, match="^a cat\\^n-group needs at least one structure$"):
-        CatNGroup(())
 
 
 def test_structures_store_only_their_defining_maps(d8):
-    """The group, the ranges and the cat^n group are read off the maps."""
+    """The group and the ranges are read off the maps."""
     assert [f.name for f in dataclasses.fields(PreCat1Group)] == ["tail", "head"]
     assert [f.name for f in dataclasses.fields(PreCat2Group)] == ["c1", "c2"]
-    assert [f.name for f in dataclasses.fields(CatNGroup)] == ["structures"]
     ident = cat1_group(identity_hom(d8), identity_hom(d8))
     C = cat2_group(ident, ident)
     assert C.group is ident.group is d8
     assert (C.r1, C.r2) == (ident.range_, ident.range_)
-    assert catn_group([ident, ident]).group is d8
 
 
 def test_commutation_witness_failure():
@@ -253,32 +244,6 @@ def test_morphisms_basics(d8):
     assert any(m.gamma.mapping == tuple(d8.elements()) for m in self_mors)
 
 
-def test_catn_group():
-    G, C1a, C1b = session_16_3()
-    C1c = cat1_group(identity_hom(G), identity_hom(G))
-    C3 = catn_group([C1a, C1b, C1c])
-    assert C3.higher_dimension == 4
-    front = C3.front()
-    assert front.key() == cat2_group(C1a, C1b).key()
-    face13 = C3.face(1, 3)
-    assert face13.size == (16, 2, 16, 2)
-    single = catn_group([C1a])
-    assert single.higher_dimension == 2
-    # a violating triple is rejected with the offending pair named
-    s3 = catalog.small_group(6, 1)
-    bad = [c for c in all_cat1_groups(s3)]
-    bad_pair = None
-    for i in range(len(bad)):
-        for j in range(len(bad)):
-            if next(cat2._noncommuting(bad[i], bad[j]), None) is not None:
-                bad_pair = [bad[i], bad[j]]
-                break
-        if bad_pair:
-            break
-    with pytest.raises(GroupError, match="structures 1 and 2"):
-        catn_group(bad_pair)
-
-
 def test_diagonal_census_examples():
     assert non_cat1_diagonal_count(catalog.small_group(8, 3)) == 1
     assert non_cat1_diagonal_count(catalog.small_group(8, 2)) == 0
@@ -417,7 +382,7 @@ def test_diagonal_of_a_parsed_pre_cat2_names_the_failing_line():
 
 def test_pre_cat2_accepts_pre_cat1_pairs():
     # the zero pre-cat1 on Q8 commutes with itself but fails eq-style cat1
-    from catsq.cat1 import pre_cat1_by_endomorphisms, is_cat1_group
+    from catsq.cat1 import is_cat1_group
 
     q8 = catalog.small_group(8, 4)
     z = trivial_hom(q8, q8)

@@ -78,3 +78,37 @@ def test_identify_rejects_large_groups():
     c31 = group_from_permutation_generators([[tuple(range(1, 32))]], "C31")
     with pytest.raises(catalog.CatalogKeyError, match="outside the catalog"):
         catalog.identify_group(c31)
+
+
+def _table_properties(G):
+    """(involutions, centre order, set of element orders) of ``G``, read off
+    its multiplication table alone."""
+    T = G.table
+    n = len(T)
+
+    def order(x):
+        k, y = 1, x
+        while y != 0:
+            y, k = T[y][x], k + 1
+        return k
+
+    involutions = sum(1 for x in range(1, n) if T[x][x] == 0)
+    centre = sum(1 for x in range(n) if all(T[x][y] == T[y][x] for y in range(n)))
+    return involutions, centre, {order(x) for x in range(n)}
+
+
+def test_keys_with_equal_rows_are_told_apart_by_structure():
+    """20/1 and 20/3, and 24/1 and 24/4, have equal reference rows and equal
+    computed rows, so only their names tell them apart.  The SmallGroups
+    numbering (Besche, Eick and O'Brien) gives each a property that the
+    other lacks: Q20 and Q24 are dicyclic, with one involution; the
+    Frobenius group C5 : C4 has a trivial centre; C3 : C8 has an element of
+    order 8."""
+    assert expected_counts(20, 1) == expected_counts(20, 3)
+    assert expected_counts(24, 1) == expected_counts(24, 4)
+    props = {key: _table_properties(catalog.small_group(*key))
+             for key in ((20, 1), (20, 3), (24, 1), (24, 4))}
+    assert props[20, 1][:2] == (1, 2)  # Q20
+    assert props[20, 3][:2] == (5, 1)  # C5 : C4
+    assert 8 in props[24, 1][2]  # C3 : C8
+    assert props[24, 4][0] == 1 and 8 not in props[24, 4][2]  # Q24

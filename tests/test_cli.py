@@ -11,10 +11,11 @@ from catsq import catalog, cat2
 from catsq.cat1 import all_cat1_groups
 from catsq.cat2 import all_cat2_groups
 from catsq.cli import main
-from catsq.groups import idempotent_endomorphisms, trivial_action
+from catsq.groups import idempotent_endomorphisms
 from catsq.serialize import emit_cat1, emit_cat2, emit_xsq
 from catsq.tables import HEAVY_KEYS
-from catsq.xsq import crossed_square_of_cat2, trivial_action_crossed_square
+from catsq.xsq import crossed_square_of_cat2
+from constructions import trivial_action, trivial_action_crossed_square
 
 
 def run_cli(*args):

@@ -20,19 +20,15 @@ from catsq.groups import (
     TooLargeError,
     _hom_blocks,
     _memo,
-    all_homomorphisms,
     as_dense,
     automorphism_generators,
     automorphism_group,
-    commutator_subgroup,
     compose,
     conjugation_action,
-    direct_product,
     group_from_permutation_generators,
     idempotent_endomorphisms,
     identity_hom,
     image_of,
-    inner_automorphism_indices,
     isomorphism_between,
     kernel_of,
     normality_witness,
@@ -41,11 +37,11 @@ from catsq.groups import (
     semidirect_product,
     sub_conjugation_action,
     subgroup_generated,
-    trivial_action,
-    trivial_hom,
 )
 from catsq.tables import HEAVY_KEYS
 from catsq.xmod import is_homomorphism
+from constructions import (all_homomorphisms, commutator_subgroup, direct_product,
+                          inner_automorphism_indices, trivial_action, trivial_hom)
 
 
 # -- the per-tuple closure that the batched End(G) kernel replaced -------------

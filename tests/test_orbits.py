@@ -24,6 +24,7 @@ from catsq.cat1 import (
 from catsq.cat2 import cat2_isomorphism_classes, cat2_pair_indices
 from catsq.groups import (GroupError, automorphism_generators, automorphism_group,
                           idempotent_endomorphisms)
+import constructions
 from test_groups import LIGHT_KEYS, fresh_copy
 
 
@@ -184,7 +185,7 @@ def test_automorphism_products_stay_in_the_automorphism_array(monkeypatch):
     # it as its first generator, and (4 7) o x leaves the array on the
     # generator columns for some automorphism x
     rows = np.vstack([A[:1], swap, A[1:]])
-    for stage in (automorphism_generators, groups.automorphism_group_as_table):
+    for stage in (automorphism_generators, constructions.automorphism_group_as_table):
         with pytest.raises(GroupError, match="composing automorphisms left Aut"):
             stage(planted(rows))
     # a o (5 6) is no automorphism either.  It agrees with a on the
@@ -194,7 +195,7 @@ def test_automorphism_products_stay_in_the_automorphism_array(monkeypatch):
     F = planted(np.vstack([A[:-1], A[-1][[0, 1, 2, 3, 4, 6, 5, 7]]]))
     assert np.array_equal(automorphism_generators(F), gens)
     with pytest.raises(GroupError, match="composing automorphisms left Aut"):
-        groups.automorphism_group_as_table(F)
+        constructions.automorphism_group_as_table(F)
     # a generator image of the wrong order has no index in the End(G)
     # enumeration, so the closure refuses the row while coding it, before
     # any lookup

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from catsq import cache, catalog
 from catsq.cache import CacheMiss, read_group_data, write_group_data
-from catsq.cat1 import cat1_group
 from catsq.cat2 import cat2_group
 from catsq.groups import identity_hom
 from catsq.serialize import (
@@ -23,6 +22,7 @@ from catsq.serialize import (
 )
 from catsq.tables import compute_group_data, group_data
 from catsq.xsq import crossed_square_of_cat2
+from constructions import cat1_group
 from test_groups import hom_by_images
 
 

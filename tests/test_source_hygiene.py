@@ -6,16 +6,16 @@ module-level assigned name is referenced somewhere in the package, only
 dataclass constructor multiplies, only the memo decorator touches a group's
 ``_cache``, no memoized stage is annotated to return a list or a dict, no
 module beyond ``groups`` builds a position dict over ``enumerate``, the
-Aut(G) closure, the Aut(G) table and both classifiers find moved codes or
-rows through the one lookup ``groups._code_positions``, nothing calls
-``searchsorted``, the closure and both classifiers label orbits with the one
-orbit routine ``groups._orbit_labels``, only ``cli.cmd_inspect`` reads a
-classification's ``families``, and no array has a floating-point dtype.
-Every public
-top-level function and class is reached by another unit of the package
-(the ``__init__`` re-exports count) or named in README.md, so that no helper
-lives in ``src/`` for the tests alone, and every function that
-``perfbench/child.py`` traces still exists on its module."""
+Aut(G) closure and both classifiers find moved codes or rows through the one
+lookup ``groups._code_positions``, nothing calls ``searchsorted``, the
+closure and both classifiers label orbits with the one orbit routine
+``groups._orbit_labels``, only ``cli.cmd_inspect`` reads a classification's
+``families``, and no array has a floating-point dtype.
+Every public top-level function and class is read by a reached unit of the
+package or by the benchmark, so that no helper lives in ``src/`` for the
+tests alone; every identifier that README's library overview names is
+defined in the package; and every function that ``perfbench/child.py``
+traces still exists on its module."""
 
 import ast
 import importlib
@@ -209,18 +209,17 @@ def _definitions(word):
 
 
 def test_only_code_positions_searches_sorted_codes():
-    """The Aut(G) closure, the Aut(G) table and both classifiers, and
-    nothing else, find moved codes or rows through the one lookup
-    ``groups._code_positions``, which checks that they are a permutation of
-    the sorted codes; the cat1 orbit maps call it for the idempotents and
-    for the pair codes.  Nothing calls ``searchsorted``."""
+    """The Aut(G) closure and both classifiers, and nothing else, find moved
+    codes or rows through the one lookup ``groups._code_positions``, which
+    checks that they are a permutation of the sorted codes; the cat1 orbit
+    maps call it for the idempotents and for the pair codes.  Nothing calls
+    ``searchsorted``."""
     assert _callers("searchsorted") == []
     assert _definitions("_code_positions") == ["groups.py"]
     assert sorted(_callers("_code_positions")) == ["cat1.py: cat1_structure_orbit_maps",
                                                    "cat1.py: cat1_structure_orbit_maps",
                                                    "cat2.py: cat2_isomorphism_classes",
-                                                   "groups.py: automorphism_generators",
-                                                   "groups.py: automorphism_group_as_table"]
+                                                   "groups.py: automorphism_generators"]
 
 
 def test_one_orbit_routine():
@@ -287,50 +286,83 @@ def test_no_floating_point_dtype():
     assert found == []
 
 
-# Public names that only the tests and perfbench reach, each with its reason.
+def _traced():
+    """The ``(module, function, span)`` triples of ``TRACED`` in
+    ``perfbench/child.py``."""
+    child = ast.parse((ROOT / "perfbench" / "child.py").read_text())
+    return next(ast.literal_eval(node.value) for node in child.body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+
+
+# Public names that nothing reaches, each with its reason.
 UNREACHED_KEPT = {
-    "cat2.py: cat2_pair_indices": "perfbench/child.py traces it as the cat2.pair_scan "
-                                  "span until the benchmark reads stage records from "
-                                  "the library (ROADMAP item 2)",
+    "catalog.py: identify_group": "the class listing and the classifier of given "
+                                  "structures (ROADMAP items 6 and 8) name the corners "
+                                  "and the input group by it",
 }
 
 
 def test_every_public_name_is_reached():
-    """A public top-level function or class is named by a unit of the
-    package other than its own definition, or in README.md; a helper that
-    only the tests call belongs in the tests."""
+    """A public top-level function or class of the package is read by the
+    benchmark (``perfbench/*.py``, or a function that ``TRACED`` wraps) or
+    by a unit of the package that is itself reached.  An import is no read:
+    the importing module must use the name (``test_no_unused_imports``), so
+    ``__init__`` re-exports count for nothing, and neither does README.md.
+    A name read only by unreached units is unreached too, so the search
+    repeats until nothing changes; a helper that only the tests call
+    belongs in ``tests/constructions.py``."""
     readers = {}
     for name, tree in TREES.items():
-        for owner, unit in _units(name, tree):
-            for n in ast.walk(unit):
-                words = ([n.id] if isinstance(n, ast.Name)
-                         else [n.attr] if isinstance(n, ast.Attribute)
-                         else [a.name for a in n.names] if isinstance(n, ast.ImportFrom)
-                         else [])
-                for word in words:
-                    readers.setdefault(word, set()).add(owner)
+        for top in tree.body:
+            if not isinstance(top, (ast.Import, ast.ImportFrom)):
+                for word in _used_names(top):
+                    readers.setdefault(word, set()).add(
+                        f"{name}: {getattr(top, 'name', '<module>')}")
+    benchmark = {fn for _, fn, _ in _traced()}
+    benchmark |= set().union(*(_used_names(ast.parse(path.read_text()))
+                               for path in (ROOT / "perfbench").glob("*.py")))
+    public = {f"{name}: {node.name}": node.name for name, tree in TREES.items()
+              for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in benchmark}
+    unreached = set()
+    while True:
+        found = {own for own, word in public.items() if own not in unreached | set(UNREACHED_KEPT)
+                 and readers.get(word, set()) <= unreached | {own}}
+        if not found:
+            break
+        unreached |= found
+    assert sorted(unreached) == []
+    # each exception is still needed: nothing reached reads it either
+    assert all(readers.get(public[own], set()) <= unreached | {own} for own in UNREACHED_KEPT)
+
+
+def test_readme_overview_names_exist():
+    """Every backticked identifier in the rows of README's "Library
+    overview" table that contains ``_`` or starts with a capital letter is
+    a top-level definition or assignment in ``src/catsq``, so the table
+    cannot name code that has left the package."""
     readme = (ROOT / "README.md").read_text()
-    unreached = []
-    for name, tree in TREES.items():
+    section = readme.split("## Library overview", 1)[1].split("\n## ", 1)[0]
+    rows = "\n".join(line for line in section.splitlines() if line.startswith("|"))
+    named = {word for word in re.findall(r"`([^`]+)`", rows)
+             if re.fullmatch(r"[A-Za-z_]\w*", word) and ("_" in word or word[0].isupper())}
+    defined = set()
+    for tree in TREES.values():
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                own = f"{name}: {node.name}"
-                if not ({r for r in readers.get(node.name, ())
-                         if r != own and not r.startswith(own + ".")}
-                        or re.search(rf"\b{node.name}\b", readme)):
-                    unreached.append(own)
-    assert sorted(unreached) == sorted(UNREACHED_KEPT)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+    assert len(named) > 20 and sorted(named - defined) == []
 
 
 def test_perfbench_traced_functions_exist():
     """A traced benchmark pass (``--trace 1``) wraps each ``(module,
     function)`` of ``TRACED`` in ``perfbench/child.py``; a deleted or
     renamed function would fail only that pass, which tier 1 never starts."""
-    child = ast.parse((ROOT / "perfbench" / "child.py").read_text())
-    traced = next(ast.literal_eval(node.value) for node in child.body
-                  if isinstance(node, ast.Assign)
-                  and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+    traced = _traced()
     missing = [f"catsq.{module}.{fn}" for module, fn, _ in traced
                if not callable(getattr(importlib.import_module(f"catsq.{module}"), fn, None))]
     assert len(traced) > 10 and missing == []

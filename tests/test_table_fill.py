@@ -18,13 +18,11 @@ from catsq.groups import (
     _pcompose,
     as_dense,
     automorphism_group,
-    automorphism_group_as_table,
-    direct_product,
     perm_from_cycles,
     semidirect_product,
     subgroup_generated,
-    trivial_action,
 )
+from constructions import automorphism_group_as_table, direct_product, trivial_action
 from test_groups import verify_group_axioms
 
 # Aut(G) tables are compared for the catalog groups with |Aut(G)| up to this

@@ -1,39 +1,34 @@
 import pytest
 
 from catsq import catalog
-from catsq.cat1 import PreCat1Group, all_cat1_groups, cat1_group, from_general_form, general_form
-from catsq.cat2 import all_cat2_groups, cat2_group, cat2_morphism
+from catsq.cat1 import PreCat1Group, all_cat1_groups
+from catsq.cat2 import all_cat2_groups, cat2_group
 from catsq.serialize import parse_cat1
-from catsq.xsq import crossed_square, trivial_action_crossed_square
+from catsq.xsq import crossed_square
 from catsq.groups import (
     DENSE_CAP,
-    DenseGroup,
     GroupAction,
     GroupError,
     Homomorphism,
     Subgroup,
-    action_by_hom,
     automorphism_group,
-    automorphism_group_as_table,
     identity_hom,
-    isomorphism_between,
     subgroup_generated,
-    trivial_action,
-    trivial_hom,
 )
-from catsq.xmod import (
-    CrossedModule,
+from catsq.xmod import CrossedModule, is_action, is_homomorphism
+from constructions import (
+    automorphism_group_as_table,
     automorphism_xmod,
-    central_extension_xmod,
+    cat1_group,
+    cat2_morphism,
     conjugation_xmod,
     crossed_module,
-    direct_product_xmod,
-    is_action,
+    from_general_form,
+    general_form,
     is_crossed_module,
-    is_homomorphism,
-    is_xmod_morphism,
-    xmod_morphism,
-    zero_boundary_xmod,
+    trivial_action,
+    trivial_action_crossed_square,
+    trivial_hom,
 )
 from test_groups import hom_by_images
 
@@ -88,76 +83,6 @@ def test_automorphism_xmod_boundary_is_conjugation():
     assert checked == 90
 
 
-def test_zero_boundary_xmod():
-    c3, c2 = catalog.small_group(3, 1), catalog.small_group(2, 1)
-    triv = catalog.small_group(1, 1)
-    X = zero_boundary_xmod(c2, triv, trivial_action(triv, c2))
-    assert is_crossed_module(X).ok
-    inv = GroupAction(c2, c3, ((0, 1, 2), (0, 2, 1)))
-    assert is_crossed_module(zero_boundary_xmod(c3, c2, inv)).ok
-    # K4 as an S3-module via the isomorphism S3 = Aut(K4)
-    k4, s3 = catalog.small_group(4, 2), catalog.small_group(6, 1)
-    A, maps = automorphism_group_as_table(k4)
-    f = isomorphism_between(s3, A)
-    act = action_by_hom(f, GroupAction(A, k4, maps))
-    assert is_crossed_module(zero_boundary_xmod(k4, s3, act)).ok
-    with pytest.raises(GroupError, match="abelian"):
-        zero_boundary_xmod(s3, c2, trivial_action(c2, s3))
-
-
-def test_central_extension_xmod(d8):
-    s3 = catalog.small_group(6, 1)
-    ident = identity_hom(s3)
-    X = central_extension_xmod(ident)
-    # identity boundary acts by conjugation
-    assert all(X.act(r, s) == s3.conj(r, s) for r in s3.elements() for s in s3.elements())
-    # C4 -> C2 has abelian source, so the action is trivial
-    c4, c2 = catalog.small_group(4, 1), catalog.small_group(2, 1)
-    f = hom_by_images(c4, c2, [1])
-    X = central_extension_xmod(f)
-    assert all(p == (0, 1, 2, 3) for p in X.action.perms)
-    # the action does not depend on the preimage choice function
-    q8 = catalog.small_group(8, 4)
-    zq = subgroup_generated(q8, [x for x in q8.center() if x != 0])
-    # quotient by the center is K4; build the projection through cosets
-    cosets = []
-    seen = set()
-    for x in q8.elements():
-        if x in seen:
-            continue
-        cs = frozenset(q8.mul(x, n) for n in zq.members)
-        seen |= cs
-        cosets.append(cs)
-    cosets.sort(key=lambda c: (0 not in c, min(c)))
-    pos = {c: i for i, c in enumerate(cosets)}
-    table = [[pos[frozenset(q8.mul(q8.mul(min(ca), min(cb)), n) for n in zq.members)]
-              for cb in cosets] for ca in cosets]
-    k4q = DenseGroup(table, "Q8/Z")
-    f = Homomorphism(q8, k4q, tuple(pos[next(c for c in cosets if x in c)]
-                                    for x in q8.elements()))
-    X = central_extension_xmod(f)
-    assert sum(1 for v in f.mapping if v == 0) == 2
-    largest = {f.mapping[x]: x for x in q8.elements()}  # the last preimage wins
-    assert X.action.perms == tuple(tuple(q8.conj(largest[r], s) for s in q8.elements())
-                                   for r in k4q.elements())
-    assert any(largest[r] != min(x for x in q8.elements() if f.mapping[x] == r)
-               for r in k4q.elements())
-    t = hom_by_images(d8, d8, [d8.generators[0], 0])
-    with pytest.raises(GroupError, match="surjective"):
-        central_extension_xmod(t)
-
-
-def test_direct_product_xmod(d8):
-    X = conjugation_xmod(center_subgroup(d8), d8)
-    triv = conjugation_xmod(Subgroup(catalog.small_group(1, 1), (0,)),
-                            catalog.small_group(1, 1))
-    P = direct_product_xmod(X, triv)
-    assert (P.source.order, P.range_.order) == (2, 8)
-    PP = direct_product_xmod(X, X)
-    assert (PP.source.order, PP.range_.order) == (4, 64)
-    assert is_crossed_module(PP).ok
-
-
 def test_peiffer_failure_has_witness():
     s3 = catalog.small_group(6, 1)
     triv = catalog.small_group(1, 1)
@@ -179,17 +104,6 @@ def test_abelian_central_image_data_is_accepted(d8):
     boundary = hom_by_images(c2, d8, [z])
     X = CrossedModule(c2, d8, boundary, trivial_action(d8, c2))
     assert is_crossed_module(X).ok
-
-
-def test_xmod_morphism_validation(d8):
-    X = conjugation_xmod(center_subgroup(d8), d8)
-    m = xmod_morphism(X, X, identity_hom(X.source), identity_hom(X.range_))
-    assert is_xmod_morphism(m).ok
-    # zero sigma with identity rho breaks the boundary square
-    triv_target = conjugation_xmod(Subgroup(d8, (0,)), d8)
-    with pytest.raises(GroupError, match="boundary-square"):
-        xmod_morphism(X, triv_target, trivial_hom(X.source, triv_target.source),
-                      identity_hom(d8))
 
 
 def test_certifying_factories_name_the_failing_map_line():
@@ -234,9 +148,6 @@ def test_certifying_factories_name_the_failing_map_line():
          "not a crossed module: action is an action fails with witness (1, 1, 1)"),
         (lambda: crossed_module(Y.source, Y.source, bad_sigma, trivial_action(Y.source, Y.source)),
          "not a crossed module: boundary is a homomorphism fails with witness "
-         f"{is_homomorphism(bad_sigma).witness}"),
-        (lambda: xmod_morphism(Y, Y, bad_sigma, identity_hom(s3)),
-         "not a crossed module morphism: sigma is a homomorphism fails with witness "
          f"{is_homomorphism(bad_sigma).witness}"),
         (lambda: crossed_square(square.up_left, square.up_right, square.down_left,
                                 square.down_right, square.kappa, square.lambda_, square.mu,

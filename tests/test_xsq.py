@@ -15,30 +15,30 @@ from catsq.groups import (
     identity_hom,
     intersection,
     subgroup_generated,
-    trivial_action,
-    trivial_hom,
 )
-from catsq.cat1 import cat1_group, pre_cat1_by_endomorphisms
-from catsq.cat2 import (
-    all_cat2_groups,
-    cat2_group,
-    is_cat2_group,
-    pre_cat2_group,
-)
+from catsq.cat2 import all_cat2_groups, cat2_group, is_cat2_group
 from catsq.serialize import emit_cat2, emit_xsq, parse_cat2, parse_xsq
-from catsq.xmod import automorphism_xmod, is_action, is_homomorphism
+from catsq.xmod import is_action, is_homomorphism
 from catsq.xsq import (
     CrossedSquare,
     ValidCrossedSquare,
-    actor_crossed_square,
     cat2_of_crossed_square,
     crossed_square,
     crossed_square_by_normal_subgroups,
     crossed_square_of_cat2,
-    direct_product_xsq,
     is_crossed_square,
+)
+from constructions import (
+    actor_crossed_square,
+    automorphism_xmod,
+    cat1_group,
+    direct_product_xsq,
+    pre_cat1_by_endomorphisms,
+    pre_cat2_group,
     transpose_xsq,
+    trivial_action,
     trivial_action_crossed_square,
+    trivial_hom,
 )
 from test_groups import hom_by_images, normal_subgroups, verify_group_axioms
 
