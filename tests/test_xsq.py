@@ -320,6 +320,57 @@ def test_one_wrong_pairing_entry_in_a_large_square_is_found(c2_7_square, tmp_pat
     assert "axiom2:right: FAIL witness (24, 1, 5)" in out
 
 
+def _edge_witness(L, R, b, acts):
+    """The first failing ("equivariance", r, l) or ("peiffer", l1, l2), in
+    product order, of the edge L -> R with boundary ``b`` and R acting on L
+    by the rows ``acts(r)``; None when both identities hold."""
+    def conj(G, g, x):
+        return G.mul(G.mul(g, x), G.inv(g))
+    for r in R.elements():
+        for l in L.elements():
+            if b[acts(r)[l]] != conj(R, r, b[l]):
+                return ("equivariance", r, l)
+    for l2 in L.elements():
+        for l1 in L.elements():
+            if acts(b[l2])[l1] != conj(L, l2, l1):
+                return ("peiffer", l1, l2)
+    return None
+
+
+def test_pulled_back_edge_witnesses_are_pinned():
+    """The axiom1:kappa and axiom1:lambda edges act on L through mu and nu.
+    In the S3 square with kappa and act_l trivial, M acts trivially through
+    mu, so only Peiffer fails on kappa, and N acts trivially through nu on
+    the bijective lambda, so equivariance fails first on lambda.  In the
+    square of L = M = {0, 1, 4, 6} and N = P = D8 (catalog 8/3), act_l is twisted by an
+    automorphism, so the witnesses depend on which map pulls it back.  Each
+    witness is checked by evaluating the edge directly."""
+    S3 = catalog.small_group(6, 1)
+    whole = Subgroup(S3, tuple(S3.elements()))
+    X = crossed_square_by_normal_subgroups(whole, whole, whole, S3)
+    s3_raw = CrossedSquare(**_fields(X, kappa=trivial_hom(X.up_left, X.up_right),
+                                     act_l=trivial_action(S3, X.up_left)))
+    D8 = catalog.small_group(8, 3)
+    M = Subgroup(D8, (0, 1, 4, 6))
+    X = crossed_square_by_normal_subgroups(M, M, Subgroup(D8, tuple(D8.elements())), D8)
+    twisted = tuple(X.act_l.perms[p] for p in (0, 3, 2, 6, 4, 1, 5, 7))
+    d8_raw = CrossedSquare(**_fields(X, act_l=GroupAction(D8, X.up_left, twisted)))
+    pinned = [(s3_raw, ("peiffer", 2, 1), ("equivariance", 1, 2)),
+              (d8_raw, ("equivariance", 1, 1), ("equivariance", 1, 1))]
+    for raw, kappa_witness, lambda_witness in pinned:
+        L, mu, nu, al = raw.up_left, raw.mu.mapping, raw.nu.mapping, raw.act_l.perms
+        assert _edge_witness(L, raw.up_right, raw.kappa.mapping,
+                             lambda m: al[mu[m]]) == kappa_witness
+        assert _edge_witness(L, raw.down_left, raw.lambda_.mapping,
+                             lambda n: al[nu[n]]) == lambda_witness
+        checks = is_crossed_square(raw).checks
+        assert all(c.ok for c in checks[:7])  # the seven map and action lines
+        report = {c.name: c for c in checks}
+        assert (report["axiom1:kappa"].ok, report["axiom1:kappa"].witness) == (False, kappa_witness)
+        assert (report["axiom1:lambda"].ok, report["axiom1:lambda"].witness) == (False, lambda_witness)
+        assert report["axiom1:mu"].ok and report["axiom1:nu"].ok
+
+
 def test_inclusion_square_property_sweep():
     """Axioms hold for every normal pair drawn from small catalog groups."""
     for order, gid in catalog.catalog_keys():
