@@ -70,9 +70,6 @@ class PreCat1Group:
     def range_(self) -> Subgroup:
         return image_of(self.tail)
 
-    def key(self) -> tuple:
-        return (self.tail.mapping, self.head.mapping)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"[{self.group.label} => |R|={self.range_.order}]"
 

@@ -96,9 +96,6 @@ class PreCat2Group:
     def size(self) -> tuple[int, int, int, int]:
         return (self.group.order, self.r1.order, self.r2.order, self.r12.order)
 
-    def key(self) -> tuple:
-        return (self.c1.key(), self.c2.key())
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<cat2 on {self.group.label} size {list(self.size)}>"
 

@@ -82,9 +82,9 @@ def _memo(fn):
 # permutations
 
 
-def perm_from_cycles(cycles: Sequence[Sequence[int]], degree: int = 0) -> Perm:
+def perm_from_cycles(cycles: Sequence[Sequence[int]]) -> Perm:
     """Expand 1-based disjoint cycles into a 0-based image tuple."""
-    top = degree
+    top = 0
     for cyc in cycles:
         for pt in cyc:
             if pt < 1:
@@ -526,15 +526,6 @@ class Homomorphism:
 
     def __call__(self, x: int) -> int:
         return self.mapping[x]
-
-    def is_bijective(self) -> bool:
-        return len(set(self.mapping)) == self.source.order == self.target.order
-
-    def is_idempotent(self) -> bool:
-        if self.source is not self.target:
-            return False
-        m = self.mapping
-        return all(m[v] == v for v in m)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Hom {self.source.label!r}->{self.target.label!r} {list(self.mapping)}>"

@@ -22,6 +22,7 @@ from typing import Optional
 
 from .groups import (DenseGroup, GroupAction, GroupError, GroupTable, Homomorphism, _memo,
                      require_dense)
+from . import catalog
 from .cat1 import PreCat1Group
 from .cat2 import PreCat2Group
 from .xsq import CrossedSquare
@@ -100,9 +101,7 @@ def emit_group(G: GroupTable, key: Optional[tuple[int, int]] = None) -> list[str
     ``key``, else the inline table, whose lines are memoized on ``G``; a
     fresh list on each call."""
     if key is not None:
-        from .catalog import small_group
-
-        if G is not small_group(*key):
+        if G is not catalog.small_group(*key):
             raise FormatError(
                 f"group is not the catalog instance for key {key}; "
                 "serialize it inline instead")
@@ -123,11 +122,9 @@ def parse_group(r: _Reader) -> GroupTable:
     if not words:
         raise FormatError("empty group line")
     if words[0] == "key":
-        from .catalog import small_group
-
         if len(words) != 3:
             raise FormatError(f"expected 'group key <order> <id>', got {words!r}")
-        return small_group(*_ints(words[1:]))
+        return catalog.small_group(*_ints(words[1:]))
     if words[0] == "table":
         if len(words) < 2 or not words[1].isdecimal() or int(words[1]) < 1:
             raise FormatError(f"expected 'group table <order> [label]', got {words!r}")

@@ -1,8 +1,10 @@
-"""Crossed modules of groups, and the package's one check mechanism.
+"""The package's one check mechanism, and the crossed-module axioms.
 
 A crossed module is a boundary S -> R together with an explicit action of R on
-S satisfying equivariance and the Peiffer identity; :func:`_xmod_axioms`
-reports both for the five edge crossed modules of a crossed square.
+S satisfying equivariance and the Peiffer identity.  :func:`_xmod_axioms`
+reports both for a boundary mapping and the rows of an action, which
+``is_crossed_square`` reads off the five edges of a square; the package keeps
+no crossed-module value.
 
 Values and dataclasses check shapes; reports and certifying factories check
 axioms.  A report (``is_cat1_group``, ``is_cat2_group``,
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .groups import GroupAction, GroupError, GroupTable, Homomorphism
 
@@ -37,9 +39,6 @@ class ValidityReport:
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
-
-    def failures(self) -> tuple[AxiomCheck, ...]:
-        return tuple(c for c in self.checks if not c.ok)
 
 
 def _require(checks: Iterable[AxiomCheck], what: str) -> None:
@@ -99,29 +98,10 @@ def _map_lines(maps: Iterable[tuple[str, Homomorphism]],
     return tuple(AxiomCheck(name, c.ok, c.witness) for name, c in named)
 
 
-@dataclass(frozen=True)
-class CrossedModule:
-    """Boundary ``S -> R`` with an action of R on S; :func:`_xmod_axioms`
-    reports the axioms."""
-
-    source: GroupTable
-    range_: GroupTable
-    boundary: Homomorphism
-    action: GroupAction
-
-    def __post_init__(self) -> None:
-        if self.boundary.source is not self.source or self.boundary.target is not self.range_:
-            raise GroupError("boundary must map the source to the range")
-        if self.action.actor is not self.range_ or self.action.space is not self.source:
-            raise GroupError("the action must be of the range on the source")
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"[{self.source.label}->{self.range_.label}]"
-
-
-def _xmod_axioms(X: CrossedModule) -> tuple[AxiomCheck, AxiomCheck]:
-    """Equivariance and the Peiffer identity, with a witness when they fail."""
-    S, R, b, act = X.source, X.range_, X.boundary.mapping, X.action.perms
+def _xmod_axioms(S: GroupTable, R: GroupTable, b: Sequence[int],
+                 act: Sequence[Sequence[int]]) -> tuple[AxiomCheck, AxiomCheck]:
+    """Equivariance and the Peiffer identity of the boundary ``b: S -> R``
+    with R acting on S by the rows ``act``, with a witness when they fail."""
     Ss = S.elements()
     return (_line("equivariance", ((r, s) for r in R.elements() for s in Ss
                                    if b[act[r][s]] != R.conj(r, b[s]))),

@@ -46,7 +46,7 @@ from .groups import (
     semidirect_product,
     sub_conjugation_action,
 )
-from .xmod import CrossedModule, ValidityReport, _line, _map_lines, _require, _xmod_axioms
+from .xmod import ValidityReport, _line, _map_lines, _require, _xmod_axioms
 from .cat1 import Cat1Group
 from .cat2 import Cat2Group, PreCat2Group, cat2_group
 
@@ -87,10 +87,6 @@ class CrossedSquare:
     def diagonal(self) -> Homomorphism:
         return compose(self.mu, self.kappa)
 
-    def corner_orders(self) -> tuple[int, int, int, int]:
-        return (self.up_left.order, self.up_right.order,
-                self.down_left.order, self.down_right.order)
-
     def __repr__(self) -> str:  # pragma: no cover
         return ("[{} -> {}; {} -> {}]".format(
             self.up_left.label, self.up_right.label,
@@ -124,14 +120,14 @@ def is_crossed_square(X: CrossedSquare) -> ValidityReport:
     checks.append(_line("square-commutes", ((l,) for l in Ls if mu[kap[l]] != nu[lam[l]])))
 
     edges = (
-        ("axiom1:kappa", CrossedModule(L, M, X.kappa, action_by_hom(X.mu, X.act_l))),
-        ("axiom1:lambda", CrossedModule(L, N, X.lambda_, action_by_hom(X.nu, X.act_l))),
-        ("axiom1:mu", CrossedModule(M, P, X.mu, X.act_m)),
-        ("axiom1:nu", CrossedModule(N, P, X.nu, X.act_n)),
-        ("axiom1:pi", CrossedModule(L, P, X.diagonal, X.act_l)),
+        ("axiom1:kappa", L, M, kap, [al[v] for v in mu]),
+        ("axiom1:lambda", L, N, lam, [al[v] for v in nu]),
+        ("axiom1:mu", M, P, mu, am),
+        ("axiom1:nu", N, P, nu, an),
+        ("axiom1:pi", L, P, X.diagonal.mapping, al),
     )
-    checks += [_line(name, ((c.name,) + c.witness for c in _xmod_axioms(xm) if not c.ok))
-               for name, xm in edges]
+    checks += [_line(name, ((c.name,) + c.witness for c in _xmod_axioms(*edge) if not c.ok))
+               for name, *edge in edges]
     checks += [
         _line("axiom1:kappa-equivariant", ((p, l) for p in Ps for l in Ls
                                            if kap[al[p][l]] != am[p][kap[l]])),

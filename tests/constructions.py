@@ -5,9 +5,12 @@ here build test inputs (crossed modules, the actor and trivial-action
 crossed squares, direct products and transposes, the embedding form of a
 cat1-group) or check the package by a second route (the certifying
 factories of cat1-groups and crossed modules, the list of all
-homomorphisms, the Aut(G) table, cat2 morphisms and isomorphisms).  They
-are the package's former code, moved unchanged, except that they call the
-package's private helpers through their module, as
+homomorphisms, the Aut(G) table, cat2 morphisms and isomorphisms), or
+read what only assertions read (the key of a structure, the failing lines
+of a report, the corner orders of a square, the bijective and idempotent
+tests of a map).  They are the package's former code, moved unchanged,
+except that methods became functions and that they call the package's
+private helpers through their module, as
 ``groups._endomorphism_maps``, so that a test which patches a module
 attribute reaches these functions too.  pytest does not collect this
 module, since its name does not start with ``test_``.
@@ -41,7 +44,7 @@ from catsq.groups import (
     sub_conjugation_action,
     subgroup_generated,
 )
-from catsq.xmod import CrossedModule, ValidityReport
+from catsq.xmod import AxiomCheck, ValidityReport
 from catsq.cat1 import Cat1Group, PreCat1Group
 from catsq.cat2 import PreCat2Group
 from catsq.xsq import CrossedSquare, ValidCrossedSquare, crossed_square
@@ -57,6 +60,17 @@ def commutator_subgroup(G: GroupTable, A: Subgroup, B: Subgroup) -> Subgroup:
 
 def trivial_hom(G: GroupTable, H: GroupTable) -> Homomorphism:
     return Homomorphism(G, H, (0,) * G.order)
+
+
+def is_bijective(f: Homomorphism) -> bool:
+    return len(set(f.mapping)) == f.source.order == f.target.order
+
+
+def is_idempotent(f: Homomorphism) -> bool:
+    if f.source is not f.target:
+        return False
+    m = f.mapping
+    return all(m[v] == v for v in m)
 
 
 def all_homomorphisms(G: GroupTable, H: GroupTable) -> list[Homomorphism]:
@@ -141,14 +155,39 @@ def product_action(a1: GroupAction, a2: GroupAction, actor: GroupTable,
         tuple(x * n2 + y for x in q1 for y in q2) for q1 in a1.perms for q2 in a2.perms))
 
 
-# -- crossed modules ----------------------------------------------------------
+# -- reports and crossed modules -----------------------------------------------
+
+
+def failures(report: ValidityReport) -> tuple[AxiomCheck, ...]:
+    return tuple(c for c in report.checks if not c.ok)
+
+
+@dataclass(frozen=True)
+class CrossedModule:
+    """Boundary ``S -> R`` with an action of R on S; :func:`is_crossed_module`
+    reports the axioms."""
+
+    source: GroupTable
+    range_: GroupTable
+    boundary: Homomorphism
+    action: GroupAction
+
+    def __post_init__(self) -> None:
+        if self.boundary.source is not self.source or self.boundary.target is not self.range_:
+            raise GroupError("boundary must map the source to the range")
+        if self.action.actor is not self.range_ or self.action.space is not self.source:
+            raise GroupError("the action must be of the range on the source")
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"[{self.source.label}->{self.range_.label}]"
 
 
 def is_crossed_module(X: CrossedModule) -> ValidityReport:
     """Per-axiom report: the boundary and action lines, then equivariance and
     the Peiffer identity, exhaustively."""
     lines = xmod._map_lines([("boundary", X.boundary)], [("action", X.action)])
-    return ValidityReport(lines + xmod._xmod_axioms(X))
+    return ValidityReport(lines + xmod._xmod_axioms(X.source, X.range_, X.boundary.mapping,
+                                                    X.action.perms))
 
 
 def crossed_module(source: GroupTable, range_: GroupTable, boundary: Homomorphism,
@@ -257,6 +296,14 @@ def _intertwines(f: Sequence[int], a: Sequence[int], b: Sequence[int]) -> bool:
 # -- cat2-groups --------------------------------------------------------------
 
 
+def key_of(C: PreCat1Group | PreCat2Group) -> tuple:
+    """The tail and head maps of a pre-cat1-group, or of both structures of
+    a pre-cat2-group, as one hashable tuple."""
+    if isinstance(C, PreCat2Group):
+        return (key_of(C.c1), key_of(C.c2))
+    return (C.tail.mapping, C.head.mapping)
+
+
 def pre_cat2_group(c1: PreCat1Group, c2: PreCat1Group) -> PreCat2Group:
     C = PreCat2Group(c1, c2)
     xmod._require((cat2._commutation_check(c1, c2),), "commutation identity violated")
@@ -314,6 +361,10 @@ def isomorphism_cat2_groups(A: PreCat2Group, B: PreCat2Group) -> Optional[Cat2Mo
 
 
 # -- crossed squares ----------------------------------------------------------
+
+
+def corner_orders(X: CrossedSquare) -> tuple[int, int, int, int]:
+    return (X.up_left.order, X.up_right.order, X.down_left.order, X.down_right.order)
 
 
 def actor_crossed_square(M: GroupTable) -> CrossedSquare:

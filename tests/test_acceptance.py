@@ -61,8 +61,8 @@ from catsq.xsq import (
     is_crossed_square,
 )
 from constructions import (all_cat2_group_morphisms, all_homomorphisms, automorphism_xmod,
-                           cat1_group, cat1_of_xmod, conjugation_xmod, trivial_hom,
-                           xmod_of_cat1)
+                           cat1_group, cat1_of_xmod, conjugation_xmod, failures, key_of,
+                           trivial_hom, xmod_of_cat1)
 from test_cat2 import oracle_bad_diagonals, oracle_representative_partners, representative_partners
 from test_groups import (end_map_tuples, fresh_copy, hom_by_images, normal_subgroups,
                          oracle_aut_generators, oracle_end_maps)
@@ -227,7 +227,7 @@ def _prove_diagonal_erratum_16_11():
                         f"from the {len(families)} families")
 
     def kernels_clash(pair):
-        (t1, h1), (t2, h2) = cat1s[pair[0]].key(), cat1s[pair[1]].key()
+        (t1, h1), (t2, h2) = key_of(cat1s[pair[0]]), key_of(cat1s[pair[1]])
         kt = [x for x in G.elements() if t1[t2[x]] == 0]
         kh = [x for x in G.elements() if h1[h2[x]] == 0]
         return any(G.mul(a, b) != G.mul(b, a) for a in kt for b in kh)
@@ -416,7 +416,7 @@ def test_criterion_6_round_trips_fast():
             rep = is_crossed_square(crossed_square_of_cat2(C))
             if not rep.ok:
                 problems.append(f"conversion of a cat2 on {order}/{gid} failed: "
-                                f"{rep.failures()[0].name}")
+                                f"{failures(rep)[0].name}")
                 break
 
     # crossed square -> cat2 -> crossed square preserves corner types (<= 12)
@@ -455,7 +455,7 @@ def test_criterion_6_conversion_sweep_16_14():
     for pos, C in enumerate(all_cat2_groups(G)):
         rep = is_crossed_square(crossed_square_of_cat2(C))
         if not rep.ok:
-            problems.append(f"conversion {pos} failed: {rep.failures()[0].name}")
+            problems.append(f"conversion {pos} failed: {failures(rep)[0].name}")
             break
     _verdict(6, "conversion sweep on 16/14", problems)
 
@@ -539,7 +539,7 @@ def test_criterion_7_oracle_equivalence_fast():
                         rejects += 1
         kernel_rejects[(order, gid)] = rejects
         cat1s = all_cat1_groups(G)
-        if naive1 != [c.key() for c in cat1s]:
+        if naive1 != [key_of(c) for c in cat1s]:
             problems.append(f"cat1 naive loop differs on {order}/{gid}")
         E, (tails, heads) = _endomorphism_maps(G)[0], _cat1_pairs(G)
         if (E[tails].tolist() != [list(c.tail.mapping) for c in cat1s]
@@ -562,7 +562,7 @@ def test_criterion_7_oracle_equivalence_fast():
 def test_criterion_7_oracle_equivalence_16_14():
     problems = []
     G = catalog.small_group(16, 14)
-    if _naive_cat1_keys_16_14() != [c.key() for c in all_cat1_groups(G)]:
+    if _naive_cat1_keys_16_14() != [key_of(c) for c in all_cat1_groups(G)]:
         problems.append("cat1 naive loop differs on 16/14")
     # the array diagonal probe against the per-representative loop
     if non_cat1_diagonal_count(G) != oracle_bad_diagonals(G):

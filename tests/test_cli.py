@@ -26,9 +26,10 @@ def run_cli(*args):
 
 def test_table_imports_no_numpy_module_beyond_catsq():
     """In a fresh interpreter, the table pipeline imports no numpy module
-    that ``import catsq`` did not.  (``np.unique`` without ``return_*``
-    flags imports numpy.ma, about 19 ms, on numpy 2.4.)"""
-    code = ("import sys, catsq\n"
+    that ``import numpy`` did not; ``import catsq`` alone imports no numpy
+    module at all.  (``np.unique`` without ``return_*`` flags imports
+    numpy.ma, about 19 ms, on numpy 2.4.)"""
+    code = ("import sys, numpy\n"
             "before = {m for m in sys.modules if m.startswith('numpy')}\n"
             "from catsq import tables\n"
             "tables.build_table()\n"

@@ -64,14 +64,14 @@ def oracle_orbit_maps(G):
     """Per Aut(G) generator a, the position of a o (t, h) o a^-1 for each
     cat1 structure (t, h), one structure at a time."""
     cat1s = all_cat1_groups(G)
-    index = {c.key(): p for p, c in enumerate(cat1s)}
+    index = {constructions.key_of(c): p for p, c in enumerate(cat1s)}
     maps = []
     for am in automorphism_generators(G).tolist():
         inv = [0] * len(am)
         for x, v in enumerate(am):
             inv[v] = x
         maps.append(tuple(
-            index[tuple(tuple(am[m[inv[x]]] for x in range(len(m))) for m in c.key())]
+            index[tuple(tuple(am[m[inv[x]]] for x in range(len(m))) for m in constructions.key_of(c))]
             for c in cat1s))
     return maps
 

@@ -22,7 +22,7 @@ from catsq.serialize import (
 )
 from catsq.tables import compute_group_data, group_data
 from catsq.xsq import crossed_square_of_cat2
-from constructions import cat1_group
+from constructions import cat1_group, key_of
 from test_groups import hom_by_images
 
 
@@ -33,7 +33,7 @@ def test_cat1_round_trip_with_key(d8):
     C = cat1_group(t, t)
     text = emit_cat1(C, (8, 3))
     back = parse_cat1(text)
-    assert back.key() == (C.tail.mapping, C.head.mapping)
+    assert key_of(back) == (C.tail.mapping, C.head.mapping)
     assert emit_cat1(back, (8, 3)) == text
     assert detect_kind(text) == "cat1"
     # a key may only be used for the catalog instance itself

@@ -1,6 +1,7 @@
 """Checks on the package source with the stdlib ``ast`` module: no module
-imports a name it never uses, every private top-level function and private
-module-level assigned name is referenced somewhere in the package, only
+imports a name it never uses and the package root imports nothing, every
+private top-level function and private module-level assigned name is
+referenced somewhere in the package, only
 ``groups`` chooses between a dense and a structural realization, only
 ``tables`` imports the result cache, which imports no catsq module, no
 dataclass constructor multiplies, only the memo decorator touches a group's
@@ -11,8 +12,9 @@ lookup ``groups._code_positions``, nothing calls ``searchsorted``, the
 closure and both classifiers label orbits with the one orbit routine
 ``groups._orbit_labels``, only ``cli.cmd_inspect`` reads a classification's
 ``families``, and no array has a floating-point dtype.
-Every public top-level function and class is read by a reached unit of the
-package or by the benchmark, so that no helper lives in ``src/`` for the
+Every public top-level function, class and module constant, and every
+public method, property and field of a class, is read by a reached unit of
+the package or by the benchmark, so that no helper lives in ``src/`` for the
 tests alone; every identifier that README's library overview names is
 defined in the package; and every function that ``perfbench/child.py``
 traces still exists on its module."""
@@ -40,10 +42,12 @@ def test_sources_found():
 
 
 def test_no_unused_imports():
+    """No module imports a name it never uses, and the package root
+    imports nothing: it re-exports no name, so a user imports the module."""
+    assert [n for n in ast.walk(TREES["__init__.py"])
+            if isinstance(n, (ast.Import, ast.ImportFrom))] == []
     unused = []
     for name, tree in TREES.items():
-        if name == "__init__.py":  # its imports are the public re-exports
-            continue
         used = _used_names(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -303,38 +307,83 @@ UNREACHED_KEPT = {
 }
 
 
-def test_every_public_name_is_reached():
-    """A public top-level function or class of the package is read by the
-    benchmark (``perfbench/*.py``, or a function that ``TRACED`` wraps) or
-    by a unit of the package that is itself reached.  An import is no read:
-    the importing module must use the name (``test_no_unused_imports``), so
-    ``__init__`` re-exports count for nothing, and neither does README.md.
-    A name read only by unreached units is unreached too, so the search
-    repeats until nothing changes; a helper that only the tests call
-    belongs in ``tests/constructions.py``."""
-    readers = {}
+def _defined(node):
+    """The names that a definition or a plain assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _attributes_read(tree):
+    return {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
+def _reach_units():
+    """``(top, member, names, attributes)`` for each unit of the package:
+    every top-level statement but the imports, where a class splits into its
+    header (decorators and bases) and each statement of its body.  ``top``
+    and ``member`` name the definitions that own the unit, as
+    ``"catalog.py: CatalogEntry"`` and ``"catalog.py: CatalogEntry.name"``;
+    ``names`` are the identifiers and attribute names it reads, and
+    ``attributes`` the attribute names alone."""
     for name, tree in TREES.items():
         for top in tree.body:
-            if not isinstance(top, (ast.Import, ast.ImportFrom)):
-                for word in _used_names(top):
-                    readers.setdefault(word, set()).add(
-                        f"{name}: {getattr(top, 'name', '<module>')}")
-    benchmark = {fn for _, fn, _ in _traced()}
-    benchmark |= set().union(*(_used_names(ast.parse(path.read_text()))
-                               for path in (ROOT / "perfbench").glob("*.py")))
-    public = {f"{name}: {node.name}": node.name for name, tree in TREES.items()
-              for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_") and node.name not in benchmark}
+            if isinstance(top, (ast.Import, ast.ImportFrom)):
+                continue
+            owner = f"{name}: {(_defined(top) or ['<module>'])[0]}"
+            parts = ([(None, [top])] if not isinstance(top, ast.ClassDef) else
+                     [(None, top.decorator_list + top.bases + top.keywords)]
+                     + [(f"{owner}.{(_defined(node) or ['<body>'])[0]}", [node])
+                        for node in top.body])
+            for member, nodes in parts:
+                yield (owner, member, set().union(*map(_used_names, nodes)),
+                       set().union(*map(_attributes_read, nodes)))
+
+
+def test_every_public_name_is_reached():
+    """A public top-level function, class or module constant of the package
+    is read by the benchmark (``perfbench/*.py``, or a function that
+    ``TRACED`` wraps) or by a unit of the package that is itself reached.
+    So is each public method, property and field of a class, where only an
+    ``ast.Attribute`` read counts: a local variable such as ``key`` is no
+    read of a method ``key``.  An import is no read, since the importing
+    module must use the name (``test_no_unused_imports``), and README.md
+    counts for nothing.  A name read only by unreached units is unreached
+    too, and so is every member of an unreached class, so the search
+    repeats until nothing changes; a helper that only the tests call
+    belongs in ``tests/constructions.py``."""
+    bench = [ast.parse(path.read_text()) for path in (ROOT / "perfbench").glob("*.py")]
+    bench_names = {fn for _, fn, _ in _traced()} | set().union(*map(_used_names, bench))
+    bench_attributes = set().union(*map(_attributes_read, bench))
+    public = {}  # owner -> (word, whether only attribute reads count)
+    for name, tree in TREES.items():
+        for top in tree.body:
+            public |= {f"{name}: {w}": (w, False) for w in _defined(top)
+                       if not w.startswith("_") and w not in bench_names}
+            if isinstance(top, ast.ClassDef):
+                public |= {f"{name}: {top.name}.{w}": (w, True)
+                           for node in top.body for w in _defined(node)
+                           if not w.startswith("_") and w not in bench_attributes}
+    units = list(_reach_units())
+
+    def read_by_reached(own, unreached):
+        word, attribute = public[own]
+        return any(word in (attributes if attribute else names)
+                   and not {top, member} & (unreached | {own})
+                   for top, member, names, attributes in units)
+
     unreached = set()
     while True:
-        found = {own for own, word in public.items() if own not in unreached | set(UNREACHED_KEPT)
-                 and readers.get(word, set()) <= unreached | {own}}
+        found = {own for own in public if own not in unreached | set(UNREACHED_KEPT)
+                 and not read_by_reached(own, unreached)}
         if not found:
             break
         unreached |= found
     assert sorted(unreached) == []
     # each exception is still needed: nothing reached reads it either
-    assert all(readers.get(public[own], set()) <= unreached | {own} for own in UNREACHED_KEPT)
+    assert not any(read_by_reached(own, unreached) for own in UNREACHED_KEPT)
 
 
 def test_readme_overview_names_exist():

@@ -15,14 +15,16 @@ from catsq.groups import (
     identity_hom,
     subgroup_generated,
 )
-from catsq.xmod import CrossedModule, is_action, is_homomorphism
+from catsq.xmod import is_action, is_homomorphism
 from constructions import (
+    CrossedModule,
     automorphism_group_as_table,
     automorphism_xmod,
     cat1_group,
     cat2_morphism,
     conjugation_xmod,
     crossed_module,
+    failures,
     from_general_form,
     general_form,
     is_crossed_module,
@@ -89,7 +91,7 @@ def test_peiffer_failure_has_witness():
     bad = CrossedModule(s3, triv, trivial_hom(s3, triv), trivial_action(triv, s3))
     rep = is_crossed_module(bad)
     assert not rep.ok
-    fail = rep.failures()[0]
+    fail = failures(rep)[0]
     assert fail.name == "peiffer"
     s1, s2 = fail.witness
     assert s3.conj(s2, s1) != s1
